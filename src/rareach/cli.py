@@ -50,7 +50,11 @@ _REACH_EXIT = {
     ReachStatus.INCONCLUSIVE: 2,
 }
 
-_CONFIG_KEYS = ("contexts", "rmws", "event-cap", "seed", "jobs")
+_CONFIG_KEYS = ("contexts", "rmws", "event-cap", "seed")
+
+
+class _UsageError(Exception):
+    """A budget setting that is missing or out of range (exit 64)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +100,24 @@ def _load_config(path: str) -> dict[str, int]:
     return out
 
 
-def _setting(flag: int | None, cfg: dict[str, int], key: str) -> int | None:
-    return flag if flag is not None else cfg.get(key)
+def _setting(flag: int | None, cfg: dict[str, int], key: str, low: int = 0) -> int | None:
+    """The flag if given, else the config value; below ``low`` is a usage error."""
+    value = flag if flag is not None else cfg.get(key)
+    if value is not None and value < low:
+        raise _UsageError(f"--{key} must be at least {low}, got {value}")
+    return value
 
 
 # --- verb handlers ---------------------------------------------------------------
+
+
+def _budget(args) -> tuple[dict[str, int], int, int]:
+    """Config presets, contexts (required) and rmws of ``reach`` / ``bound``."""
+    cfg = _load_config(args.config) if args.config else {}
+    contexts = _setting(args.contexts, cfg, "contexts", low=1)
+    if contexts is None:
+        raise _UsageError("--contexts is required (flag or config)")
+    return cfg, contexts, _setting(args.rmws, cfg, "rmws") or 0
 
 
 def _cmd_check(args) -> int:
@@ -183,14 +200,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_reach(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    contexts = _setting(args.contexts, cfg, "contexts")
-    if contexts is None:
-        print("reach: --contexts is required (flag or config)", file=sys.stderr)
-        return EX_USAGE
-    rmws = _setting(args.rmws, cfg, "rmws") or 0
+    cfg, contexts, rmws = _budget(args)
     event_cap = _setting(args.event_cap, cfg, "event-cap")
-    seed = _setting(args.seed, cfg, "seed") or 0
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     program = parse_program(_read(args.program))
 
     if args.naive:
@@ -219,9 +231,10 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    max_events = _setting(args.max_events, {}, "max-events")
     program = parse_program(_read(args.program))
     graphs = []
-    for graph in enumerate_graphs(program, args.max_events):
+    for graph in enumerate_graphs(program, max_events):
         graphs.append(graph)
         if args.limit is not None and len(graphs) >= args.limit:
             break
@@ -236,12 +249,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    contexts = _setting(args.contexts, cfg, "contexts")
-    if contexts is None:
-        print("bound: --contexts is required (flag or config)", file=sys.stderr)
-        return EX_USAGE
-    rmws = _setting(args.rmws, cfg, "rmws") or 0
+    _, contexts, rmws = _budget(args)
     program = parse_program(_read(args.program))
     value = small_model_bound(program, contexts, rmws)
     if args.json:
@@ -342,8 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--naive", action="store_true",
                    help="exhaustive graph enumeration up to the event cap (ignores the budget)")
     p.add_argument("--emit-witness", metavar="FILE", help="write the witness trace JSON here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for script compatibility; the search is sequential")
     p.add_argument("--seed", type=int, help="branch-order shuffle seed (0 = canonical order)")
     p.add_argument("--config", metavar="FILE", help="key=value presets for budget flags")
     p.add_argument("--json", action="store_true")
@@ -397,9 +403,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RaReachError, OSError, ValueError) as exc:
+    except (_UsageError, RaReachError, OSError, ValueError) as exc:
         print(f"ra-reach: error: {exc}", file=sys.stderr)
-        return EX_DATAERR
+        return EX_USAGE if isinstance(exc, _UsageError) else EX_DATAERR
     except (AssertionError, InternalValueMismatch) as exc:
         print(f"ra-reach: internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE

@@ -36,8 +36,6 @@ from .model import (
     Op,
     Program,
     final_vector,
-    label_key,
-    step_states,
     write,
 )
 from .reduction import small_model_bound
@@ -92,17 +90,7 @@ def _words_upto(lts: Lts, max_len: int) -> list[tuple[Label, ...]]:
     out: list[tuple[Label, ...]] = [()]
     layer: list[tuple[tuple[Label, ...], frozenset[str]]] = [((), frozenset({lts.init}))]
     for _ in range(max_len):
-        nxt: list[tuple[tuple[Label, ...], frozenset[str]]] = []
-        for word, states in layer:
-            enabled = sorted(
-                {lab for (src, lab, _) in lts.transitions if src in states},
-                key=label_key,
-            )
-            for lab in enabled:
-                img = step_states(lts, states, lab)
-                if img:
-                    nxt.append((word + (lab,), img))
-        layer = nxt
+        layer = [(word + (lab,), lts.step(states, lab)) for word, states in layer for lab in lts.enabled(states)]
         out.extend(word for word, _ in layer)
     return out
 
@@ -243,32 +231,20 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             return trace
         return None
 
-    def branches() -> list[_Branch]:
+    def branches() -> Iterator[_Branch]:
         active = runs[-1][0] if runs else None
-        out: list[_Branch] = []
         for t in tids:
             if t != active and len(runs) >= budget.contexts:
                 continue
-            lts = program.threads[t]
-            enabled = sorted(
-                {lab for (src, lab, _) in lts.transitions if src in subsets[t]},
-                key=label_key,
-            )
-            for lab in enabled:
+            for lab in program.threads[t].enabled(subsets[t]):
                 if lab.op is Op.RMW and flags["rmws"] >= budget.rmws:
                     continue
                 row = mo_rows[lab.loc]
-                if lab.op is Op.READ:
-                    for w in sorted(w for w in row if events[w].val_w == lab.val_r):
-                        out.append(_Branch(t, lab, w, None))
-                elif lab.op is Op.WRITE:
-                    for pos in range(1, len(row) + 1):
-                        out.append(_Branch(t, lab, None, pos))
-                else:
-                    for w in sorted(w for w in row if events[w].val_w == lab.val_r):
-                        for pos in range(1, len(row) + 1):
-                            out.append(_Branch(t, lab, w, pos))
-        return out
+                # reads pick a same-valued writer, writes an mo insertion point, updates both
+                srcs = sorted(w for w in row if events[w].val_w == lab.val_r) if lab.op.reads else (None,)
+                for w in srcs:
+                    for pos in range(1, len(row) + 1) if lab.op.writes else (None,):
+                        yield _Branch(t, lab, w, pos)
 
     def violates(br: _Branch, eid: int, p: int) -> bool:
         lab = br.label
@@ -311,7 +287,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         events.append(Event(eid, lab))
         preds.append(p)
         old_subset = subsets[t]
-        subsets[t] = step_states(program.threads[t], old_subset, lab)
+        subsets[t] = program.threads[t].step(old_subset, lab)
         po_rows[t].append(eid)
         if lab.op.reads:
             assert br.rf_src is not None
@@ -352,12 +328,12 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             found = hit_trace()
             if found is not None:
                 return found
-        out = branches()
-        if not out:
-            return None
         if n >= cap:
-            flags["truncated"] = True
+            # a leaf only needs to know whether it cut anything off
+            if next(branches(), None) is not None:
+                flags["truncated"] = True
             return None
+        out = list(branches())
         if rng is not None:
             rng.shuffle(out)
         for br in out:

@@ -215,7 +215,6 @@ def build_graph(
     """
     by_id: dict[EventId, Event] = {}
     for ev in events:
-        id_key(ev.eid)  # type-check the id
         if ev.eid in by_id:
             raise DuplicateId(f"event id {ev.eid!r} used twice")
         by_id[ev.eid] = ev
@@ -355,6 +354,13 @@ def _event_json(ev: Event) -> dict:
     }
 
 
+def json_field(value, *types: type):
+    """``value`` if it has one of ``types`` (a bool is no int), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{value!r} is not of type {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
 def graph_from_json(data: dict) -> ExecutionGraph:
     try:
         events = []
@@ -362,17 +368,17 @@ def graph_from_json(data: dict) -> ExecutionGraph:
         for item in data["events"]:
             lab = Label(
                 Op(item["op"]),
-                item["tid"],
-                item["loc"],
-                val_r=item.get("valR"),
-                val_w=item.get("valW"),
+                json_field(item["tid"], str),
+                json_field(item["loc"], str),
+                val_r=json_field(item.get("valR"), str, type(None)),
+                val_w=json_field(item.get("valW"), str, type(None)),
             )
-            ev = Event(item["id"], lab)
+            ev = Event(json_field(item["id"], int, str), lab)
             events.append(ev)
             po.setdefault(ev.tid, []).append(ev.eid)
-        rf = {r: w for r, w in data["rf"]}
-        mo = {loc: list(row) for loc, row in data["mo"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        rf = {json_field(r, int, str): json_field(w, int, str) for r, w in data["rf"]}
+        mo = {json_field(x, str): [json_field(e, int, str) for e in row] for x, row in data["mo"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
     return build_graph(events, po, rf, mo)
 

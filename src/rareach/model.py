@@ -26,15 +26,15 @@ initialising writes and cannot be declared.
 
 Thread behaviour is a set of words: every label sequence with a path from the
 initial state.  Because transition relations may be nondeterministic, words
-are executed over *sets* of states (:func:`step_states`), and a state vector
+are executed over *sets* of states (:meth:`Lts.step`), and a state vector
 is considered reached when every thread's word can end in its target state.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, UnknownThread
@@ -121,6 +121,8 @@ class Lts:
     final: str
     states: frozenset[str]
     transitions: frozenset[tuple[str, Label, str]]
+    #: memo of :meth:`enabled` / :meth:`step`: state set -> (enabled labels, label -> image)
+    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.init not in self.states:
@@ -133,6 +135,33 @@ class Lts:
 
     def labels(self) -> set[Label]:
         return {lab for _, lab, _ in self.transitions}
+
+    @cached_property
+    def index(self) -> dict[str, dict[Label, list[str]]]:
+        """``state -> label -> dsts``, built once per instance."""
+        rows: dict[str, dict[Label, list[str]]] = {}
+        for src, lab, dst in self.transitions:
+            rows.setdefault(src, {}).setdefault(lab, []).append(dst)
+        return rows
+
+    def _moves_of(self, states: frozenset[str]) -> tuple[tuple[Label, ...], dict[Label, frozenset[str]]]:
+        found = self._moves.get(states)
+        if found is None:
+            images: dict[Label, set[str]] = {}
+            for s in states:
+                for lab, dsts in self.index.get(s, {}).items():
+                    images.setdefault(lab, set()).update(dsts)
+            enabled = tuple(sorted(images, key=label_key))
+            found = self._moves[states] = (enabled, {lab: frozenset(images[lab]) for lab in enabled})
+        return found
+
+    def enabled(self, states: frozenset[str]) -> tuple[Label, ...]:
+        """Labels with a transition out of ``states``, sorted by :func:`label_key`."""
+        return self._moves_of(states)[0]
+
+    def step(self, states: frozenset[str], label: Label) -> frozenset[str]:
+        """Image of a state set under one labelled step."""
+        return self._moves_of(states)[1].get(label, frozenset())
 
 
 @dataclass(frozen=True)
@@ -176,9 +205,8 @@ def final_vector(program: Program) -> dict[str, str]:
 
 
 def step_states(lts: Lts, states: Iterable[str], label: Label) -> frozenset[str]:
-    """Image of a state set under one labelled step."""
-    cur = set(states)
-    return frozenset(dst for (src, lab, dst) in lts.transitions if src in cur and lab == label)
+    """Image of a state set under one labelled step; see :meth:`Lts.step`."""
+    return lts.step(frozenset(states), label)
 
 
 def word_reaches(
@@ -192,10 +220,7 @@ def word_reaches(
     :class:`UnknownThread` when ``words`` or ``target`` mention undeclared
     threads or miss a declared one in ``target``.
     """
-    for tid in words:
-        if tid not in program.threads:
-            raise UnknownThread(tid)
-    for tid in target:
+    for tid in (*words, *target):
         if tid not in program.threads:
             raise UnknownThread(tid)
     for tid, lts in program.threads.items():
@@ -203,9 +228,7 @@ def word_reaches(
             raise UnknownThread(f"target misses thread {tid!r}")
         cur: frozenset[str] = frozenset({lts.init})
         for lab in words.get(tid, ()):
-            cur = step_states(lts, cur, lab)
-            if not cur:
-                return False
+            cur = lts.step(cur, lab)
         if target[tid] not in cur:
             return False
     return True
@@ -417,7 +440,3 @@ def program_from_json(data: dict) -> Program:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad program JSON: {exc}") from exc
-
-
-def dump_program_json(program: Program) -> str:
-    return json.dumps(program_to_json(program), indent=2, sort_keys=True) + "\n"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import InternalValueMismatch, NotCollapsible, UnknownThread
 from .graph import EventId, ExecutionGraph, build_graph
-from .model import INIT_TID, Op, Program, step_states
+from .model import INIT_TID, Op, Program
 from .trace import Run, Trace, make_trace, range_in_run
 
 # --- latest local write and summaries ---------------------------------------
@@ -42,8 +42,8 @@ def lw(trace: Trace, eid: EventId, loc: str, rmw_mode: bool = False) -> EventId 
 
     With ``rmw_mode`` update events count as writes too.
     """
-    ri, off, _ = trace.position[eid] if eid in trace.position else _no_run(trace, eid)
-    run = trace.runs[ri]
+    run = trace.runs[trace.run_of(eid)]
+    off = trace.position[eid][1]
     g = trace.graph
     for e in reversed(run.events[: off + 1]):
         ev = g.events[e]
@@ -52,11 +52,6 @@ def lw(trace: Trace, eid: EventId, loc: str, rmw_mode: bool = False) -> EventId 
         if ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW):
             return e
     return None
-
-
-def _no_run(trace: Trace, eid: EventId):
-    trace.run_of(eid)  # raises UnknownEvent
-    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,9 @@ def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False
         raise UnknownThread(ev.tid)
     lts = program.threads[ev.tid]
 
-    row = g.po[ev.tid]
     states: frozenset[str] = frozenset({lts.init})
-    for e in row:
-        states = step_states(lts, states, g.events[e].label)
-        if e == eid:
-            break
+    for e in g.po[ev.tid][: g.po_pos[eid] + 1]:
+        states = lts.step(states, g.events[e].label)
 
     vals: list[tuple[str, str | None]] = []
     foreign: set[str] = set()
@@ -124,8 +116,7 @@ def collapsible(
     rmw_mode: bool = False,
 ) -> bool:
     """Whether the range ``(first, second]`` of their shared run can be removed."""
-    cache: dict[EventId, Summary] = {}
-    return _check_pair(trace, program, first, second, rmw_mode, cache)
+    return _check_pair(trace, program, first, second, rmw_mode, summaries={})
 
 
 def _check_pair(

@@ -31,6 +31,7 @@ from .graph import (
     ExecutionGraph,
     graph_from_json,
     graph_to_json,
+    json_field,
 )
 from .model import INIT_TID, Op
 
@@ -204,7 +205,8 @@ def trace_to_json(trace: Trace) -> dict:
 def trace_from_json(data: dict) -> Trace:
     try:
         graph = graph_from_json(data["graph"])
-        runs = tuple(Run(r["tid"], tuple(r["events"])) for r in data["runs"])
+        runs = tuple(Run(json_field(r["tid"], str), tuple(json_field(e, int, str) for e in r["events"]))
+                     for r in data["runs"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad trace JSON: {exc}") from exc
     return make_trace(graph, runs)

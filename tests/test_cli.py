@@ -337,6 +337,91 @@ class TestPcp:
         assert run(capsys, "pcp", "audit", str(g))[0] == 65
 
 
+class TestBadSettings:
+    """Negative or zero-context budget settings are usage errors, from flags or config."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reach", "PROG", "--contexts", "2", "--event-cap", "-3"],
+            ["reach", "PROG", "--contexts", "-1"],
+            ["reach", "PROG", "--contexts", "0"],
+            ["reach", "PROG", "--contexts", "2", "--rmws", "-1"],
+            ["reach", "PROG", "--contexts", "2", "--naive", "--event-cap", "-1"],
+            ["enumerate", "PROG", "--max-events", "-1"],
+            ["bound", "--program", "PROG", "--contexts", "-2"],
+            ["bound", "--program", "PROG", "--contexts", "2", "--rmws", "-1"],
+        ],
+    )
+    def test_flag_exits_64(self, capsys, mp_file, argv):
+        code, out, err = run(capsys, *[mp_file if a == "PROG" else a for a in argv])
+        assert code == 64 and out == ""
+        assert err.startswith("ra-reach: error: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, bound_code",
+        [("contexts=2\nevent-cap=-3\n", 0), ("contexts=-2\n", 64), ("contexts=2\nrmws=-1\n", 64)],
+    )
+    def test_config_exits_64(self, capsys, tmp_path, mp_file, text, bound_code):
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text(text)
+        assert run(capsys, "reach", mp_file, "--config", str(cfgf))[0] == 64
+        # bound takes no event cap, so only the settings it reads are checked
+        assert run(capsys, "bound", "--program", mp_file, "--config", str(cfgf))[0] == bound_code
+
+    def test_zero_cap_still_runs(self, capsys, mp_file):
+        code, out, _ = run(capsys, "reach", mp_file, "--contexts", "2", "--event-cap", "0")
+        assert code == 2 and out.startswith("inconclusive")
+        assert run(capsys, "enumerate", mp_file, "--max-events", "0")[0] == 0
+
+    def test_jobs_is_gone(self, capsys, tmp_path, mp_file):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["reach", mp_file, "--contexts", "2", "--jobs", "2"])
+        assert ei.value.code == 64
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text("contexts=2\njobs=2\n")
+        assert run(capsys, "reach", mp_file, "--config", str(cfgf))[0] == 65
+
+
+class TestMalformedJson:
+    """Ill-typed JSON fields are input errors (65) with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g["events"][1].update(id=[0]),
+            lambda g: g["events"][1].update(id=1.5),
+            lambda g: g["events"][1].update(id=True),
+            lambda g: g["events"][1].update(tid=["t"]),
+            lambda g: g["events"][1].update(valW={"v": 1}),
+            lambda g: g["rf"][0].__setitem__(1, [0]),
+            lambda g: g["mo"]["x"].append(None),
+            lambda g: g.update(mo=[["x"]]),
+        ],
+    )
+    def test_graph_fields(self, capsys, tmp_path, twin_prog_file, edit):
+        blob = trace_to_json(corpus.twin_write_trace(2))
+        edit(blob["graph"])
+        g, t = tmp_path / "g.json", tmp_path / "t.json"
+        g.write_text(json.dumps(blob["graph"]))
+        t.write_text(json.dumps(blob))
+        for argv in (["check", str(g)], ["pcp", "audit", str(g)], ["reduce", str(t), "--program", twin_prog_file]):
+            code, out, err = run(capsys, *argv)
+            assert code == 65 and out == ""
+            assert err.startswith("ra-reach: error: bad graph JSON") and err.count("\n") == 1
+        code, out, _ = run(capsys, "trace-validate", str(t))
+        assert code == 1 and out.startswith("invalid: bad graph JSON")
+
+    @pytest.mark.parametrize("bad", [[0], 2.0, None, {"e": 1}])
+    def test_run_event_ids(self, capsys, tmp_path, twin_prog_file, bad):
+        blob = trace_to_json(corpus.twin_write_trace(2))
+        blob["runs"][0]["events"][0] = bad
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps(blob))
+        code, _, err = run(capsys, "reduce", str(t), "--program", twin_prog_file)
+        assert code == 65 and err.startswith("ra-reach: error: bad trace JSON")
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",

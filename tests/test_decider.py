@@ -12,7 +12,8 @@ from rareach.decider import (
     naive_reach,
 )
 from rareach.graph import graph_to_json, reaches
-from rareach.model import final_vector
+from rareach.model import final_vector, parse_program
+from rareach.pcp import compile_pcp, parse_pcp
 from rareach.trace import ContextBudget
 
 from tests import corpus
@@ -149,3 +150,39 @@ class TestAgreement:
 
     def test_stats_default(self):
         assert SearchStats().to_json() == {"visited": 0, "prunes": 0, "maxEvents": 0}
+
+
+#: message passing where the writer may flip x back and forth and the reader
+#: may spin on x; the target needs the reader's last x read to see 0
+MP_LOOP = """
+locs x y
+vals 0 1
+init x=0 y=0
+thread writer init a0 final a3
+  a0 a1 w x 1
+  a1 a2 w x 0
+  a2 a1 w x 1
+  a1 a3 w y 1
+thread reader init b0 final b2
+  b0 b0 r x 1
+  b0 b0 r x 0
+  b0 b1 r y 1
+  b1 b2 r x 0
+"""
+
+
+class TestPinnedCounters:
+    """Exhaustively explored trees: the counts do not depend on branch order."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gadget_cap_4(self, seed):
+        gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
+        v = bounded_reach(gadget.program, cfg(12, cap=4, seed=seed))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_mp_loop_cap_13(self, seed):
+        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert (v.explored.visited, v.explored.prunes) == (22639, 48258)

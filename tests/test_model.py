@@ -1,7 +1,7 @@
 """Program model: labels, transition systems, parsing, word semantics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rareach.errors import ParseError, UnknownThread
 from rareach.model import (
@@ -69,6 +69,37 @@ class TestStepStates:
         lab = write("writer", "y", "1")
         both = step_states(lts, {"a0", "a1"}, lab)
         assert both == step_states(lts, {"a0"}, lab) | step_states(lts, {"a1"}, lab)
+
+
+class TestIndexedForm:
+    """``Lts.enabled`` / ``Lts.step`` against a brute-force transition scan."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(min_value=0, max_value=4000), st.sampled_from([0.0, 0.4]), st.data())
+    def test_matches_transition_scan(self, seed, rmw_prob, data):
+        prog = corpus.random_program(seed, rmw_prob=rmw_prob)
+        for lts in prog.threads.values():
+            states = data.draw(st.frozensets(st.sampled_from(sorted(lts.states))))
+            want = sorted({lab for src, lab, _ in lts.transitions if src in states}, key=label_key)
+            for _ in range(2):  # the second round answers from the memo
+                assert lts.enabled(states) == tuple(want)
+                for lab in lts.labels():
+                    image = {dst for src, l, dst in lts.transitions if src in states and l == lab}
+                    assert lts.step(states, lab) == frozenset(image)
+                    assert step_states(lts, set(states), lab) == frozenset(image)
+                    assert type(lts.step(states, lab)) is frozenset
+
+    def test_index_rows(self):
+        lts = corpus.mp().threads["reader"]
+        assert lts.index == {
+            "b0": {read("reader", "y", "1"): ["b1"]},
+            "b1": {read("reader", "x", "1"): ["b2"]},
+        }
+
+    def test_index_ignored_by_equality(self):
+        a, b = corpus.mp().threads["writer"], corpus.mp().threads["writer"]
+        a.enabled(frozenset({a.init}))
+        assert a == b and hash(a) == hash(b)
 
 
 class TestWordReaches:
