@@ -32,7 +32,7 @@ from .errors import (
     RaReachError,
     TraceError,
 )
-from .graph import Event, EventId, ExecutionGraph, build_graph, hb, reaches, thread_word
+from .graph import Event, EventId, ExecutionGraph, build_graph, reaches, thread_word
 from .model import (
     INIT_TID,
     Label,
@@ -64,6 +64,7 @@ from .reduction import (
     lw,
     reduce,
     reduce_fixpoint,
+    reduction_steps,
     small_model_bound,
     summary,
     summary_space,

@@ -11,7 +11,8 @@ One binary with verb-style subcommands wiring the library end to end:
 * ``bound``           print the small-model length bound
 
 Exit codes follow sysexits where nothing more specific applies: 64 for usage
-errors, 65 for malformed inputs, 70 for internal assertion failures.  Verbs
+errors, 65 for malformed inputs, 70 for internal failures (a failed assertion
+or any other unexpected exception, reported in one line, no traceback).  Verbs
 with a semantic answer encode it in the exit code (``check`` and
 ``trace-validate``: 0 yes / 1 no; ``reach``: 0 reachable / 1 unreachable
 within the bound / 2 inconclusive).  All JSON output is emitted with sorted
@@ -23,11 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Sequence
 
 from .consistency import check_ra
 from .decider import ReachStatus, SearchConfig, bounded_reach, enumerate_graphs, naive_reach
-from .errors import InternalValueMismatch, ParseError, RaReachError
+from .errors import ParseError, RaReachError
 from .graph import graph_to_json, load_graph_json, to_dot
 from .model import parse_program, program_to_json, serialize_program
 from .pcp import (
@@ -37,7 +39,7 @@ from .pcp import (
     parse_pcp,
     pcp_witness,
 )
-from .reduction import find_collapsible, reduce, small_model_bound
+from .reduction import reduction_steps, small_model_bound
 from .trace import ContextBudget, Trace, load_trace_json, trace_to_json
 
 EX_USAGE = 64
@@ -111,13 +113,17 @@ def _setting(flag: int | None, cfg: dict[str, int], key: str, low: int = 0) -> i
 # --- verb handlers ---------------------------------------------------------------
 
 
-def _budget(args) -> tuple[dict[str, int], int, int]:
-    """Config presets, contexts (required) and rmws of ``reach`` / ``bound``."""
+def _budget(args) -> tuple[dict[str, int], int | None, int]:
+    """Config presets, contexts and rmws of ``reach`` / ``bound``."""
     cfg = _load_config(args.config) if args.config else {}
-    contexts = _setting(args.contexts, cfg, "contexts", low=1)
-    if contexts is None:
-        raise _UsageError("--contexts is required (flag or config)")
-    return cfg, contexts, _setting(args.rmws, cfg, "rmws") or 0
+    return cfg, _setting(args.contexts, cfg, "contexts", low=1), _setting(args.rmws, cfg, "rmws") or 0
+
+
+def _required(key: str, value: int | None) -> int:
+    """A setting that neither flag nor config may leave out (exit 64)."""
+    if value is None:
+        raise _UsageError(f"--{key} is required (flag or config)")
+    return value
 
 
 def _cmd_check(args) -> int:
@@ -174,11 +180,7 @@ def _cmd_reduce(args) -> int:
     program = parse_program(_read(args.program))
     trace = load_trace_json(_read(args.trace))
     steps: list[dict] = []
-    while True:
-        pair = find_collapsible(trace, program, rmw_mode=args.rmw)
-        if pair is None:
-            break
-        after = reduce(trace, program, pair.first, pair.second, rmw_mode=args.rmw)
+    for pair, after in reduction_steps(trace, program, rmw_mode=args.rmw):
         steps.append(_step_log(trace, after, pair))
         trace = after
         if not args.fixpoint:
@@ -202,14 +204,16 @@ def _cmd_reduce(args) -> int:
 def _cmd_reach(args) -> int:
     cfg, contexts, rmws = _budget(args)
     event_cap = _setting(args.event_cap, cfg, "event-cap")
+    if args.naive:  # the enumeration knows no context budget, only the cap
+        event_cap = _required("event-cap", event_cap)
+    else:
+        budget = ContextBudget(contexts=_required("contexts", contexts), rmws=rmws)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     program = parse_program(_read(args.program))
 
     if args.naive:
-        cap = event_cap if event_cap is not None else small_model_bound(program, contexts, rmws)
-        verdict = naive_reach(program, cap)
+        verdict = naive_reach(program, event_cap)
     else:
-        budget = ContextBudget(contexts=contexts, rmws=rmws)
         verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed))
 
     witness = verdict.witness
@@ -232,12 +236,9 @@ def _cmd_reach(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     max_events = _setting(args.max_events, {}, "max-events")
+    limit = _setting(args.limit, {}, "limit")
     program = parse_program(_read(args.program))
-    graphs = []
-    for graph in enumerate_graphs(program, max_events):
-        graphs.append(graph)
-        if args.limit is not None and len(graphs) >= args.limit:
-            break
+    graphs = list(islice(enumerate_graphs(program, max_events), limit))
     if args.json:
         _emit(_json_text({"count": len(graphs), "graphs": [graph_to_json(g) for g in graphs]}), args.output)
     else:
@@ -250,6 +251,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_bound(args) -> int:
     _, contexts, rmws = _budget(args)
+    contexts = _required("contexts", contexts)
     program = parse_program(_read(args.program))
     value = small_model_bound(program, contexts, rmws)
     if args.json:
@@ -346,9 +348,10 @@ def build_parser() -> _Parser:
     p.add_argument("program", help="program text file")
     p.add_argument("--contexts", type=int, help="maximum number of runs")
     p.add_argument("--rmws", type=int, help="maximum number of update events (default 0)")
-    p.add_argument("--event-cap", type=int, help="cap on placed events (default: small-model bound)")
+    p.add_argument("--event-cap", type=int,
+                   help="cap on placed events (default: small-model bound; required with --naive)")
     p.add_argument("--naive", action="store_true",
-                   help="exhaustive graph enumeration up to the event cap (ignores the budget)")
+                   help="exhaustive graph enumeration up to --event-cap (ignores --contexts and --rmws)")
     p.add_argument("--emit-witness", metavar="FILE", help="write the witness trace JSON here")
     p.add_argument("--seed", type=int, help="branch-order shuffle seed (0 = canonical order)")
     p.add_argument("--config", metavar="FILE", help="key=value presets for budget flags")
@@ -359,7 +362,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list all consistent graphs up to an event count")
     p.add_argument("program", help="program text file")
     p.add_argument("--max-events", type=int, required=True)
-    p.add_argument("--limit", type=int, help="stop after this many graphs")
+    p.add_argument("--limit", type=int, help="stop after this many graphs (0 lists none)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(fn=_cmd_enumerate)
@@ -406,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_UsageError, RaReachError, OSError, ValueError) as exc:
         print(f"ra-reach: error: {exc}", file=sys.stderr)
         return EX_USAGE if isinstance(exc, _UsageError) else EX_DATAERR
-    except (AssertionError, InternalValueMismatch) as exc:
+    except Exception as exc:  # failed assertions and anything else unexpected
         print(f"ra-reach: internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -154,18 +154,6 @@ class ExecutionGraph:
                     succ[v] |= sk
         return succ
 
-    @cached_property
-    def hb_pairs(self) -> frozenset[tuple[EventId, EventId]]:
-        idx = self._index
-        rev = {i: e for e, i in idx.items()}
-        pairs = set()
-        for e, mask in self._succ_masks.items():
-            while mask:
-                low = mask & -mask
-                pairs.add((e, rev[low.bit_length() - 1]))
-                mask ^= low
-        return frozenset(pairs)
-
     def hb(self, a: EventId, b: EventId) -> bool:
         """Whether ``a`` happens before ``b``."""
         return bool(self._succ_masks[a] & (1 << self._index[b]))
@@ -303,11 +291,6 @@ def build_graph(
 
 
 # --- queries ----------------------------------------------------------------
-
-
-def hb(graph: ExecutionGraph) -> frozenset[tuple[EventId, EventId]]:
-    """All happens-before pairs of the graph."""
-    return graph.hb_pairs
 
 
 def thread_word(graph: ExecutionGraph, tid: str) -> list[Label]:

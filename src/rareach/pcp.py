@@ -4,8 +4,10 @@ An instance is a list of word pairs over a finite alphabet; a solution is a
 nonempty index sequence whose first-component concatenation equals its
 second-component concatenation.  :func:`compile_pcp` emits a 12-thread
 program whose final state vector is reachable exactly when the instance has
-a solution, and :func:`pcp_witness` builds the reaching trace for a given
-solution directly.
+a solution.  Each thread's machine is one config-level step function, which
+:func:`compile_pcp` explores into an LTS and :func:`pcp_witness` walks along
+the path a given solution picks, so the witness words are never spelled out
+a second time.
 
 The construction uses two mirrored "sides" (a and b, one per word family)
 and a verifier cluster:
@@ -32,7 +34,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import zip_longest
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import GadgetMismatch, InvalidSolution, ParseError
 from .graph import Event, EventId, ExecutionGraph, build_graph
@@ -131,31 +134,6 @@ WW_GAP2: tuple[tuple[str, str, str, str], ...] = (
     ("echo_bw", "bw_p", "guess_bw", "bw"),
     ("echo_bi", "bi_p", "guess_bi", "bi"),
 )
-
-#: Per-location writer interleaving for witness modification orders: at each
-#: index the verifier-cluster write comes before the guesser-side write.
-_MO_PRIORITY: dict[str, tuple[str, ...]] = {
-    "aw": ("check_w", "guess_aw"),
-    "bw": ("check_w", "guess_bw"),
-    "ai": ("check_i", "guess_ai"),
-    "bi": ("check_i", "guess_bi"),
-    "aw_p": ("echo_w", "echo_aw"),
-    "bw_p": ("echo_w", "echo_bw"),
-    "ai_p": ("echo_i", "echo_ai"),
-    "bi_p": ("echo_i", "echo_bi"),
-    "z_aw": ("echo_aw",),
-    "z_aw_p": ("guess_aw",),
-    "z_bw": ("echo_bw",),
-    "z_bw_p": ("guess_bw",),
-    "z_ai": ("echo_ai",),
-    "z_ai_p": ("guess_ai",),
-    "z_bi": ("echo_bi",),
-    "z_bi_p": ("guess_bi",),
-    "cross_a": ("guess_aw",),
-    "ell_a": ("guess_ai",),
-    "cross_b": ("guess_bw",),
-    "ell_b": ("guess_bi",),
-}
 
 
 def _zv(i: int) -> str:
@@ -275,6 +253,15 @@ _SIDES = {
 }
 
 
+#: A thread's machine before BFS: its id, its initial config, and the step
+#: function from a config to its ``(kind, loc, val, next config)`` moves.
+_Spec = tuple[str, tuple, Callable[[tuple], list[tuple[str, str, str, tuple]]]]
+
+
+def _label(tid: str, kind: str, loc: str, val: str) -> Label:
+    return read(tid, loc, val) if kind == "r" else write(tid, loc, val)
+
+
 def _build_machine(tid: str, init_cfg: tuple, step) -> Lts:
     """BFS a config-level step function into a dense-named LTS."""
     names: dict[tuple, str] = {init_cfg: "q0"}
@@ -286,8 +273,7 @@ def _build_machine(tid: str, init_cfg: tuple, step) -> Lts:
             if dst not in names:
                 names[dst] = f"q{len(names)}"
                 queue.append(dst)
-            lab = read(tid, loc, val) if kind == "r" else write(tid, loc, val)
-            edges.append((names[cfg], lab, names[dst]))
+            edges.append((names[cfg], _label(tid, kind, loc, val), names[dst]))
     fin = ("fin",)
     assert fin in names, f"machine {tid} cannot terminate"
     return Lts(
@@ -298,7 +284,19 @@ def _build_machine(tid: str, init_cfg: tuple, step) -> Lts:
     )
 
 
-def _guess_w_machine(side: _Side, words: dict[int, str]) -> Lts:
+def _walk(tid: str, cfg: tuple, step, choices: Sequence[int]) -> list[Label]:
+    """The word of the path from ``cfg`` to ``fin`` that takes the next of
+    ``choices`` at every fork (a config with more than one move)."""
+    picks = iter(choices)
+    word: list[Label] = []
+    while cfg != ("fin",):
+        moves = step(cfg)
+        kind, loc, val, cfg = moves[next(picks)] if len(moves) > 1 else moves[0]
+        word.append(_label(tid, kind, loc, val))
+    return word
+
+
+def _guess_w_machine(side: _Side, words: dict[int, str]) -> _Spec:
     tid = side.gw
 
     def advance(m4: int, i4: int, p: int, pos: int) -> tuple:
@@ -346,10 +344,10 @@ def _guess_w_machine(side: _Side, words: dict[int, str]) -> Lts:
             return [("r", side.ell, _lv(m4, BOT), ("fin",))]
         return []
 
-    return _build_machine(tid, ("top", 1, 0, True), step)
+    return tid, ("top", 1, 0, True), step
 
 
-def _guess_i_machine(side: _Side, n: int) -> Lts:
+def _guess_i_machine(side: _Side, n: int) -> _Spec:
     tid = side.gi
 
     def nxt(m4: int, aux: str) -> tuple:
@@ -381,10 +379,10 @@ def _guess_i_machine(side: _Side, n: int) -> Lts:
             return [("r", side.cross, _zv(m4 - 1), nxt(m4, aux))]
         return []
 
-    return _build_machine(tid, ("top", 1, True), step)
+    return tid, ("top", 1, True), step
 
 
-def _echo_guess_machine(tid: str, pr: str, z_out: str, z_in: str) -> Lts:
+def _echo_guess_machine(tid: str, pr: str, z_out: str, z_in: str) -> _Spec:
     def step(cfg: tuple):
         kind = cfg[0]
         if kind == "top":  # may close after this round: same labels, two tracks
@@ -402,13 +400,13 @@ def _echo_guess_machine(tid: str, pr: str, z_out: str, z_in: str) -> Lts:
             return [("r", z_in, _zv(i4), dst)]
         return []
 
-    return _build_machine(tid, ("top", 1, True), step)
+    return tid, ("top", 1, True), step
 
 
 def _check_machine(
     tid: str, st_a: str, st_b: str, pr_a: str, pr_b: str,
     ga: str, gb: str, echo: str, auxes: Sequence[str],
-) -> Lts:
+) -> _Spec:
     def nxt(i4: int, aux: str) -> tuple:
         return ("fin",) if aux == BOT else ("top", (i4 + 1) % 4, False)
 
@@ -439,13 +437,13 @@ def _check_machine(
             return [("r", pr_b, f"{echo}:{_zv(i4 - 1)}", nxt(i4, aux))]
         return []
 
-    return _build_machine(tid, ("top", 1, True), step)
+    return tid, ("top", 1, True), step
 
 
 def _echo_check_machine(
     tid: str, pr_a: str, pr_b: str, st_a: str, st_b: str,
     chk: str, ea: str, eb: str,
-) -> Lts:
+) -> _Spec:
     def step(cfg: tuple):
         kind = cfg[0]
         if kind == "top":
@@ -472,7 +470,7 @@ def _echo_check_machine(
             return [("r", pr_b, _sv(eb, first, "0"), dst)]
         return []
 
-    return _build_machine(tid, ("top", 1, True), step)
+    return tid, ("top", 1, True), step
 
 
 # --- compilation ----------------------------------------------------------------
@@ -489,30 +487,38 @@ class GadgetProgram:
     instance: PcpInstance
 
 
-def compile_pcp(inst: PcpInstance) -> GadgetProgram:
-    """Build the 12-thread gadget for an instance."""
-    threads: dict[str, Lts] = {}
+def _machines(inst: PcpInstance) -> list[_Spec]:
+    """The specs of all 12 threads, side a, side b, then the verifier cluster."""
+    specs: list[_Spec] = []
     for key in ("a", "b"):
         side = _SIDES[key]
-        threads[side.gw] = _guess_w_machine(side, inst.words(key))
-        threads[side.gi] = _guess_i_machine(side, inst.n)
-        threads[side.ew] = _echo_guess_machine(side.ew, side.pr_w, side.zw, side.zw_p)
-        threads[side.ei] = _echo_guess_machine(side.ei, side.pr_i, side.zi, side.zi_p)
-    threads["check_w"] = _check_machine(
-        "check_w", "aw", "bw", "aw_p", "bw_p",
-        "guess_aw", "guess_bw", "echo_w", inst.alphabet,
-    )
-    threads["echo_w"] = _echo_check_machine(
-        "echo_w", "aw_p", "bw_p", "aw", "bw", "check_w", "echo_aw", "echo_bw",
-    )
-    threads["check_i"] = _check_machine(
-        "check_i", "ai", "bi", "ai_p", "bi_p",
-        "guess_ai", "guess_bi", "echo_i", [str(p) for p in range(1, inst.n + 1)],
-    )
-    threads["echo_i"] = _echo_check_machine(
-        "echo_i", "ai_p", "bi_p", "ai", "bi", "check_i", "echo_ai", "echo_bi",
-    )
+        specs += [
+            _guess_w_machine(side, inst.words(key)),
+            _guess_i_machine(side, inst.n),
+            _echo_guess_machine(side.ew, side.pr_w, side.zw, side.zw_p),
+            _echo_guess_machine(side.ei, side.pr_i, side.zi, side.zi_p),
+        ]
+    return specs + [
+        _check_machine(
+            "check_w", "aw", "bw", "aw_p", "bw_p",
+            "guess_aw", "guess_bw", "echo_w", inst.alphabet,
+        ),
+        _echo_check_machine(
+            "echo_w", "aw_p", "bw_p", "aw", "bw", "check_w", "echo_aw", "echo_bw",
+        ),
+        _check_machine(
+            "check_i", "ai", "bi", "ai_p", "bi_p",
+            "guess_ai", "guess_bi", "echo_i", [str(p) for p in range(1, inst.n + 1)],
+        ),
+        _echo_check_machine(
+            "echo_i", "ai_p", "bi_p", "ai", "bi", "check_i", "echo_ai", "echo_bi",
+        ),
+    ]
 
+
+def compile_pcp(inst: PcpInstance) -> GadgetProgram:
+    """Build the 12-thread gadget for an instance."""
+    threads = {tid: _build_machine(tid, init, step) for tid, init, step in _machines(inst)}
     vals = {"0"}
     for lts in threads.values():
         for _, lab, _ in lts.transitions:
@@ -535,113 +541,41 @@ def pcp_witness(inst: PcpInstance, solution: PcpSolution | Sequence[int]) -> Tra
     """The reaching trace induced by a solution.
 
     Raises :class:`InvalidSolution` when the index sequence is not actually a
-    solution.  The embedded graph replays every thread to its final state,
-    its reads-from pairs equal indices inside every no-skipping family, and
-    each modification order interleaves the two writers of a location with
-    the verifier's write first per index.
+    solution.  Every thread's word is walked off the step function its
+    compiled machine is built from, so it replays that machine to its final
+    state.  At each fork the walk takes the option the solution dictates:
+    the next pair index, then the bot marker, for the guessers and
+    ``check_i``; the next letter of the concatenation, then bot, for
+    ``check_w``; one more round, then close, for the echo threads.  A first
+    block with a single option is no fork.  The graph pairs reads-from equal
+    indices inside every no-skipping family, and each modification order
+    interleaves the writers of a location index by index, the verifier
+    cluster's write first.
     """
     js = _indices(solution)
     if not verify_solution(inst, js):
         raise InvalidSolution(f"{list(js)} does not solve the instance")
-    k = len(js)
+    letters = "".join(inst.words("a")[j] for j in js)
+    alphabet = inst.alphabet
 
-    words: dict[str, list[Label]] = {}
-    for key in ("a", "b"):
-        side = _SIDES[key]
-        sw = inst.words(key)
-        letters = [ch for j in js for ch in sw[j]]
-        ln = len(letters)
+    def forks(options: list[int], width: int) -> list[int]:
+        # a first block with one option is no fork and takes no choice
+        return options[1:] if width == 1 else options
 
-        seq: list[Label] = []
-        i = 0
-        for m, j in enumerate(js, start=1):
-            seq.append(write(side.gw, side.cross, _zv(m)))
-            for ch in sw[j]:
-                i += 1
-                seq.append(write(side.gw, side.st_w, _sv(side.gw, i == 1, ch)))
-                seq.append(write(side.gw, side.zw_p, _zv(i)))
-                if i >= 2:
-                    seq.append(read(side.gw, side.zw, _zv(i - 1)))
-            seq.append(read(side.gw, side.ell, _lv(m, str(j))))
-        seq.append(write(side.gw, side.cross, _zv(k + 1)))
-        i += 1
-        seq.append(write(side.gw, side.st_w, _sv(side.gw, False, BOT)))
-        seq.append(write(side.gw, side.zw_p, _zv(i)))
-        seq.append(read(side.gw, side.zw, _zv(i - 1)))
-        seq.append(read(side.gw, side.ell, _lv(k + 1, BOT)))
-        words[side.gw] = seq
+    def rounds(k: int) -> list[int]:
+        return [0] * k + [1]
 
-        seq = []
-        for m in range(1, k + 2):
-            aux = str(js[m - 1]) if m <= k else BOT
-            seq.append(write(side.gi, side.st_i, _sv(side.gi, m == 1, aux)))
-            seq.append(write(side.gi, side.zi_p, _zv(m)))
-            seq.append(write(side.gi, side.ell, _lv(m, aux)))
-            if m >= 2:
-                seq.append(read(side.gi, side.zi, _zv(m - 1)))
-                seq.append(read(side.gi, side.cross, _zv(m - 1)))
-        words[side.gi] = seq
-
-        words[side.ew] = _echo_guess_word(side.ew, side.pr_w, side.zw, side.zw_p, ln + 1)
-        words[side.ei] = _echo_guess_word(side.ei, side.pr_i, side.zi, side.zi_p, k + 1)
-
-    word = "".join(inst.words("a")[j] for j in js)
-    aux_w = list(word) + [BOT]
-    aux_i = [str(j) for j in js] + [BOT]
-    words["check_w"] = _check_word(
-        "check_w", "aw", "bw", "aw_p", "bw_p", "guess_aw", "guess_bw", "echo_w", aux_w
-    )
-    words["echo_w"] = _echo_check_word(
-        "echo_w", "aw_p", "bw_p", "aw", "bw", "check_w", "echo_aw", "echo_bw", len(aux_w)
-    )
-    words["check_i"] = _check_word(
-        "check_i", "ai", "bi", "ai_p", "bi_p", "guess_ai", "guess_bi", "echo_i", aux_i
-    )
-    words["echo_i"] = _echo_check_word(
-        "echo_i", "ai_p", "bi_p", "ai", "bi", "check_i", "echo_ai", "echo_bi", len(aux_i)
-    )
-
+    pairs = forks([j - 1 for j in js] + [inst.n], inst.n)
+    choices = {
+        "check_w": forks([alphabet.index(ch) for ch in letters] + [len(alphabet)], len(alphabet)),
+        "echo_w": rounds(len(letters)),
+        "check_i": pairs,
+        "echo_i": rounds(len(js)),
+    }
+    for side in _SIDES.values():
+        choices.update({side.gw: pairs, side.gi: pairs, side.ew: rounds(len(letters)), side.ei: rounds(len(js))})
+    words = {tid: _walk(tid, init, step, choices[tid]) for tid, init, step in _machines(inst)}
     return canonical_trace(_assemble(words))
-
-
-def _echo_guess_word(tid: str, pr: str, z_out: str, z_in: str, rounds: int) -> list[Label]:
-    seq: list[Label] = []
-    for i in range(1, rounds + 1):
-        seq.append(write(tid, pr, _sv(tid, i == 1, "0")))
-        seq.append(write(tid, z_out, _zv(i)))
-        seq.append(read(tid, z_in, _zv(i)))
-    return seq
-
-
-def _check_word(
-    tid: str, st_a: str, st_b: str, pr_a: str, pr_b: str,
-    ga: str, gb: str, echo: str, auxes: list[str],
-) -> list[Label]:
-    seq: list[Label] = []
-    for i, aux in enumerate(auxes, start=1):
-        seq.append(write(tid, st_a, f"{tid}:{_zv(i)}"))
-        seq.append(write(tid, st_b, f"{tid}:{_zv(i)}"))
-        seq.append(read(tid, st_a, _sv(ga, i == 1, aux)))
-        seq.append(read(tid, st_b, _sv(gb, i == 1, aux)))
-        if i >= 2:
-            seq.append(read(tid, pr_a, f"{echo}:{_zv(i - 1)}"))
-            seq.append(read(tid, pr_b, f"{echo}:{_zv(i - 1)}"))
-    return seq
-
-
-def _echo_check_word(
-    tid: str, pr_a: str, pr_b: str, st_a: str, st_b: str,
-    chk: str, ea: str, eb: str, rounds: int,
-) -> list[Label]:
-    seq: list[Label] = []
-    for i in range(1, rounds + 1):
-        seq.append(write(tid, pr_a, f"{tid}:{_zv(i)}"))
-        seq.append(write(tid, pr_b, f"{tid}:{_zv(i)}"))
-        seq.append(read(tid, st_a, f"{chk}:{_zv(i)}"))
-        seq.append(read(tid, st_b, f"{chk}:{_zv(i)}"))
-        seq.append(read(tid, pr_a, _sv(ea, i == 1, "0")))
-        seq.append(read(tid, pr_b, _sv(eb, i == 1, "0")))
-    return seq
 
 
 def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
@@ -673,27 +607,16 @@ def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
         writer = RF_WRITER[(ev.tid, ev.loc)]
         rf[eid] = writes_of[(writer, ev.loc)][i - 1]
 
+    # at each index the verifier cluster's write comes before the guesser side's
+    order = sorted(writes_of, key=lambda key: not ROLE_MAP[key[0]].startswith("verifier"))
     mo: dict[str, list[EventId]] = {}
     for x in LOCS:
-        row = [f"init.{x}"]
-        streams = [writes_of.get((t, x), []) for t in _MO_PRIORITY[x]]
-        for i in range(max(len(s) for s in streams)):
-            for s in streams:
-                if i < len(s):
-                    row.append(s[i])
-        mo[x] = row
+        streams = zip_longest(*(writes_of[key] for key in order if key[1] == x))
+        mo[x] = [f"init.{x}"] + [e for group in streams for e in group if e is not None]
     return build_graph(events, po, rf, mo)
 
 
 # --- audits ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IndexedEvent:
-    """An event tagged with its per-(thread, location, kind) index."""
-
-    eid: EventId
-    index: int
 
 
 @dataclass(frozen=True)
@@ -727,10 +650,6 @@ def indexed_events(graph: ExecutionGraph) -> dict[EventId, int]:
             counters[key] = counters.get(key, 0) + 1
             out[e] = counters[key]
     return out
-
-
-def event_index(graph: ExecutionGraph, eid: EventId) -> IndexedEvent:
-    return IndexedEvent(eid, indexed_events(graph)[eid])
 
 
 def check_no_skipping(graph: ExecutionGraph) -> AuditReport:

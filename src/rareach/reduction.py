@@ -4,7 +4,9 @@ The engine looks for two positions of the same run after which the trace is
 indistinguishable — same reachable control-state set, same locally written
 values, same externally visible ordering — and removes everything between
 them.  Iterating this to a fixpoint yields the small-model bound on how long
-a trace ever needs to be for a given context budget.
+a trace ever needs to be for a given context budget.  :func:`reduction_steps`
+is that iteration, the one reduction loop: it finds the π-first collapsible
+pair and collapses it without proving the pair again, until none is left.
 
 For an event ``e`` and location ``x``, ``lw(e, x)`` is the latest write of
 ``e``'s own run at or before ``e`` on ``x`` (plain writes only, unless update
@@ -28,6 +30,7 @@ the set of reachable state vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InternalValueMismatch, NotCollapsible, UnknownThread
 from .graph import EventId, ExecutionGraph, build_graph
@@ -198,14 +201,21 @@ def reduce(
     second: EventId,
     rmw_mode: bool = False,
 ) -> Trace:
-    """Remove the collapsible range ``(first, second]`` and revalidate.
+    """Remove the range ``(first, second]``; :class:`NotCollapsible` unless collapsible."""
+    if not collapsible(trace, program, first, second, rmw_mode):
+        raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
+    return _collapse(trace, program, first, second, rmw_mode)
+
+
+def _collapse(
+    trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool
+) -> Trace:
+    """Remove the range ``(first, second]``, already known to be collapsible.
 
     Surviving reads of removed writes are rewired to the latest write at
     ``first``; modification order is restricted, transposing the two latest
     writes on locations whose local value survives unobserved from outside.
     """
-    if not collapsible(trace, program, first, second, rmw_mode):
-        raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
     g = trace.graph
     removed = set(range_in_run(trace, first, second))
     s1 = summary(trace, program, first, rmw_mode)
@@ -241,7 +251,7 @@ def reduce(
     mo2: dict[str, list[EventId]] = {}
     for x, row in g.mo.items():
         new_row = list(row)
-        if x in dict(s1.last_write_vals) and s1.val(x) is not None and x not in s1.foreign_reads:
+        if dict(s1.last_write_vals).get(x) is not None and x not in s1.foreign_reads:
             w1 = lw(trace, first, x, rmw_mode)
             w2 = lw(trace, second, x, rmw_mode)
             if w1 != w2:
@@ -256,36 +266,26 @@ def reduce(
     return make_trace(build_graph(events2, po2, rf2, mo2), runs2)
 
 
+def reduction_steps(
+    trace: Trace, program: Program, rmw_mode: bool = False
+) -> Iterator[tuple[CollapsiblePair, Trace]]:
+    """Collapse π-first pairs until none remain, yielding each pair with the trace after it."""
+    while (pair := find_collapsible(trace, program, rmw_mode)) is not None:
+        trace = _collapse(trace, program, pair.first, pair.second, rmw_mode)
+        yield pair, trace
+
+
 def reduce_fixpoint(
     trace: Trace, program: Program, rmw_mode: bool = False
 ) -> tuple[Trace, list[CollapsiblePair]]:
     """Collapse π-first pairs until none remain; returns the trace and steps."""
     steps: list[CollapsiblePair] = []
-    while True:
-        pair = find_collapsible(trace, program, rmw_mode)
-        if pair is None:
-            return trace, steps
-        trace = reduce(trace, program, pair.first, pair.second, rmw_mode)
+    for pair, trace in reduction_steps(trace, program, rmw_mode):
         steps.append(pair)
+    return trace, steps
 
 
 # --- counting: summary space and the small-model bound ------------------------
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs of the length bound: alphabet sizes and budget."""
-
-    n_states: int
-    n_vals: int
-    n_locs: int
-    contexts: int
-    rmws: int
-
-    @classmethod
-    def from_program(cls, program: Program, contexts: int, rmws: int) -> BoundParams:
-        n_states = max((len(l.states) for l in program.threads.values()), default=0)
-        return cls(n_states, len(program.vals), len(program.locs), contexts, rmws)
 
 
 def summary_space_formula(n_states: int, n_vals: int, n_locs: int) -> int:

@@ -121,10 +121,13 @@ def make_trace(graph: ExecutionGraph, runs: tuple[Run, ...] | list[Run]) -> Trac
     if missing:
         raise NotPartition(f"events not covered by any run: {missing[:5]!r}")
 
+    # π extends happens-before exactly when it extends the po and rf edges
+    # the closure is built from; init events sit outside π with no edge into them
     trace = Trace(graph, runs)
     pos = trace.position
-    for a, b in graph.hb_pairs:
-        if a in pos and b in pos and pos[a][2] >= pos[b][2]:
+    edges = [(a, b) for t in graph.tids() for a, b in zip(graph.po[t], graph.po[t][1:])]
+    for a, b in edges + [(w, r) for r, w in graph.rf.items()]:
+        if a in pos and pos[a][2] >= pos[b][2]:
             raise NotHbExtension(f"run order contradicts happens-before ({a!r} vs {b!r})")
     return trace
 

@@ -253,6 +253,8 @@ class TestEnumerate:
         assert code == 0 and blob["count"] == 5 and len(blob["graphs"]) == 5
         code, out, _ = run(capsys, "enumerate", mp_file, "--max-events", "4", "--limit", "2")
         assert code == 0 and "2 consistent graphs" in out
+        code, out, _ = run(capsys, "enumerate", mp_file, "--max-events", "4", "--limit", "0", "--json")
+        assert code == 0 and json.loads(out) == {"count": 0, "graphs": []}
 
     def test_max_events_required(self, capsys, mp_file):
         with pytest.raises(SystemExit) as ei:
@@ -351,6 +353,8 @@ class TestBadSettings:
             ["enumerate", "PROG", "--max-events", "-1"],
             ["bound", "--program", "PROG", "--contexts", "-2"],
             ["bound", "--program", "PROG", "--contexts", "2", "--rmws", "-1"],
+            ["enumerate", "PROG", "--max-events", "2", "--limit", "-5"],
+            ["reach", "PROG", "--naive", "--contexts", "2"],
         ],
     )
     def test_flag_exits_64(self, capsys, mp_file, argv):
@@ -374,6 +378,16 @@ class TestBadSettings:
         assert code == 2 and out.startswith("inconclusive")
         assert run(capsys, "enumerate", mp_file, "--max-events", "0")[0] == 0
 
+    def test_naive_needs_a_cap_not_contexts(self, capsys, tmp_path, mp_file):
+        code, out, _ = run(capsys, "reach", mp_file, "--naive", "--event-cap", "4")
+        assert code == 0 and out.startswith("reachable")
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text("event-cap=4\n")
+        assert run(capsys, "reach", mp_file, "--naive", "--config", str(cfgf))[0] == 0
+        cfgf.write_text("contexts=2\n")
+        code, _, err = run(capsys, "reach", mp_file, "--naive", "--config", str(cfgf))
+        assert code == 64 and err == "ra-reach: error: --event-cap is required (flag or config)\n"
+
     def test_jobs_is_gone(self, capsys, tmp_path, mp_file):
         with pytest.raises(SystemExit) as ei:
             cli.main(["reach", mp_file, "--contexts", "2", "--jobs", "2"])
@@ -381,6 +395,18 @@ class TestBadSettings:
         cfgf = tmp_path / "budget.cfg"
         cfgf.write_text("contexts=2\njobs=2\n")
         assert run(capsys, "reach", mp_file, "--config", str(cfgf))[0] == 65
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_70(self, capsys, monkeypatch, mp_file):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_check", boom)
+        code, out, err = run(capsys, "check", mp_file)
+        assert (code, out) == (70, "")
+        assert err == "ra-reach: internal error: boom\n"
+        assert "Traceback" not in err
 
 
 class TestMalformedJson:

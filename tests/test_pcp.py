@@ -1,7 +1,10 @@
 """The correspondence gadget: parsing, compilation, witnesses and audits."""
 
+import hashlib
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rareach.consistency import check_ra
 from rareach.errors import GadgetMismatch, InvalidSolution, ParseError
@@ -13,19 +16,17 @@ from rareach.pcp import (
     RF_WRITER,
     ROLE_MAP,
     AuditReport,
-    IndexedEvent,
     PcpInstance,
     PcpSolution,
     check_monotonicity,
     check_no_skipping,
     compile_pcp,
-    event_index,
     indexed_events,
     parse_pcp,
     pcp_witness,
     verify_solution,
 )
-from rareach.trace import ContextBudget, counts
+from rareach.trace import ContextBudget, counts, dump_trace_json
 
 from tests.oracle import pcp_concat_oracle
 
@@ -41,6 +42,21 @@ def rf_rewire_candidates(graph):
             if we.loc == rd.loc and we.val_w == rd.val_r and w not in (graph.rf[r], r):
                 out.append((r, w))
     return out
+
+
+@st.composite
+def solved_instances(draw):
+    """Instances with 1-3 pairs over {a} or {a,b}, with a brute-forced shortest solution."""
+    letters = draw(st.sampled_from(["a", "ab"]))
+    word = st.text(alphabet=letters, min_size=1, max_size=2)
+    pairs = draw(st.lists(st.tuples(word, word), min_size=1, max_size=3))
+    js = next(
+        (js for k in range(1, 4) for js in product(range(1, len(pairs) + 1), repeat=k)
+         if pcp_concat_oracle(pairs, list(js))),
+        None,
+    )
+    assume(js is not None)
+    return PcpInstance(tuple(pairs)), js
 
 
 def rewired(graph, r, w):
@@ -188,13 +204,45 @@ class TestWitness:
             pcp_witness(pcp_inst, js)
 
 
+class TestWitnessWalk:
+    """Witnesses are walked off the compiled machines' step functions."""
+
+    @pytest.mark.parametrize(
+        "pairs,js,digest",
+        [
+            ((("a", "aa"), ("ab", "b")), (1, 2, 1, 2),
+             "710d9264f76303b3dcf36fb97fdc5e545e7980f9f1cc597b7cf06594bd9d35f0"),
+            # one pair: the first block of the guessers and check_i is no fork
+            ((("b", "b"),), (1, 1),
+             "da732160f920201a80c2ebefa51f7516031b7aacb0bd47c08db39495bf3599f3"),
+            # one letter: the first block of check_w is no fork
+            ((("a", "aa"), ("aa", "a")), (1, 2),
+             "da5d77724a2120dcf6ffa3163284e7b64cc3e393523edad8d659eec118fb66fc"),
+        ],
+    )
+    def test_pinned_bytes(self, pairs, js, digest):
+        text = dump_trace_json(pcp_witness(PcpInstance(pairs), js))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @settings(deadline=None, max_examples=25)
+    @given(solved_instances())
+    def test_random_solutions_replay_and_audit(self, case):
+        inst, js = case
+        prog = compile_pcp(inst).program
+        g = pcp_witness(inst, js).graph
+        words = {t: thread_word(g, t) for t in prog.threads}
+        assert word_reaches(prog, words, final_vector(prog))
+        assert check_ra(g).consistent
+        assert check_no_skipping(g).ok
+        assert check_monotonicity(g).ok
+
+
 class TestIndexing:
     def test_stream_write_indices(self, witness):
         g = witness.graph
         idx = indexed_events(g)
         aws = [e for e in g.po["guess_aw"] if g.events[e].loc == "aw"]
         assert [idx[e] for e in aws] == [1, 2, 3, 4]
-        assert event_index(g, "guess_aw.2") == IndexedEvent("guess_aw.2", 1)
 
     def test_counts_reads_and_writes_separately(self):
         g = build_graph(

@@ -8,7 +8,6 @@ from rareach.errors import NotCollapsible, UnknownEvent, UnknownThread
 from rareach.graph import Event, build_graph
 from rareach.model import INIT_TID, parse_program, read, rmw, write
 from rareach.reduction import (
-    BoundParams,
     CollapsiblePair,
     Summary,
     collapsible,
@@ -280,10 +279,6 @@ class TestBounds:
         assert summary_space(prog, "t") == 24
         with pytest.raises(UnknownThread):
             summary_space(prog, "ghost")
-
-    def test_bound_params(self, mp_program):
-        p = BoundParams.from_program(mp_program, 2, 0)
-        assert (p.n_states, p.n_vals, p.n_locs, p.contexts, p.rmws) == (3, 2, 2, 2, 0)
 
     def test_worked_example(self):
         # S=8, one location, two contexts, no update budget:

@@ -1,7 +1,12 @@
 """Traces: run partitions, budgets, canonical linearization, JSON."""
 
-import pytest
+import random
+from itertools import islice
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rareach.decider import enumerate_graphs
 from rareach.errors import (
     DifferentRuns,
     NotHbExtension,
@@ -28,6 +33,7 @@ from rareach.trace import (
 )
 
 from tests import corpus
+from tests.oracle import hb_pairs_oracle
 
 
 @pytest.fixture()
@@ -152,6 +158,42 @@ class TestCanonical:
         )
         with pytest.raises(NotHbExtension):
             canonical_trace(g)
+
+
+def random_runs(graph, rnd: random.Random) -> list[Run]:
+    """Each thread's po row cut at random boundaries, the pieces shuffled."""
+    runs = []
+    for t in graph.tids():
+        seg: list = []
+        for e in graph.po[t]:
+            if seg and rnd.random() < 0.5:
+                runs.append(Run(t, tuple(seg)))
+                seg = []
+            seg.append(e)
+        if seg:
+            runs.append(Run(t, tuple(seg)))
+    rnd.shuffle(runs)
+    return runs
+
+
+class TestHbExtensionRule:
+    """make_trace checks π on po and rf edges only; the closure rule must agree."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(min_value=0, max_value=2000), st.randoms(use_true_random=False))
+    def test_edges_agree_with_closure(self, seed, rnd):
+        for g in islice(enumerate_graphs(corpus.random_program(seed), 4), 6):
+            hb = hb_pairs_oracle(g)
+            for _ in range(4):
+                runs = random_runs(g, rnd)
+                pos = {e: i for i, e in enumerate(e for run in runs for e in run.events)}
+                closure_rejects = any(a in pos and b in pos and pos[a] >= pos[b] for a, b in hb)
+                try:
+                    make_trace(g, runs)
+                    rejected = False
+                except NotHbExtension:
+                    rejected = True
+                assert rejected == closure_rejects
 
 
 class TestJson:
