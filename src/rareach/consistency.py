@@ -99,7 +99,11 @@ def check_axiom(graph: ExecutionGraph, axiom: Axiom) -> Verdict:
                 found.append((w, r, w2))
     if not found:
         return Verdict(True)
-    return Verdict(False, axiom, min(found, key=_witness_key))
+    try:
+        least = min(found)  # ids of one type compare as their id_key does
+    except TypeError:  # ints mixed with strings
+        least = min(found, key=_witness_key)
+    return Verdict(False, axiom, least)
 
 
 def check_ra(graph: ExecutionGraph) -> Verdict:

@@ -100,7 +100,10 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
 
     Graphs are yielded in a fixed order and each at most once (per-thread
     words, reads-from choices and modification orders all differ between
-    yields, and any of them distinguishes two graphs structurally).
+    yields, and any of them distinguishes two graphs structurally).  Nothing
+    is pruned: every candidate goes through :func:`check_ra`.  Candidates are
+    built by ``build_graph(..., like=)`` from rows prepared once per word
+    combination, sharing each reads-from choice's hb closure across its mos.
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)
@@ -117,45 +120,30 @@ def _graphs_for_words(
     locs: list[str],
     combo: tuple[tuple[Label, ...], ...],
 ) -> Iterator[ExecutionGraph]:
-    events: list[Event] = [
-        Event(i, write(INIT_TID, x, program.init_vals[x])) for i, x in enumerate(locs)
-    ]
-    po: dict[str, list[EventId]] = {}
-    nid = len(locs)
+    # rows in the form build_graph normalises them to, valid by construction
+    events = {i: Event(i, write(INIT_TID, x, program.init_vals[x])) for i, x in enumerate(locs)}
+    po: dict[str, tuple[EventId, ...]] = {}
     for t, word in zip(tids, combo):
-        po[t] = []
-        for lab in word:
-            events.append(Event(nid, lab))
-            po[t].append(nid)
-            nid += 1
-    reads = [ev.eid for ev in events if ev.op.reads]
-    writes_by_loc: dict[str, list[Event]] = {x: [] for x in locs}
-    for ev in events:
-        if ev.op.writes:
-            writes_by_loc[ev.loc].append(ev)
+        po[t] = tuple(range(len(events), len(events) + len(word)))
+        events.update((e, Event(e, lab)) for e, lab in zip(po[t], word))
+    if locs:
+        po[INIT_TID] = tuple(range(len(locs)))
+    reads = [ev for ev in events.values() if ev.op.reads]
+    writes = [ev for ev in events.values() if ev.op.writes]
+    cands = [[w.eid for w in writes if w.loc == r.loc and w.val_w == r.val_r and w is not r] for r in reads]
+    if not all(cands):
+        return  # some read has no writer to read from
 
-    cands = []
-    for r in reads:
-        rd = events[r]
-        opts = [
-            w.eid
-            for w in writes_by_loc[rd.loc]
-            if w.val_w == rd.val_r and w.eid != r
-        ]
-        if not opts:
-            return
-        cands.append(opts)
-
-    mo_opts = []
-    for x in locs:
-        rest = [w.eid for w in writes_by_loc[x] if not w.is_init]
-        mo_opts.append([tuple(p) for p in permutations(rest)])
+    own = [[w.eid for w in writes if w.loc == x and not w.is_init] for x in locs]
+    mo_rows = [[(i, *p) for p in permutations(row)] for i, row in enumerate(own)]
 
     for rf_choice in product(*cands):
-        rf = dict(zip(reads, rf_choice))
-        for mo_choice in product(*mo_opts):
-            mo = {locs[i]: [i, *row] for i, row in enumerate(mo_choice)}
-            graph = build_graph(events, po, rf, mo)
+        rf = {r.eid: w for r, w in zip(reads, rf_choice)}
+        like = None  # hb is built from po and rf only: one closure serves every mo
+        for choice in product(*mo_rows):
+            mo = dict(zip(locs, choice))
+            like = like or ExecutionGraph(events, po, rf, mo)
+            graph = build_graph(events, po, rf, mo, like=like)
             if check_ra(graph).consistent:
                 yield graph
 

@@ -10,6 +10,11 @@ other event, and sit first in their location's mo row.
 Happens-before is the transitive closure of po edges, rf edges and the
 init-before-everything edges; it is cached per graph (graphs are immutable
 once built).
+
+:func:`build_graph` validates at input boundaries (JSON, reductions, search
+hits); internal producers whose rows are valid by construction, like the
+naive enumerator, call the :class:`ExecutionGraph` constructor or the trusted
+``build_graph(..., like=graph)`` for graphs that differ only in mo.
 """
 
 from __future__ import annotations
@@ -76,7 +81,12 @@ class Event:
 
 
 class ExecutionGraph:
-    """Immutable event graph; construct through :func:`build_graph`."""
+    """Immutable event graph; :func:`build_graph` validates at input boundaries.
+
+    The constructor trusts rows in ``build_graph``'s form: init events (by
+    location) then each sorted thread's po row, tuple po rows with the init
+    row last, and tuple mo rows starting with the init write.
+    """
 
     def __init__(
         self,
@@ -117,6 +127,12 @@ class ExecutionGraph:
     def mo_pos(self) -> dict[EventId, int]:
         return {e: i for row in self.mo.values() for i, e in enumerate(row)}
 
+    def _with_mo(self, mo: dict[str, tuple[EventId, ...]]) -> ExecutionGraph:
+        """This graph with another mo, sharing the hb closure (which never reads mo)."""
+        graph = ExecutionGraph(self.events, self.po, self.rf, mo)
+        graph.__dict__.update(_index=self._index, _succ_masks=self._succ_masks)
+        return graph
+
     # -- happens-before -----------------------------------------------------
 
     @cached_property
@@ -137,13 +153,9 @@ class ExecutionGraph:
                 succ[a] |= 1 << idx[b]
         for r, w in self.rf.items():
             succ[w] |= 1 << idx[r]
-        non_init_first = {}
-        for t in self.tids():
-            if self.po[t]:
-                non_init_first[t] = self.po[t][0]
+        firsts = sum(1 << idx[self.po[t][0]] for t in self.tids() if self.po[t])
         for e0 in self.init_events():
-            for first in non_init_first.values():
-                succ[e0] |= 1 << idx[first]
+            succ[e0] |= firsts
         for k in order:
             bit = 1 << idx[k]
             sk = succ[k]
@@ -193,6 +205,8 @@ def build_graph(
     po: Mapping[str, Sequence[EventId]],
     rf: Mapping[EventId, EventId],
     mo: Mapping[str, Sequence[EventId]],
+    *,
+    like: ExecutionGraph | None = None,
 ) -> ExecutionGraph:
     """Validate and assemble an execution graph.
 
@@ -200,7 +214,15 @@ def build_graph(
     reserved init thread may be omitted (it is derived from the init events).
     ``rf`` maps read ids to write ids, ``mo`` maps each written location to a
     total row over its writes with the init write (if any) first.
+
+    ``like`` is the trusted path for graphs differing only in mo: ``events``,
+    ``po`` and ``rf`` must be ``like``'s own rows and ``mo`` in the
+    constructor's form; nothing is validated and ``like``'s hb closure is shared.
     """
+    if like is not None:
+        if events is not like.events or po is not like.po or rf is not like.rf:
+            raise GraphError("a graph built like another must share its events, po and rf")
+        return like._with_mo(mo)  # type: ignore[arg-type]
     by_id: dict[EventId, Event] = {}
     for ev in events:
         if ev.eid in by_id:

@@ -50,13 +50,10 @@ class Op(enum.Enum):
     WRITE = "w"
     RMW = "rmw"
 
-    @property
-    def reads(self) -> bool:
-        return self is not Op.WRITE
-
-    @property
-    def writes(self) -> bool:
-        return self is not Op.READ
+    def __init__(self, value: str) -> None:
+        # plain attributes: the search asks these on every branch
+        self.reads = value != "w"
+        self.writes = value != "r"
 
     def __repr__(self) -> str:  # keep witness dumps short
         return self.value

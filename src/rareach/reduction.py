@@ -29,7 +29,7 @@ the set of reachable state vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import InternalValueMismatch, NotCollapsible, UnknownThread
@@ -64,12 +64,6 @@ class Summary:
     states: frozenset[str]
     last_write_vals: tuple[tuple[str, str | None], ...]
     foreign_reads: frozenset[str]
-
-    def val(self, loc: str) -> str | None:
-        for x, v in self.last_write_vals:
-            if x == loc:
-                return v
-        raise KeyError(loc)
 
 
 def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False) -> Summary:
@@ -109,6 +103,8 @@ def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False
 class CollapsiblePair:
     first: EventId
     second: EventId
+    #: the summary of ``first``, so that collapsing the pair need not recompute it
+    _summary: Summary | None = field(default=None, compare=False, repr=False)
 
 
 def collapsible(
@@ -119,7 +115,7 @@ def collapsible(
     rmw_mode: bool = False,
 ) -> bool:
     """Whether the range ``(first, second]`` of their shared run can be removed."""
-    return _check_pair(trace, program, first, second, rmw_mode, summaries={})
+    return _check_pair(trace, program, first, second, rmw_mode, summaries={}) is not None
 
 
 def _check_pair(
@@ -129,7 +125,8 @@ def _check_pair(
     second: EventId,
     rmw_mode: bool,
     summaries: dict[EventId, Summary],
-) -> bool:
+) -> Summary | None:
+    """The summary of ``first`` if ``(first, second]`` is collapsible, else None."""
     pos = trace.position
     for e in (first, second):
         if e not in pos:
@@ -137,7 +134,7 @@ def _check_pair(
     r1, o1, _ = pos[first]
     r2, o2, _ = pos[second]
     if r1 != r2 or o1 >= o2:
-        return False
+        return None
 
     def summ(e: EventId) -> Summary:
         if e not in summaries:
@@ -146,7 +143,7 @@ def _check_pair(
 
     s1, s2 = summ(first), summ(second)
     if s1 != s2:
-        return False
+        return None
 
     g = trace.graph
     span = range_in_run(trace, first, second)
@@ -154,7 +151,7 @@ def _check_pair(
     if span_writes:
         for r, w in g.rf.items():
             if w in span_writes and trace.run_of(r) != r1:
-                return False
+                return None
 
     tid = g.events[first].tid
     others = [e for e in g.non_init_events() if g.events[e].tid != tid]
@@ -166,11 +163,11 @@ def _check_pair(
         if rmw_mode:
             # summaries agree, so w1/w2 are both present here
             if g.events[w1].op is not Op.WRITE:
-                return False
+                return None
         for e in others:
             if _hb_opt(g, w1, e) != _hb_opt(g, w2, e):
-                return False
-    return True
+                return None
+    return s1
 
 
 def _hb_opt(g: ExecutionGraph, w: EventId | None, e: EventId) -> bool:
@@ -186,8 +183,8 @@ def find_collapsible(
         evs = run.events
         for i in range(len(evs)):
             for j in range(i + 1, len(evs)):
-                if _check_pair(trace, program, evs[i], evs[j], rmw_mode, summaries):
-                    return CollapsiblePair(evs[i], evs[j])
+                if s1 := _check_pair(trace, program, evs[i], evs[j], rmw_mode, summaries):
+                    return CollapsiblePair(evs[i], evs[j], s1)
     return None
 
 
@@ -202,23 +199,22 @@ def reduce(
     rmw_mode: bool = False,
 ) -> Trace:
     """Remove the range ``(first, second]``; :class:`NotCollapsible` unless collapsible."""
-    if not collapsible(trace, program, first, second, rmw_mode):
+    s1 = _check_pair(trace, program, first, second, rmw_mode, summaries={})
+    if s1 is None:
         raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
-    return _collapse(trace, program, first, second, rmw_mode)
+    return _collapse(trace, first, second, rmw_mode, s1)
 
 
-def _collapse(
-    trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool
-) -> Trace:
+def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1: Summary) -> Trace:
     """Remove the range ``(first, second]``, already known to be collapsible.
 
-    Surviving reads of removed writes are rewired to the latest write at
-    ``first``; modification order is restricted, transposing the two latest
-    writes on locations whose local value survives unobserved from outside.
+    ``s1`` is the summary of ``first``.  Surviving reads of removed writes are
+    rewired to the latest write at ``first``; modification order is
+    restricted, transposing the two latest writes on locations whose local
+    value survives unobserved from outside.
     """
     g = trace.graph
     removed = set(range_in_run(trace, first, second))
-    s1 = summary(trace, program, first, rmw_mode)
 
     events2 = [ev for eid, ev in g.events.items() if eid not in removed]
     po2 = {
@@ -271,7 +267,7 @@ def reduction_steps(
 ) -> Iterator[tuple[CollapsiblePair, Trace]]:
     """Collapse π-first pairs until none remain, yielding each pair with the trace after it."""
     while (pair := find_collapsible(trace, program, rmw_mode)) is not None:
-        trace = _collapse(trace, program, pair.first, pair.second, rmw_mode)
+        trace = _collapse(trace, pair.first, pair.second, rmw_mode, pair._summary)
         yield pair, trace
 
 

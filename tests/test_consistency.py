@@ -83,6 +83,18 @@ class TestAxioms:
         assert v.axiom is Axiom.IRR_HB
         assert v.witness == (0,)  # smallest event on the cycle
 
+    @pytest.mark.parametrize(
+        "ids,least",
+        [(("r", 7, "q", 2), 2), (("e10", "e9", "e2", "e1"), "e1"), ((9, 4, 6, 5), 4)],
+    )
+    def test_least_witness_by_id_key(self, ids, least):
+        # every event lies on the cycle; ints sort before strings
+        g = hb_cycle_graph()
+        a, b, c, d = ids
+        events = [Event(new, g.events[old].label) for old, new in zip(range(4), ids)]
+        g = build_graph(events, {"t": [a, b], "u": [c, d]}, {a: d, c: b}, {"x": [d], "y": [b]})
+        assert check_ra(g).witness == (least,)
+
     def test_write_coherence(self):
         v = check_ra(write_coherence_graph())
         assert v.axiom is Axiom.WRITE_COHERENCE

@@ -11,13 +11,14 @@ from rareach.decider import (
     enumerate_graphs,
     naive_reach,
 )
-from rareach.graph import graph_to_json, reaches
+from rareach.errors import GraphError
+from rareach.graph import build_graph, dump_graph_json, graph_to_json, reaches
 from rareach.model import final_vector, parse_program
 from rareach.pcp import compile_pcp, parse_pcp
 from rareach.trace import ContextBudget
 
 from tests import corpus
-from tests.oracle import consistent_oracle
+from tests.oracle import consistent_oracle, hb_pairs_oracle
 
 
 def cfg(contexts, rmws=0, cap=None, seed=0):
@@ -186,3 +187,75 @@ class TestPinnedCounters:
         v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert (v.explored.visited, v.explored.prunes) == (22639, 48258)
+
+
+#: program family -> [(program, max_events)]: random programs with and
+#: without updates, and the update-event loop programs
+TRUSTED_CASES = {
+    "random": [(corpus.random_program(seed), 4) for seed in range(40)],
+    "random-rmw": [(corpus.random_program(seed, rmw_prob=0.4), 4) for seed in range(40)],
+    "loopy-rmw": [(prog, 5) for prog in corpus.loopy_rmw_programs()],
+}
+
+
+class TestTrustedConstruction:
+    """The enumerator builds graphs through build_graph's trusted path, sharing hb closures across mo."""
+
+    @pytest.mark.parametrize("family", TRUSTED_CASES)
+    def test_equals_build_graph_on_own_rows(self, family):
+        for prog, n in TRUSTED_CASES[family]:
+            for g in enumerate_graphs(prog, n):
+                rebuilt = build_graph(list(g.events.values()), g.po, g.rf, g.mo)
+                assert g == rebuilt
+                assert dump_graph_json(g) == dump_graph_json(rebuilt)
+                assert list(g.events.items()) == list(rebuilt.events.items())
+                assert list(g.po.items()) == list(rebuilt.po.items())
+                assert list(g.mo.items()) == list(rebuilt.mo.items())
+                assert g.rf == rebuilt.rf
+
+    @pytest.mark.parametrize("family", TRUSTED_CASES)
+    def test_hb_matches_oracle(self, family):
+        # a closure shared across reads-from choices would answer for the wrong rf
+        for prog, n in TRUSTED_CASES[family]:
+            for g in enumerate_graphs(prog, n):
+                pairs = {(a, b) for a in g.events for b in g.events if g.hb(a, b)}
+                assert pairs == hb_pairs_oracle(g)
+
+    @pytest.mark.parametrize("i,counts", [(0, [1, 2, 3, 4, 5, 6]), (1, [1, 2, 4, 8, 16, 32])])
+    def test_loopy_rmw_counts_pinned(self, i, counts):
+        prog = corpus.loopy_rmw_programs()[i]
+        assert [sum(1 for _ in enumerate_graphs(prog, n)) for n in range(6)] == counts
+
+    @pytest.mark.parametrize(
+        "i,built", [(0, [1, 2, 6, 30, 246, 3486]), (1, [1, 2, 7, 87, 2795])]
+    )
+    def test_every_candidate_built_and_checked_once(self, monkeypatch, i, built):
+        # nothing is pruned: one build_graph and one check_ra call per candidate
+        import rareach.decider as decider
+
+        calls = {"build_graph": 0, "check_ra": 0}
+
+        def counted(name):
+            fn = getattr(decider, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(decider, name, counted(name))
+        prog = corpus.loopy_rmw_programs()[i]
+        for n, want in enumerate(built):
+            calls.update(build_graph=0, check_ra=0)
+            sum(1 for _ in enumerate_graphs(prog, n))
+            assert calls == {"build_graph": want, "check_ra": want}
+
+    def test_like_requires_the_same_rows(self):
+        g = next(enumerate_graphs(corpus.loopy_rmw_programs()[1], 2))
+        assert build_graph(g.events, g.po, g.rf, g.mo, like=g) == g
+        with pytest.raises(GraphError):
+            build_graph(dict(g.events), g.po, g.rf, g.mo, like=g)
+        with pytest.raises(GraphError):
+            build_graph(g.events, g.po, dict(g.rf), g.mo, like=g)

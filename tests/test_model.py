@@ -38,6 +38,14 @@ class TestLabel:
         lab = rmw("t", "x", "0", "1")
         assert lab.op.reads and lab.op.writes
 
+    @pytest.mark.parametrize(
+        "value,op,reads,writes",
+        [("r", Op.READ, True, False), ("w", Op.WRITE, False, True), ("rmw", Op.RMW, True, True)],
+    )
+    def test_op_kinds(self, value, op, reads, writes):
+        assert Op(value) is op and repr(op) == value
+        assert (op.reads, op.writes) == (reads, writes)
+
     def test_missing_value_rejected(self):
         with pytest.raises(ValueError):
             Label(Op.READ, "t", "x")

@@ -145,9 +145,10 @@ class TestSummary:
         tr = make_trace(g, [Run("w", ("a1",)), Run("t", ("b1", "b2"))])
         s = summary(tr, prog, "b2")
         assert s.foreign_reads == frozenset({"x"})
-        assert s.val("x") == "2"
+        vals = dict(s.last_write_vals)
+        assert vals["x"] == "2"
         with pytest.raises(KeyError):
-            s.val("y")
+            vals["y"]
 
     def test_unknown_thread(self, mp_program):
         tr = corpus.twin_write_trace(2)
