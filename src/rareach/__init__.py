@@ -48,7 +48,6 @@ from .model import (
 from .pcp import (
     GadgetProgram,
     PcpInstance,
-    PcpSolution,
     check_monotonicity,
     check_no_skipping,
     compile_pcp,
@@ -74,7 +73,6 @@ from .trace import (
     Run,
     Trace,
     canonical_trace,
-    cid,
     counts,
     make_trace,
     range_in_run,

@@ -286,13 +286,16 @@ def _parse_solution(text: str) -> tuple[int, ...]:
 def _cmd_pcp_witness(args) -> int:
     inst = parse_pcp(_read(args.instance))
     trace = pcp_witness(inst, _parse_solution(args.solution))
-    if args.check:
+    if args.check:  # explicit raises, not asserts, so that python -O keeps them
         verdict = check_ra(trace.graph)
-        assert verdict.consistent, f"witness fails {verdict.axiom}"
+        if not verdict.consistent:
+            raise AssertionError(f"witness fails {verdict.axiom}")
         skip = check_no_skipping(trace.graph)
-        assert skip.ok, f"witness skips: {skip.violations[0]}"
+        if not skip.ok:
+            raise AssertionError(f"witness skips: {skip.violations[0]}")
         mono = check_monotonicity(trace.graph)
-        assert mono.ok, f"witness not monotone: {mono.violations[0]}"
+        if not mono.ok:
+            raise AssertionError(f"witness not monotone: {mono.violations[0]}")
     if args.dot:
         _emit(to_dot(trace.graph), args.dot)
     _emit(_json_text(trace_to_json(trace)), args.output)

@@ -102,12 +102,6 @@ class ExecutionGraph:
 
     # -- basic lookups ------------------------------------------------------
 
-    def event(self, eid: EventId) -> Event:
-        try:
-            return self.events[eid]
-        except KeyError:
-            raise GraphError(f"unknown event id {eid!r}") from None
-
     def tids(self) -> list[str]:
         """Real (non-init) thread ids, sorted."""
         return sorted(t for t in self.po if t != INIT_TID)
@@ -388,12 +382,16 @@ def graph_from_json(data: dict) -> ExecutionGraph:
     return build_graph(events, po, rf, mo)
 
 
-def load_graph_json(text: str) -> ExecutionGraph:
+def _json_data(text: str):
+    """Decoded JSON; text that does not decode, or nests too deep to, is a ParseError."""
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
-    return graph_from_json(data)
+
+
+def load_graph_json(text: str) -> ExecutionGraph:
+    return graph_from_json(_json_data(text))
 
 
 def dump_graph_json(graph: ExecutionGraph) -> str:

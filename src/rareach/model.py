@@ -130,9 +130,6 @@ class Lts:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"transition endpoint {src!r}->{dst!r} not in states")
 
-    def labels(self) -> set[Label]:
-        return {lab for _, lab, _ in self.transitions}
-
     @cached_property
     def index(self) -> dict[str, dict[Label, list[str]]]:
         """``state -> label -> dsts``, built once per instance."""
@@ -191,10 +188,6 @@ class Program:
 
 #: A control state per thread.
 StateVector = Mapping[str, str]
-
-
-def initial_vector(program: Program) -> dict[str, str]:
-    return {tid: lts.init for tid, lts in program.threads.items()}
 
 
 def final_vector(program: Program) -> dict[str, str]:
@@ -412,28 +405,3 @@ def program_to_json(program: Program) -> dict:
         "init": {loc: program.init_vals[loc] for loc in sorted(program.locs)},
         "threads": threads,
     }
-
-
-def program_from_json(data: dict) -> Program:
-    try:
-        threads = {}
-        for tid, spec in data["threads"].items():
-            transitions = []
-            for src, dst, kind, loc, val_r, val_w in spec["transitions"]:
-                transitions.append(
-                    (src, Label(_KINDS[kind], tid, loc, val_r=val_r, val_w=val_w), dst)
-                )
-            threads[tid] = Lts(
-                init=spec["init"],
-                final=spec["final"],
-                states=frozenset(spec["states"]),
-                transitions=frozenset(transitions),
-            )
-        return Program(
-            threads=threads,
-            locs=frozenset(data["locs"]),
-            vals=frozenset(data["vals"]),
-            init_vals=dict(data["init"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad program JSON: {exc}") from exc

@@ -28,6 +28,10 @@ reads to pair with equal-index writes anyway (any skip closes a
 happens-before cycle or a coherence violation), which is what
 :func:`check_no_skipping` and :func:`check_monotonicity` audit on witness
 graphs.
+
+Gadget names live only in ``_family`` / ``_SIDES`` / ``_VERIFIERS``: the
+machines, the witness walk and every wiring table derive from them, except
+``ROLE_MAP``, the literal role vocabulary that ``pcp compile --json`` emits.
 """
 
 from __future__ import annotations
@@ -44,15 +48,42 @@ from .trace import Trace, canonical_trace
 
 BOT = "bot"
 
-LOCS: tuple[str, ...] = (
-    "aw", "bw", "ai", "bi",
-    "aw_p", "bw_p", "ai_p", "bi_p",
-    "z_aw", "z_aw_p", "z_bw", "z_bw_p",
-    "z_ai", "z_ai_p", "z_bi", "z_bi_p",
-    "cross_a", "ell_a", "cross_b", "ell_b",
-)
 
-BRIDGE_LOCS = frozenset({"cross_a", "ell_a", "cross_b", "ell_b"})
+class _Family(NamedTuple):
+    """The names of one guessed stream and its lock-step handshake."""
+
+    guess: str   # the guesser thread, writing ``st`` and ``z_p``
+    echo: str    # its echo thread, writing ``pr`` and ``z``
+    st: str      # the stream
+    pr: str      # the stream echo
+    z: str       # written by the echo, read by the guesser
+    z_p: str     # written by the guesser, read by the echo
+
+
+def _family(side: str, kind: str) -> _Family:
+    s = f"{side}{kind}"
+    return _Family(f"guess_{s}", f"echo_{s}", s, f"{s}_p", f"z_{s}", f"z_{s}_p")
+
+
+#: side -> (word family, index family, cross bridge, ell bridge)
+_SIDES = {s: (_family(s, "w"), _family(s, "i"), f"cross_{s}", f"ell_{s}") for s in "ab"}
+
+#: kind -> (checker, the checker's echo, side a's family, side b's family)
+_VERIFIERS = {k: (f"check_{k}", f"echo_{k}", _family("a", k), _family("b", k)) for k in "wi"}
+
+#: the four stream families in location order: aw, bw, ai, bi
+_FAMILIES = [f for _, _, fa, fb in _VERIFIERS.values() for f in (fa, fb)]
+
+LOC_ROLE: dict[str, str] = {
+    **{f.st: "stream" for f in _FAMILIES},
+    **{f.pr: "stream-echo" for f in _FAMILIES},
+    **{x: "handshake" for f in _FAMILIES for x in (f.z, f.z_p)},
+    **{x: "bridge" for _, _, cross, ell in _SIDES.values() for x in (cross, ell)},
+}
+
+LOCS: tuple[str, ...] = tuple(LOC_ROLE)
+
+BRIDGE_LOCS = frozenset(x for x, role in LOC_ROLE.items() if role == "bridge")
 
 ROLE_MAP: dict[str, str] = {
     "guess_aw": "guesser-word-a",
@@ -69,70 +100,35 @@ ROLE_MAP: dict[str, str] = {
     "echo_i": "verifier-index-echo",
 }
 
-LOC_ROLE: dict[str, str] = {
-    **{x: "stream" for x in ("aw", "bw", "ai", "bi")},
-    **{x: "stream-echo" for x in ("aw_p", "bw_p", "ai_p", "bi_p")},
-    **{x: "handshake" for x in LOCS if x.startswith("z_")},
-    **{x: "bridge" for x in BRIDGE_LOCS},
-}
+
+def _rf_writer() -> dict[tuple[str, str], str]:
+    out: dict[tuple[str, str], str] = {}
+    for w, i, cross, ell in _SIDES.values():
+        # guesser handshakes, and the bridges tying a side's two guessers together
+        for f in (w, i):
+            out.update({(f.guess, f.z): f.echo, (f.echo, f.z_p): f.guess})
+        out.update({(i.guess, cross): w.guess, (w.guess, ell): i.guess})
+    for check, echo, fa, fb in _VERIFIERS.values():
+        # the verifier cluster's handshake, and the guessed data flowing into it
+        for f in (fa, fb):
+            out.update({(echo, f.st): check, (check, f.pr): echo, (check, f.st): f.guess, (echo, f.pr): f.echo})
+    return out
+
 
 #: (reader thread, location) -> the unique thread its reads must pair with,
 #: index for index.  Readers not listed here do not exist in the gadget.
-RF_WRITER: dict[tuple[str, str], str] = {
-    # guesser handshakes and bridges, side a
-    ("guess_aw", "z_aw"): "echo_aw",
-    ("echo_aw", "z_aw_p"): "guess_aw",
-    ("guess_ai", "z_ai"): "echo_ai",
-    ("echo_ai", "z_ai_p"): "guess_ai",
-    ("guess_ai", "cross_a"): "guess_aw",
-    ("guess_aw", "ell_a"): "guess_ai",
-    # side b
-    ("guess_bw", "z_bw"): "echo_bw",
-    ("echo_bw", "z_bw_p"): "guess_bw",
-    ("guess_bi", "z_bi"): "echo_bi",
-    ("echo_bi", "z_bi_p"): "guess_bi",
-    ("guess_bi", "cross_b"): "guess_bw",
-    ("guess_bw", "ell_b"): "guess_bi",
-    # verifier cluster handshake
-    ("echo_w", "aw"): "check_w",
-    ("echo_w", "bw"): "check_w",
-    ("check_w", "aw_p"): "echo_w",
-    ("check_w", "bw_p"): "echo_w",
-    ("echo_i", "ai"): "check_i",
-    ("echo_i", "bi"): "check_i",
-    ("check_i", "ai_p"): "echo_i",
-    ("check_i", "bi_p"): "echo_i",
-    # guessed data flowing into the verifiers
-    ("check_w", "aw"): "guess_aw",
-    ("check_w", "bw"): "guess_bw",
-    ("echo_w", "aw_p"): "echo_aw",
-    ("echo_w", "bw_p"): "echo_bw",
-    ("check_i", "ai"): "guess_ai",
-    ("check_i", "bi"): "guess_bi",
-    ("echo_i", "ai_p"): "echo_ai",
-    ("echo_i", "bi_p"): "echo_bi",
-}
+RF_WRITER: dict[tuple[str, str], str] = _rf_writer()
 
 #: Decreasing read-to-read po pairs the construction allows: the verifier's
 #: stream read at index i sits right before its echo reads at index i-1.
-DEC_RR: frozenset[tuple[str, str, str]] = frozenset({
-    ("check_w", "aw", "aw_p"),
-    ("check_w", "aw", "bw_p"),
-    ("check_w", "bw", "aw_p"),
-    ("check_w", "bw", "bw_p"),
-    ("check_i", "ai", "ai_p"),
-    ("check_i", "ai", "bi_p"),
-    ("check_i", "bi", "ai_p"),
-    ("check_i", "bi", "bi_p"),
-})
+DEC_RR: frozenset[tuple[str, str, str]] = frozenset(
+    (check, x.st, y.pr) for check, _, fa, fb in _VERIFIERS.values() for x in (fa, fb) for y in (fa, fb)
+)
 
 #: Write pairs whose happens-before crossings must skip an index: the echo
 #: guesser's stream-echo write i only ever reaches guesser writes j > i+1.
-WW_GAP2: tuple[tuple[str, str, str, str], ...] = (
-    ("echo_aw", "aw_p", "guess_aw", "aw"),
-    ("echo_ai", "ai_p", "guess_ai", "ai"),
-    ("echo_bw", "bw_p", "guess_bw", "bw"),
-    ("echo_bi", "bi_p", "guess_bi", "bi"),
+WW_GAP2: tuple[tuple[str, str, str, str], ...] = tuple(
+    (f.echo, f.pr, f.guess, f.st) for w, i, _, _ in _SIDES.values() for f in (w, i)
 )
 
 
@@ -177,17 +173,6 @@ class PcpInstance:
         return {p: pair[k] for p, pair in enumerate(self.pairs, start=1)}
 
 
-@dataclass(frozen=True)
-class PcpSolution:
-    indices: tuple[int, ...]
-
-
-def _indices(solution: PcpSolution | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(solution, PcpSolution):
-        return solution.indices
-    return tuple(solution)
-
-
 def parse_pcp(text: str) -> PcpInstance:
     """Parse instance files: one ``pair <alpha> : <beta>`` per line."""
     pairs: list[tuple[str, str]] = []
@@ -207,9 +192,8 @@ def parse_pcp(text: str) -> PcpInstance:
         raise ParseError(str(exc)) from exc
 
 
-def verify_solution(inst: PcpInstance, solution: PcpSolution | Sequence[int]) -> bool:
+def verify_solution(inst: PcpInstance, js: Sequence[int]) -> bool:
     """Direct check: nonempty, indices in range, concatenations equal."""
-    js = _indices(solution)
     if not js or any(j < 1 or j > inst.n for j in js):
         return False
     left = "".join(inst.pairs[j - 1][0] for j in js)
@@ -218,39 +202,6 @@ def verify_solution(inst: PcpInstance, solution: PcpSolution | Sequence[int]) ->
 
 
 # --- the per-thread machines ------------------------------------------------
-
-
-class _Side(NamedTuple):
-    gw: str
-    gi: str
-    ew: str
-    ei: str
-    st_w: str
-    st_i: str
-    pr_w: str
-    pr_i: str
-    zw: str      # written by the word echo, read by the word guesser
-    zw_p: str    # written by the word guesser, read by the word echo
-    zi: str
-    zi_p: str
-    cross: str
-    ell: str
-
-
-_SIDES = {
-    "a": _Side(
-        "guess_aw", "guess_ai", "echo_aw", "echo_ai",
-        "aw", "ai", "aw_p", "ai_p",
-        "z_aw", "z_aw_p", "z_ai", "z_ai_p",
-        "cross_a", "ell_a",
-    ),
-    "b": _Side(
-        "guess_bw", "guess_bi", "echo_bw", "echo_bi",
-        "bw", "bi", "bw_p", "bi_p",
-        "z_bw", "z_bw_p", "z_bi", "z_bi_p",
-        "cross_b", "ell_b",
-    ),
-}
 
 
 #: A thread's machine before BFS: its id, its initial config, and the step
@@ -296,8 +247,8 @@ def _walk(tid: str, cfg: tuple, step, choices: Sequence[int]) -> list[Label]:
     return word
 
 
-def _guess_w_machine(side: _Side, words: dict[int, str]) -> _Spec:
-    tid = side.gw
+def _guess_w_machine(fam: _Family, cross: str, ell: str, words: dict[int, str]) -> _Spec:
+    tid = fam.guess
 
     def advance(m4: int, i4: int, p: int, pos: int) -> tuple:
         if pos + 1 < len(words[p]):
@@ -311,44 +262,44 @@ def _guess_w_machine(side: _Side, words: dict[int, str]) -> _Spec:
             dsts = [("emit", m4, i4, first, p, 0) for p in sorted(words)]
             if not first:
                 dsts.append(("bot_emit", m4, i4))
-            return [("w", side.cross, _zv(m4), d) for d in dsts]
+            return [("w", cross, _zv(m4), d) for d in dsts]
         if kind == "emit":
             _, m4, i4, first, p, pos = cfg
             i4n = (i4 + 1) % 4
             return [
-                ("w", side.st_w, _sv(tid, first, words[p][pos]),
+                ("w", fam.st, _sv(tid, first, words[p][pos]),
                  ("hand", m4, i4n, first, p, pos))
             ]
         if kind == "hand":
             _, m4, i4n, first, p, pos = cfg
             dst = advance(m4, i4n, p, pos) if first else ("read_z", m4, i4n, p, pos)
-            return [("w", side.zw_p, _zv(i4n), dst)]
+            return [("w", fam.z_p, _zv(i4n), dst)]
         if kind == "read_z":
             _, m4, i4n, p, pos = cfg
-            return [("r", side.zw, _zv(i4n - 1), advance(m4, i4n, p, pos))]
+            return [("r", fam.z, _zv(i4n - 1), advance(m4, i4n, p, pos))]
         if kind == "link":
             _, m4, i4, p = cfg
-            return [("r", side.ell, _lv(m4, str(p)), ("top", (m4 + 1) % 4, i4, False))]
+            return [("r", ell, _lv(m4, str(p)), ("top", (m4 + 1) % 4, i4, False))]
         if kind == "bot_emit":
             _, m4, i4 = cfg
             i4n = (i4 + 1) % 4
-            return [("w", side.st_w, _sv(tid, False, BOT), ("bot_hand", m4, i4n))]
+            return [("w", fam.st, _sv(tid, False, BOT), ("bot_hand", m4, i4n))]
         if kind == "bot_hand":
             _, m4, i4n = cfg
-            return [("w", side.zw_p, _zv(i4n), ("bot_read_z", m4, i4n))]
+            return [("w", fam.z_p, _zv(i4n), ("bot_read_z", m4, i4n))]
         if kind == "bot_read_z":
             _, m4, i4n = cfg
-            return [("r", side.zw, _zv(i4n - 1), ("bot_link", m4))]
+            return [("r", fam.z, _zv(i4n - 1), ("bot_link", m4))]
         if kind == "bot_link":
             _, m4 = cfg
-            return [("r", side.ell, _lv(m4, BOT), ("fin",))]
+            return [("r", ell, _lv(m4, BOT), ("fin",))]
         return []
 
     return tid, ("top", 1, 0, True), step
 
 
-def _guess_i_machine(side: _Side, n: int) -> _Spec:
-    tid = side.gi
+def _guess_i_machine(fam: _Family, cross: str, ell: str, n: int) -> _Spec:
+    tid = fam.guess
 
     def nxt(m4: int, aux: str) -> tuple:
         return ("fin",) if aux == BOT else ("top", (m4 + 1) % 4, False)
@@ -361,52 +312,51 @@ def _guess_i_machine(side: _Side, n: int) -> _Spec:
             if not first:
                 auxes.append(BOT)
             return [
-                ("w", side.st_i, _sv(tid, first, aux), ("z", m4, first, aux))
+                ("w", fam.st, _sv(tid, first, aux), ("z", m4, first, aux))
                 for aux in auxes
             ]
         if kind == "z":
             _, m4, first, aux = cfg
-            return [("w", side.zi_p, _zv(m4), ("link", m4, first, aux))]
+            return [("w", fam.z_p, _zv(m4), ("link", m4, first, aux))]
         if kind == "link":
             _, m4, first, aux = cfg
             dst = nxt(m4, aux) if first else ("read_z", m4, aux)
-            return [("w", side.ell, _lv(m4, aux), dst)]
+            return [("w", ell, _lv(m4, aux), dst)]
         if kind == "read_z":
             _, m4, aux = cfg
-            return [("r", side.zi, _zv(m4 - 1), ("read_cross", m4, aux))]
+            return [("r", fam.z, _zv(m4 - 1), ("read_cross", m4, aux))]
         if kind == "read_cross":
             _, m4, aux = cfg
-            return [("r", side.cross, _zv(m4 - 1), nxt(m4, aux))]
+            return [("r", cross, _zv(m4 - 1), nxt(m4, aux))]
         return []
 
     return tid, ("top", 1, True), step
 
 
-def _echo_guess_machine(tid: str, pr: str, z_out: str, z_in: str) -> _Spec:
+def _echo_guess_machine(fam: _Family) -> _Spec:
+    tid = fam.echo
+
     def step(cfg: tuple):
         kind = cfg[0]
         if kind == "top":  # may close after this round: same labels, two tracks
             _, i4, first = cfg
             return [
-                ("w", pr, _sv(tid, first, "0"), ("z", i4, closing))
+                ("w", fam.pr, _sv(tid, first, "0"), ("z", i4, closing))
                 for closing in (False, True)
             ]
         if kind == "z":
             _, i4, closing = cfg
-            return [("w", z_out, _zv(i4), ("read_z", i4, closing))]
+            return [("w", fam.z, _zv(i4), ("read_z", i4, closing))]
         if kind == "read_z":
             _, i4, closing = cfg
             dst = ("fin",) if closing else ("top", (i4 + 1) % 4, False)
-            return [("r", z_in, _zv(i4), dst)]
+            return [("r", fam.z_p, _zv(i4), dst)]
         return []
 
     return tid, ("top", 1, True), step
 
 
-def _check_machine(
-    tid: str, st_a: str, st_b: str, pr_a: str, pr_b: str,
-    ga: str, gb: str, echo: str, auxes: Sequence[str],
-) -> _Spec:
+def _check_machine(tid: str, echo: str, fa: _Family, fb: _Family, auxes: Sequence[str]) -> _Spec:
     def nxt(i4: int, aux: str) -> tuple:
         return ("fin",) if aux == BOT else ("top", (i4 + 1) % 4, False)
 
@@ -414,60 +364,57 @@ def _check_machine(
         kind = cfg[0]
         if kind == "top":
             _, i4, first = cfg
-            return [("w", st_a, f"{tid}:{_zv(i4)}", ("wb", i4, first))]
+            return [("w", fa.st, f"{tid}:{_zv(i4)}", ("wb", i4, first))]
         if kind == "wb":
             _, i4, first = cfg
-            return [("w", st_b, f"{tid}:{_zv(i4)}", ("ra", i4, first))]
+            return [("w", fb.st, f"{tid}:{_zv(i4)}", ("ra", i4, first))]
         if kind == "ra":
             _, i4, first = cfg
             opts = list(auxes) + ([] if first else [BOT])
             return [
-                ("r", st_a, _sv(ga, first, aux), ("rb", i4, first, aux))
+                ("r", fa.st, _sv(fa.guess, first, aux), ("rb", i4, first, aux))
                 for aux in opts
             ]
         if kind == "rb":
             _, i4, first, aux = cfg
             dst = nxt(i4, aux) if first else ("pa", i4, aux)
-            return [("r", st_b, _sv(gb, first, aux), dst)]
+            return [("r", fb.st, _sv(fb.guess, first, aux), dst)]
         if kind == "pa":
             _, i4, aux = cfg
-            return [("r", pr_a, f"{echo}:{_zv(i4 - 1)}", ("pb", i4, aux))]
+            return [("r", fa.pr, f"{echo}:{_zv(i4 - 1)}", ("pb", i4, aux))]
         if kind == "pb":
             _, i4, aux = cfg
-            return [("r", pr_b, f"{echo}:{_zv(i4 - 1)}", nxt(i4, aux))]
+            return [("r", fb.pr, f"{echo}:{_zv(i4 - 1)}", nxt(i4, aux))]
         return []
 
     return tid, ("top", 1, True), step
 
 
-def _echo_check_machine(
-    tid: str, pr_a: str, pr_b: str, st_a: str, st_b: str,
-    chk: str, ea: str, eb: str,
-) -> _Spec:
+def _echo_check_machine(tid: str, chk: str, fa: _Family, fb: _Family) -> _Spec:
     def step(cfg: tuple):
         kind = cfg[0]
         if kind == "top":
             _, i4, first = cfg
             return [
-                ("w", pr_a, f"{tid}:{_zv(i4)}", ("wb", i4, first, closing))
+                ("w", fa.pr, f"{tid}:{_zv(i4)}", ("wb", i4, first, closing))
                 for closing in (False, True)
             ]
         if kind == "wb":
             _, i4, first, closing = cfg
-            return [("w", pr_b, f"{tid}:{_zv(i4)}", ("ra", i4, first, closing))]
+            return [("w", fb.pr, f"{tid}:{_zv(i4)}", ("ra", i4, first, closing))]
         if kind == "ra":
             _, i4, first, closing = cfg
-            return [("r", st_a, f"{chk}:{_zv(i4)}", ("rb", i4, first, closing))]
+            return [("r", fa.st, f"{chk}:{_zv(i4)}", ("rb", i4, first, closing))]
         if kind == "rb":
             _, i4, first, closing = cfg
-            return [("r", st_b, f"{chk}:{_zv(i4)}", ("pa", i4, first, closing))]
+            return [("r", fb.st, f"{chk}:{_zv(i4)}", ("pa", i4, first, closing))]
         if kind == "pa":
             _, i4, first, closing = cfg
-            return [("r", pr_a, _sv(ea, first, "0"), ("pb", i4, first, closing))]
+            return [("r", fa.pr, _sv(fa.echo, first, "0"), ("pb", i4, first, closing))]
         if kind == "pb":
             _, i4, first, closing = cfg
             dst = ("fin",) if closing else ("top", (i4 + 1) % 4, False)
-            return [("r", pr_b, _sv(eb, first, "0"), dst)]
+            return [("r", fb.pr, _sv(fb.echo, first, "0"), dst)]
         return []
 
     return tid, ("top", 1, True), step
@@ -490,30 +437,17 @@ class GadgetProgram:
 def _machines(inst: PcpInstance) -> list[_Spec]:
     """The specs of all 12 threads, side a, side b, then the verifier cluster."""
     specs: list[_Spec] = []
-    for key in ("a", "b"):
-        side = _SIDES[key]
+    for s, (w, i, cross, ell) in _SIDES.items():
         specs += [
-            _guess_w_machine(side, inst.words(key)),
-            _guess_i_machine(side, inst.n),
-            _echo_guess_machine(side.ew, side.pr_w, side.zw, side.zw_p),
-            _echo_guess_machine(side.ei, side.pr_i, side.zi, side.zi_p),
+            _guess_w_machine(w, cross, ell, inst.words(s)),
+            _guess_i_machine(i, cross, ell, inst.n),
+            _echo_guess_machine(w),
+            _echo_guess_machine(i),
         ]
-    return specs + [
-        _check_machine(
-            "check_w", "aw", "bw", "aw_p", "bw_p",
-            "guess_aw", "guess_bw", "echo_w", inst.alphabet,
-        ),
-        _echo_check_machine(
-            "echo_w", "aw_p", "bw_p", "aw", "bw", "check_w", "echo_aw", "echo_bw",
-        ),
-        _check_machine(
-            "check_i", "ai", "bi", "ai_p", "bi_p",
-            "guess_ai", "guess_bi", "echo_i", [str(p) for p in range(1, inst.n + 1)],
-        ),
-        _echo_check_machine(
-            "echo_i", "ai_p", "bi_p", "ai", "bi", "check_i", "echo_ai", "echo_bi",
-        ),
-    ]
+    auxes = {"w": inst.alphabet, "i": [str(p) for p in range(1, inst.n + 1)]}
+    for kind, (check, echo, fa, fb) in _VERIFIERS.items():
+        specs += [_check_machine(check, echo, fa, fb, auxes[kind]), _echo_check_machine(echo, check, fa, fb)]
+    return specs
 
 
 def compile_pcp(inst: PcpInstance) -> GadgetProgram:
@@ -537,7 +471,7 @@ def compile_pcp(inst: PcpInstance) -> GadgetProgram:
 # --- the witness for a known solution --------------------------------------------
 
 
-def pcp_witness(inst: PcpInstance, solution: PcpSolution | Sequence[int]) -> Trace:
+def pcp_witness(inst: PcpInstance, js: Sequence[int]) -> Trace:
     """The reaching trace induced by a solution.
 
     Raises :class:`InvalidSolution` when the index sequence is not actually a
@@ -552,7 +486,6 @@ def pcp_witness(inst: PcpInstance, solution: PcpSolution | Sequence[int]) -> Tra
     interleaves the writers of a location index by index, the verifier
     cluster's write first.
     """
-    js = _indices(solution)
     if not verify_solution(inst, js):
         raise InvalidSolution(f"{list(js)} does not solve the instance")
     letters = "".join(inst.words("a")[j] for j in js)
@@ -562,18 +495,13 @@ def pcp_witness(inst: PcpInstance, solution: PcpSolution | Sequence[int]) -> Tra
         # a first block with one option is no fork and takes no choice
         return options[1:] if width == 1 else options
 
-    def rounds(k: int) -> list[int]:
-        return [0] * k + [1]
-
     pairs = forks([j - 1 for j in js] + [inst.n], inst.n)
-    choices = {
-        "check_w": forks([alphabet.index(ch) for ch in letters] + [len(alphabet)], len(alphabet)),
-        "echo_w": rounds(len(letters)),
-        "check_i": pairs,
-        "echo_i": rounds(len(js)),
-    }
-    for side in _SIDES.values():
-        choices.update({side.gw: pairs, side.gi: pairs, side.ew: rounds(len(letters)), side.ei: rounds(len(js))})
+    checks = {"w": forks([alphabet.index(ch) for ch in letters] + [len(alphabet)], len(alphabet)), "i": pairs}
+    blocks = {"w": len(letters), "i": len(js)}
+    choices: dict[str, list[int]] = {}
+    for kind, (check, echo, fa, fb) in _VERIFIERS.items():
+        ends = [0] * blocks[kind] + [1]  # one more round per block, then close
+        choices.update({check: checks[kind], echo: ends, fa.guess: pairs, fa.echo: ends, fb.guess: pairs, fb.echo: ends})
     words = {tid: _walk(tid, init, step, choices[tid]) for tid, init, step in _machines(inst)}
     return canonical_trace(_assemble(words))
 
@@ -584,7 +512,7 @@ def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
     ]
     po: dict[str, list[EventId]] = {}
     writes_of: dict[tuple[str, str], list[EventId]] = {}
-    reads_of: dict[EventId, int] = {}
+    reads_of: dict[EventId, tuple[str, str, int]] = {}
     read_counters: dict[tuple[str, str], int] = {}
     for tid in sorted(words):
         row: list[EventId] = []
@@ -597,15 +525,10 @@ def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
             else:
                 c = read_counters.get((tid, lab.loc), 0) + 1
                 read_counters[(tid, lab.loc)] = c
-                reads_of[eid] = c
+                reads_of[eid] = (tid, lab.loc, c)
         po[tid] = row
 
-    by_id = {ev.eid: ev for ev in events}
-    rf: dict[EventId, EventId] = {}
-    for eid, i in reads_of.items():
-        ev = by_id[eid]
-        writer = RF_WRITER[(ev.tid, ev.loc)]
-        rf[eid] = writes_of[(writer, ev.loc)][i - 1]
+    rf = {eid: writes_of[(RF_WRITER[(tid, x)], x)][i - 1] for eid, (tid, x, i) in reads_of.items()}
 
     # at each index the verifier cluster's write comes before the guesser side's
     order = sorted(writes_of, key=lambda key: not ROLE_MAP[key[0]].startswith("verifier"))

@@ -32,6 +32,7 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     json_field,
+    _json_data,
 )
 from .model import INIT_TID, Op
 
@@ -135,11 +136,6 @@ def make_trace(graph: ExecutionGraph, runs: tuple[Run, ...] | list[Run]) -> Trac
 # --- queries -----------------------------------------------------------------
 
 
-def cid(trace: Trace, eid: EventId) -> int:
-    """1-based context id of the run containing ``eid``."""
-    return trace.run_of(eid) + 1
-
-
 def range_in_run(trace: Trace, first: EventId, last: EventId) -> tuple[EventId, ...]:
     """Events strictly after ``first`` up to and including ``last``, same run."""
     for e in (first, last):
@@ -216,11 +212,7 @@ def trace_from_json(data: dict) -> Trace:
 
 
 def load_trace_json(text: str) -> Trace:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    return trace_from_json(data)
+    return trace_from_json(_json_data(text))
 
 
 def dump_trace_json(trace: Trace) -> str:

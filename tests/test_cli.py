@@ -1,9 +1,14 @@
 """End-to-end command line tests: every verb, exit code and output mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rareach
 from rareach import cli
 from rareach.consistency import Verdict
 from rareach.graph import Event, build_graph, dump_graph_json
@@ -318,6 +323,24 @@ class TestPcp:
         code, _, err = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check")
         assert code == 70 and "internal error" in err
 
+    def test_witness_check_survives_python_O(self, tmp_path, inst_file):
+        out = tmp_path / "w.json"
+        planted = (
+            "import sys\n"
+            "from rareach import cli\n"
+            "from rareach.consistency import Verdict\n"
+            "cli.check_ra = lambda g: Verdict(consistent=False, axiom=None, witness=None)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rareach.__file__).parents[1])}
+        argv = ["pcp", "witness", inst_file, "--solution", "1,2", "--check", "-o", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", planted, *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 70 and proc.stdout == ""
+        assert proc.stderr.startswith("ra-reach: internal error:") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_audit_ok(self, capsys, tmp_path, inst_file):
         from rareach.pcp import PcpInstance, pcp_witness
 
@@ -446,6 +469,16 @@ class TestMalformedJson:
         t.write_text(json.dumps(blob))
         code, _, err = run(capsys, "reduce", str(t), "--program", twin_prog_file)
         assert code == 65 and err.startswith("ra-reach: error: bad trace JSON")
+
+    def test_too_deeply_nested(self, capsys, tmp_path, twin_prog_file):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000 + "\n")
+        for argv in (["check", str(deep)], ["pcp", "audit", str(deep)], ["reduce", str(deep), "--program", twin_prog_file]):
+            code, out, err = run(capsys, *argv)
+            assert code == 65 and out == ""
+            assert err.startswith("ra-reach: error: bad JSON: maximum recursion depth") and err.count("\n") == 1
+        code, out, _ = run(capsys, "trace-validate", str(deep))
+        assert code == 1 and out.startswith("invalid: bad JSON")
 
 
 class TestUsage:

@@ -6,18 +6,21 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rareach import cli
 from rareach.consistency import check_ra
 from rareach.errors import GadgetMismatch, InvalidSolution, ParseError
 from rareach.graph import Event, build_graph, thread_word
-from rareach.model import INIT_TID, final_vector, word_reaches, read, rmw, write
+from rareach.model import INIT_TID, final_vector, word_reaches, read, rmw, serialize_program, write
 from rareach.pcp import (
     BRIDGE_LOCS,
+    DEC_RR,
+    LOC_ROLE,
     LOCS,
     RF_WRITER,
     ROLE_MAP,
+    WW_GAP2,
     AuditReport,
     PcpInstance,
-    PcpSolution,
     check_monotonicity,
     check_no_skipping,
     compile_pcp,
@@ -29,6 +32,10 @@ from rareach.pcp import (
 from rareach.trace import ContextBudget, counts, dump_trace_json
 
 from tests.oracle import pcp_concat_oracle
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def rf_rewire_candidates(graph):
@@ -93,7 +100,7 @@ class TestParse:
 class TestVerify:
     def test_known_solution(self, pcp_inst):
         assert verify_solution(pcp_inst, (1, 2))
-        assert verify_solution(pcp_inst, PcpSolution((1, 2, 1, 2)))
+        assert verify_solution(pcp_inst, (1, 2, 1, 2))
         assert not verify_solution(pcp_inst, (2, 1))
         assert not verify_solution(pcp_inst, ())
         assert not verify_solution(pcp_inst, (0,))
@@ -161,6 +168,34 @@ class TestCompile:
         assert len(gp.program.threads) == 12
         assert len(gp.program.locs) == 20
 
+    @pytest.mark.parametrize(
+        "pairs,text_digest,json_digest",
+        [
+            ((("a", "aa"), ("ab", "b")),
+             "454f7a20eab474b8174cca00e27bd28012729f189c1dda489a07d1be5ed0367b",
+             "f0714f2001527c11f55f2be4cd57bca55305b783817acdf3bb03f081c5ed9386"),
+            ((("b", "b"),),
+             "4146ee8f042335bb36031799fbf65115e27d344addaae81c94181cdd95acc1c4",
+             "046713b89e85ef59fe834c894ac312b0863b7ea1dae48bb0f3321eb2ff0fe6cb"),
+            ((("a", "aa"), ("aa", "a")),
+             "43727932f110062675fbd5efd168e4669c48125c2c4d0ff5707a52bdbe0671cc",
+             "981b8a9b7bc4b1c9807460dd2397ea05cc91c6a9145e53636f38926631cba29a"),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, tmp_path, pairs, text_digest, json_digest):
+        assert sha256(serialize_program(compile_pcp(PcpInstance(pairs)).program)) == text_digest
+        inst = tmp_path / "inst.txt"
+        inst.write_text("".join(f"pair {a} : {b}\n" for a, b in pairs))
+        assert cli.main(["pcp", "compile", str(inst), "--json"]) == 0
+        assert sha256(capsys.readouterr().out) == json_digest
+
+    def test_pinned_wiring_tables(self):
+        tables = [
+            sorted(LOCS), sorted(BRIDGE_LOCS), sorted(LOC_ROLE.items()),
+            sorted(RF_WRITER.items()), sorted(DEC_RR), sorted(WW_GAP2),
+        ]
+        assert sha256(repr(tables)) == "9f832bb3358555f6ec87ca2ad4f06755329cd529293092ace2c5ad84f88c28bb"
+
 
 class TestWitness:
     def test_frozen_size(self, witness):
@@ -186,11 +221,6 @@ class TestWitness:
     def test_budget(self, witness):
         assert ContextBudget(30, 0).admits(witness)
         assert not ContextBudget(29, 0).admits(witness)
-
-    def test_solution_object_equivalent(self, pcp_inst, witness):
-        again = pcp_witness(pcp_inst, PcpSolution((1, 2)))
-        assert again.graph == witness.graph
-        assert again.runs == witness.runs
 
     def test_longer_solution(self, long_witness):
         g = long_witness.graph

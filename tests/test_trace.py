@@ -22,7 +22,6 @@ from rareach.trace import (
     ContextBudget,
     Run,
     canonical_trace,
-    cid,
     counts,
     dump_trace_json,
     load_trace_json,
@@ -99,10 +98,6 @@ class TestMakeTrace:
 
 
 class TestQueries:
-    def test_cid_is_one_based(self, mp_g):
-        tr = make_trace(mp_g, [Run("w", (2, 3)), Run("r", (4, 5))])
-        assert cid(tr, 2) == 1 and cid(tr, 3) == 1 and cid(tr, 4) == 2
-
     def test_range_in_run(self, mp_g):
         tr = make_trace(mp_g, [Run("w", (2, 3)), Run("r", (4, 5))])
         assert range_in_run(tr, 2, 3) == (3,)
