@@ -210,10 +210,13 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             {x: list(r) for x, r in mo_rows.items()},
         )
         trace = make_trace(graph, tuple(Run(t, tuple(es)) for t, es in runs))
-        if prune:
-            assert check_ra(graph).consistent, "pruned search reached an inconsistent graph"
-            assert reaches(graph, program, target), "hit does not replay to the target"
-            assert budget.admits(trace), "hit exceeds its own budget"
+        if prune:  # explicit raises, not asserts, so that python -O keeps them
+            if not check_ra(graph).consistent:
+                raise AssertionError("pruned search reached an inconsistent graph")
+            if not reaches(graph, program, target):
+                raise AssertionError("hit does not replay to the target")
+            if not budget.admits(trace):
+                raise AssertionError("hit exceeds its own budget")
             return trace
         if check_ra(graph).consistent and budget.admits(trace):
             return trace

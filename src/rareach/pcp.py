@@ -641,26 +641,31 @@ def check_monotonicity(graph: ExecutionGraph) -> AuditReport:
     # (e) same-location write-to-read hb never decreases it
     events = graph.events
     non_init = graph.non_init_events()
-    writes = [e for e in non_init if events[e].op.writes]
-    reads = [e for e in non_init if events[e].op.reads]
-    for w in writes:
-        for w2 in writes:
-            if w != w2 and events[w].loc == events[w2].loc and graph.hb(w, w2):
-                if idx[w] >= idx[w2]:
-                    violations.append(f"hb: writes {w},{w2} on {events[w].loc} do not increase")
-        for r in reads:
-            if events[r].loc == events[w].loc and graph.hb(w, r) and idx[w] > idx[r]:
+    writes_at: dict[str, list[EventId]] = {}
+    reads_at: dict[str, list[EventId]] = {}
+    for e in non_init:
+        ev = events[e]
+        if ev.op.writes:
+            writes_at.setdefault(ev.loc, []).append(e)
+        if ev.op.reads:
+            reads_at.setdefault(ev.loc, []).append(e)
+    for w in (e for e in non_init if events[e].op.writes):
+        x = events[w].loc
+        for w2 in writes_at[x]:
+            if w != w2 and graph.hb(w, w2) and idx[w] >= idx[w2]:
+                violations.append(f"hb: writes {w},{w2} on {x} do not increase")
+        for r in reads_at.get(x, ()):
+            if graph.hb(w, r) and idx[w] > idx[r]:
                 violations.append(f"hb: write {w} idx {idx[w]} precedes read {r} idx {idx[r]}")
 
     # (f) echoed stream writes only reach guesser writes two indices later
     for wt, wl, gt, gl in WW_GAP2:
-        for w in writes:
-            if events[w].tid != wt or events[w].loc != wl:
+        for w in writes_at.get(wl, ()):
+            if events[w].tid != wt:
                 continue
-            for w2 in writes:
-                if events[w2].tid == gt and events[w2].loc == gl and graph.hb(w, w2):
-                    if idx[w] >= idx[w2] - 1:
-                        violations.append(
-                            f"hb: {wt} write {w} idx {idx[w]} too close to {gt} write {w2} idx {idx[w2]}"
-                        )
+            for w2 in writes_at.get(gl, ()):
+                if events[w2].tid == gt and graph.hb(w, w2) and idx[w] >= idx[w2] - 1:
+                    violations.append(
+                        f"hb: {wt} write {w} idx {idx[w]} too close to {gt} write {w2} idx {idx[w2]}"
+                    )
     return AuditReport(not violations, tuple(violations))

@@ -25,15 +25,30 @@ and for every other thread's event the latest writes ``lw(e1, x)`` and
 a changed latest write must be a plain write, so no read gets rewired onto
 an update).  Removing the range ``(e1, e2]`` then preserves consistency and
 the set of reachable state vectors.
+
+One forward sweep per run (:func:`_sweep`) computes what ``summary`` and
+``lw`` define: it replays the thread's labels before the run once, then
+carries the control-state subset, ``lw(e, x)`` per location and the
+foreign-read set (a read of ``x`` whose source is not the current
+``lw(e, x)`` adds ``x``; a new latest write on ``x`` clears it).  The pair
+search sweeps a run only as far as it needs and tests only equal-summary
+pairs, ``e1`` then ``e2`` in π order; unequal summaries are never
+collapsible, so it returns the π-first pair that testing every pair would.
+Happens-before comes from descendant masks: π extends hb, so reverse π order
+is topological for the po and rf edges that generate hb from non-init events,
+and one pass joining each event's po-successor and readers yields exactly the
+events it happens before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 from .errors import InternalValueMismatch, NotCollapsible, UnknownThread
-from .graph import EventId, ExecutionGraph, build_graph
+from .graph import EventId, build_graph
 from .model import INIT_TID, Op, Program
 from .trace import Run, Trace, make_trace, range_in_run
 
@@ -41,18 +56,11 @@ from .trace import Run, Trace, make_trace, range_in_run
 
 
 def lw(trace: Trace, eid: EventId, loc: str, rmw_mode: bool = False) -> EventId | None:
-    """Latest same-run write on ``loc`` at or before ``eid``; None if absent.
-
-    With ``rmw_mode`` update events count as writes too.
-    """
+    """Latest same-run write on ``loc`` at or before ``eid`` (updates too with ``rmw_mode``), or None."""
     run = trace.runs[trace.run_of(eid)]
-    off = trace.position[eid][1]
-    g = trace.graph
-    for e in reversed(run.events[: off + 1]):
-        ev = g.events[e]
-        if ev.loc != loc:
-            continue
-        if ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW):
+    for e in reversed(run.events[: trace.position[eid][1] + 1]):
+        ev = trace.graph.events[e]
+        if ev.loc == loc and (ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW)):
             return e
     return None
 
@@ -66,34 +74,35 @@ class Summary:
     foreign_reads: frozenset[str]
 
 
+def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator[tuple[Summary, tuple]]:
+    """Each position of ``run`` in turn: its summary and ``lw`` on every sorted location."""
+    if run.tid not in program.threads:
+        raise UnknownThread(f"thread {run.tid!r} of the trace is not declared by the program")
+    lts, g = program.threads[run.tid], trace.graph
+    states = frozenset({lts.init})
+    for e in g.po[run.tid][: g.po_pos[run.events[0]]] if run.events else ():
+        states = lts.step(states, g.events[e].label)
+    locs = sorted(program.locs)
+    slot = {x: k for k, x in enumerate(locs)}
+    latest: list[EventId | None] = [None] * len(locs)
+    vals: list[tuple[str, str | None]] = [(x, None) for x in locs]
+    foreign: set[str] = set()
+    for e in run.events:
+        ev = g.events[e]
+        states = lts.step(states, ev.label)
+        if (k := slot.get(ev.loc)) is not None:
+            if ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW):
+                latest[k], vals[k] = e, (ev.loc, ev.val_w)
+                foreign.discard(ev.loc)
+            elif ev.op.reads and latest[k] is not None and g.rf[e] != latest[k]:
+                foreign.add(ev.loc)
+        yield Summary(states, tuple(vals), frozenset(foreign)), tuple(latest)
+
+
 def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False) -> Summary:
     """Summarise the trace position ``eid`` (see module docstring)."""
-    g = trace.graph
-    trace.run_of(eid)  # validate: run events only
-    ev = g.events[eid]
-    if ev.tid not in program.threads:
-        raise UnknownThread(ev.tid)
-    lts = program.threads[ev.tid]
-
-    states: frozenset[str] = frozenset({lts.init})
-    for e in g.po[ev.tid][: g.po_pos[eid] + 1]:
-        states = lts.step(states, g.events[e].label)
-
-    vals: list[tuple[str, str | None]] = []
-    foreign: set[str] = set()
-    for x in sorted(program.locs):
-        w = lw(trace, eid, x, rmw_mode)
-        if w is None:
-            vals.append((x, None))
-            continue
-        vals.append((x, g.events[w].val_w))
-        span = () if w == eid else range_in_run(trace, w, eid)
-        for e in span:
-            se = g.events[e]
-            if se.op.reads and se.loc == x and g.rf[e] != w:
-                foreign.add(x)
-                break
-    return Summary(states, tuple(vals), frozenset(foreign))
+    run = trace.runs[trace.run_of(eid)]
+    return next(islice(_sweep(trace, program, run, rmw_mode), trace.position[eid][1], None))[0]
 
 
 # --- collapsibility ----------------------------------------------------------
@@ -107,102 +116,111 @@ class CollapsiblePair:
     _summary: Summary | None = field(default=None, compare=False, repr=False)
 
 
-def collapsible(
-    trace: Trace,
-    program: Program,
-    first: EventId,
-    second: EventId,
-    rmw_mode: bool = False,
-) -> bool:
-    """Whether the range ``(first, second]`` of their shared run can be removed."""
-    return _check_pair(trace, program, first, second, rmw_mode, summaries={}) is not None
+class _RunSweep:
+    """One run's sweep, extended on demand, and the pair test on the positions swept.
+
+    Per position it keeps the summary, interned to an int, the latest writes,
+    and a prefix count of the run's writes that a read of another run observes.
+    """
+
+    def __init__(self, trace: Trace, program: Program, ri: int, rmw_mode: bool) -> None:
+        self.trace, self.run, self.rmw_mode = trace, trace.runs[ri], rmw_mode
+        self._steps = _sweep(trace, program, self.run, rmw_mode)
+        self._ids: dict[Summary, int] = {}  # each summary swept, by order of first sight
+        self.sid: list[int] = []
+        self.lws: list[tuple] = []
+        self.read_out = [0]  # read_out[k]: such observed writes before position k
+        rf = trace.graph.rf
+        self._observed = {rf[r] for k, run in enumerate(trace.runs) if k != ri for r in run.events if r in rf}
+
+    def extend(self) -> bool:
+        """Sweep one position further; False once the run is exhausted."""
+        if (step := next(self._steps, None)) is None:
+            return False
+        self.sid.append(self._ids.setdefault(step[0], len(self._ids)))
+        self.lws.append(step[1])
+        self.read_out.append(self.read_out[-1] + (self.run.events[len(self.sid) - 1] in self._observed))
+        return True
+
+    @cached_property
+    def _hb(self) -> tuple[int, dict[EventId, int]]:
+        """Other threads' events as a mask over π positions, and each event's hb-successors as one."""
+        g, pos = self.trace.graph, self.trace.position
+        others = sum(1 << k for k, e in enumerate(self.trace.pi) if g.events[e].tid != self.run.tid)
+        desc: dict[EventId, int] = {}
+        readers: dict[EventId, int] = {}  # per write, the joined masks of its readers so far
+        for e in reversed(self.trace.pi) if others else ():
+            d = readers.get(e, 0)
+            if (n := g.po_pos[e] + 1) < len(row := g.po[g.events[e].tid]):
+                d |= 1 << pos[row[n]][2] | desc[row[n]]
+            desc[e] = d
+            if e in g.rf:
+                readers[g.rf[e]] = readers.get(g.rf[e], 0) | 1 << pos[e][2] | d
+        return others, desc
+
+    def collapsible(self, i: int, j: int) -> bool:
+        """Whether the swept positions ``i < j`` are collapsible."""
+        if self.sid[i] != self.sid[j] or self.read_out[j + 1] != self.read_out[i + 1]:
+            return False
+        moved = [(w1, w2) for w1, w2 in zip(self.lws[i], self.lws[j]) if w1 != w2]
+        # summaries agree, so both latest writes are present here
+        if self.rmw_mode and any(self.trace.graph.events[w1].op is not Op.WRITE for w1, _ in moved):
+            return False
+        others, desc = self._hb if moved else (0, {})
+        return not any((desc[w1] ^ desc[w2]) & others for w1, w2 in moved if others)
+
+    def pair(self, i: int, j: int) -> CollapsiblePair:
+        s1 = next(islice(self._ids, self.sid[i], None))
+        return CollapsiblePair(self.run.events[i], self.run.events[j], s1)
+
+    def first_pair(self) -> CollapsiblePair | None:
+        """The π-first collapsible pair of the run, sweeping no further than it needs."""
+        i = 0
+        while i < len(self.sid) or self.extend():
+            j = i + 1
+            while j < len(self.sid) or self.extend():
+                if self.collapsible(i, j):
+                    return self.pair(i, j)
+                j += 1
+            i += 1
+        return None
 
 
-def _check_pair(
-    trace: Trace,
-    program: Program,
-    first: EventId,
-    second: EventId,
-    rmw_mode: bool,
-    summaries: dict[EventId, Summary],
-) -> Summary | None:
-    """The summary of ``first`` if ``(first, second]`` is collapsible, else None."""
-    pos = trace.position
+def _pair(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool) -> CollapsiblePair | None:
+    """The pair ``(first, second]`` if collapsible, else None."""
     for e in (first, second):
-        if e not in pos:
-            trace.run_of(e)  # raises UnknownEvent
-    r1, o1, _ = pos[first]
-    r2, o2, _ = pos[second]
-    if r1 != r2 or o1 >= o2:
+        trace.run_of(e)  # raises UnknownEvent unless ``e`` is in a run
+    (r1, i, _), (r2, j, _) = trace.position[first], trace.position[second]
+    if r1 != r2 or i >= j:
         return None
-
-    def summ(e: EventId) -> Summary:
-        if e not in summaries:
-            summaries[e] = summary(trace, program, e, rmw_mode)
-        return summaries[e]
-
-    s1, s2 = summ(first), summ(second)
-    if s1 != s2:
-        return None
-
-    g = trace.graph
-    span = range_in_run(trace, first, second)
-    span_writes = {e for e in span if g.events[e].op.writes}
-    if span_writes:
-        for r, w in g.rf.items():
-            if w in span_writes and trace.run_of(r) != r1:
-                return None
-
-    tid = g.events[first].tid
-    others = [e for e in g.non_init_events() if g.events[e].tid != tid]
-    for x in sorted(program.locs):
-        w1 = lw(trace, first, x, rmw_mode)
-        w2 = lw(trace, second, x, rmw_mode)
-        if w1 == w2:
-            continue
-        if rmw_mode:
-            # summaries agree, so w1/w2 are both present here
-            if g.events[w1].op is not Op.WRITE:
-                return None
-        for e in others:
-            if _hb_opt(g, w1, e) != _hb_opt(g, w2, e):
-                return None
-    return s1
+    sweep = _RunSweep(trace, program, r1, rmw_mode)
+    while len(sweep.sid) <= j:
+        sweep.extend()
+    return sweep.pair(i, j) if sweep.collapsible(i, j) else None
 
 
-def _hb_opt(g: ExecutionGraph, w: EventId | None, e: EventId) -> bool:
-    return w is not None and g.hb(w, e)
+def collapsible(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool = False) -> bool:
+    """Whether the range ``(first, second]`` of their shared run can be removed."""
+    return _pair(trace, program, first, second, rmw_mode) is not None
 
 
-def find_collapsible(
-    trace: Trace, program: Program, rmw_mode: bool = False
-) -> CollapsiblePair | None:
+def find_collapsible(trace: Trace, program: Program, rmw_mode: bool = False) -> CollapsiblePair | None:
     """First collapsible pair in π-lexicographic order, or None."""
-    summaries: dict[EventId, Summary] = {}
-    for run in trace.runs:
-        evs = run.events
-        for i in range(len(evs)):
-            for j in range(i + 1, len(evs)):
-                if s1 := _check_pair(trace, program, evs[i], evs[j], rmw_mode, summaries):
-                    return CollapsiblePair(evs[i], evs[j], s1)
+    for ri in range(len(trace.runs)):
+        if (pair := _RunSweep(trace, program, ri, rmw_mode).first_pair()) is not None:
+            return pair
     return None
 
 
 # --- the reduction step --------------------------------------------------------
 
 
-def reduce(
-    trace: Trace,
-    program: Program,
-    first: EventId,
-    second: EventId,
-    rmw_mode: bool = False,
-) -> Trace:
+def reduce(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool = False) -> Trace:
     """Remove the range ``(first, second]``; :class:`NotCollapsible` unless collapsible."""
-    s1 = _check_pair(trace, program, first, second, rmw_mode, summaries={})
-    if s1 is None:
+    pair = _pair(trace, program, first, second, rmw_mode)
+    if pair is None:
         raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
-    return _collapse(trace, first, second, rmw_mode, s1)
+    return _collapse(trace, first, second, rmw_mode, pair._summary)
 
 
 def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1: Summary) -> Trace:
@@ -217,11 +235,7 @@ def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1:
     removed = set(range_in_run(trace, first, second))
 
     events2 = [ev for eid, ev in g.events.items() if eid not in removed]
-    po2 = {
-        t: [e for e in row if e not in removed]
-        for t, row in g.po.items()
-        if t != INIT_TID
-    }
+    po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
 
     rf2: dict[EventId, EventId] = {}
     for r, w in g.rf.items():
@@ -232,14 +246,10 @@ def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1:
             continue
         x = g.events[r].loc
         if w != lw(trace, second, x, rmw_mode):
-            raise InternalValueMismatch(
-                f"removed writer {w!r} of {r!r} is not the latest write at {second!r}"
-            )
+            raise InternalValueMismatch(f"removed writer {w!r} of {r!r} is not the latest write at {second!r}")
         nw = lw(trace, first, x, rmw_mode)
         if nw is None or g.events[nw].val_w != g.events[r].val_r:
-            raise InternalValueMismatch(
-                f"cannot rewire read {r!r}: replacement write disagrees on value"
-            )
+            raise InternalValueMismatch(f"cannot rewire read {r!r}: replacement write disagrees on value")
         if rmw_mode and g.events[nw].op is Op.RMW:
             raise InternalValueMismatch(f"rewiring {r!r} onto update event {nw!r}")
         rf2[r] = nw
@@ -255,10 +265,7 @@ def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1:
                 new_row[i1], new_row[i2] = new_row[i2], new_row[i1]
         mo2[x] = [e for e in new_row if e not in removed]
 
-    runs2 = tuple(
-        Run(run.tid, tuple(e for e in run.events if e not in removed))
-        for run in trace.runs
-    )
+    runs2 = tuple(Run(run.tid, tuple(e for e in run.events if e not in removed)) for run in trace.runs)
     return make_trace(build_graph(events2, po2, rf2, mo2), runs2)
 
 
@@ -318,6 +325,4 @@ def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int) -> 
 
 def small_model_bound(program: Program, contexts: int, rmws: int) -> int:
     """Events any reaching trace ever needs within the budget."""
-    return small_model_bound_formula(
-        summary_space(program), len(program.locs), contexts, rmws
-    )
+    return small_model_bound_formula(summary_space(program), len(program.locs), contexts, rmws)

@@ -3,7 +3,8 @@
 Every function here recomputes a quantity through a different route than the
 package does: closures by per-source BFS instead of bitset Warshall, axioms
 by explicit relational composition over materialized pair sets, the length
-bound by a memoized recursive functional instead of the iterative table.
+bound by a memoized recursive functional instead of the iterative table,
+collapsibility pair by pair from the definitions instead of one sweep per run.
 Keeping both routes alive is the point — tests compare them, they must not
 share code.
 """
@@ -14,7 +15,7 @@ from collections import deque
 from functools import lru_cache
 
 from rareach.graph import EventId, ExecutionGraph
-from rareach.model import INIT_TID
+from rareach.model import INIT_TID, Op
 
 
 def bfs_closure(
@@ -107,3 +108,60 @@ def pcp_concat_oracle(pairs: list[tuple[str, str]], indices: list[int]) -> bool:
     alpha = "".join(pairs[j - 1][0] for j in indices)
     beta = "".join(pairs[j - 1][1] for j in indices)
     return alpha == beta
+
+
+def _lw_oracle(run: tuple, graph: ExecutionGraph, eid: EventId, loc: str, rmw_mode: bool):
+    """Latest write on ``loc`` at or before ``eid`` in ``run``, by a backward scan."""
+    for e in reversed(run[: run.index(eid) + 1]):
+        ev = graph.events[e]
+        if ev.loc == loc and (ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW)):
+            return e
+    return None
+
+
+def summary_oracle(trace, program, run: tuple, eid: EventId, rmw_mode: bool) -> tuple:
+    """(states, latest values, foreign reads) at ``eid``, replaying its whole po prefix."""
+    g = trace.graph
+    ev = g.events[eid]
+    lts = program.threads[ev.tid]
+    states = {lts.init}
+    row = list(g.po[ev.tid])
+    for e in row[: row.index(eid) + 1]:
+        lab = g.events[e].label
+        states = {dst for src, l, dst in lts.transitions if src in states and l == lab}
+    vals, foreign = [], set()
+    for x in sorted(program.locs):
+        w = _lw_oracle(run, g, eid, x, rmw_mode)
+        vals.append((x, None if w is None else g.events[w].val_w))
+        if w is not None:
+            span = run[run.index(w) + 1 : run.index(eid) + 1]
+            if any(g.events[e].op.reads and g.events[e].loc == x and g.rf[e] != w for e in span):
+                foreign.add(x)
+    return (frozenset(states), tuple(vals), frozenset(foreign))
+
+
+def collapsible_oracle(trace, program, first: EventId, second: EventId, rmw_mode: bool = False) -> bool:
+    """Whether ``(first, second]`` is collapsible, checked literally against the definition."""
+    run = next((r.events for r in trace.runs if first in r.events), ())
+    if second not in run or run.index(first) >= run.index(second):
+        return False
+    if summary_oracle(trace, program, run, first, rmw_mode) != summary_oracle(trace, program, run, second, rmw_mode):
+        return False
+    g = trace.graph
+    span = run[run.index(first) + 1 : run.index(second) + 1]
+    if any(w in span and r not in run for r, w in g.rf.items()):
+        return False
+    tid = g.events[first].tid
+    others = [e for e in g.events if not g.events[e].is_init and g.events[e].tid != tid]
+    hb = None
+    for x in sorted(program.locs):
+        w1 = _lw_oracle(run, g, first, x, rmw_mode)
+        w2 = _lw_oracle(run, g, second, x, rmw_mode)
+        if w1 == w2:
+            continue
+        if rmw_mode and g.events[w1].op is not Op.WRITE:
+            return False
+        hb = hb_pairs_oracle(g) if hb is None else hb
+        if any(((w1, e) in hb) != ((w2, e) in hb) for e in others):
+            return False
+    return True

@@ -1,5 +1,6 @@
 """End-to-end command line tests: every verb, exit code and output mode."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -185,6 +186,135 @@ class TestReduce:
         assert ei.value.code == 64
 
 
+# The benchmark's reduce-fixpoint loop programs, unrenamed.
+TWIN_LOOP = """
+locs x
+vals 0 1
+init x=0
+thread t init q0 final q0
+  q0 q1 w x 1
+  q1 q0 r x 1
+"""
+
+PRODUCER_CONSUMER = """
+locs x y
+vals 0 1
+init x=0 y=0
+thread p init q0 final q0
+  q0 q1 w x 1
+  q1 q0 r y 0
+thread c init s0 final s0
+  s0 s1 r x 1
+  s1 s0 w y 0
+"""
+
+
+def loop_trace(text, order, rounds):
+    """Trace JSON running each thread's two-transition loop ``rounds`` times, one run per thread.
+
+    Threads run in ``order``; a read takes the latest write to its location
+    by its own thread, else the last write of an earlier thread, else init.
+    """
+    prog = parse_program(text)
+    events, mo, rf, runs = [], {}, [], []
+    for x in sorted(prog.locs):
+        mo[x] = [len(events)]
+        events.append({"id": len(events), "tid": "init", "op": "w", "loc": x, "valR": None, "valW": prog.init_vals[x]})
+    last = {}
+    for tid in order:
+        lts = prog.threads[tid]
+        loop = sorted(lts.transitions, key=lambda tr: tr[0] != lts.init)
+        run = []
+        for _ in range(rounds):
+            for _, lab, _ in loop:
+                eid, x = len(events), lab.loc
+                events.append({"id": eid, "tid": tid, "op": lab.op.value, "loc": x, "valR": lab.val_r, "valW": lab.val_w})
+                if lab.op.writes:
+                    mo[x].append(eid)
+                    last[(tid, x)] = eid
+                else:
+                    writers = [last[(t, x)] for t in (tid, *reversed(order)) if (t, x) in last]
+                    rf.append([eid, writers[0] if writers else mo[x][0]])
+                run.append(eid)
+        runs.append({"tid": tid, "events": run})
+    return json.dumps({"graph": {"events": events, "rf": rf, "mo": mo}, "runs": runs})
+
+
+class TestReducePinned:
+    """``reduce`` stdout and exit code, pinned by sha256 over every flag combination."""
+
+    FLAGS = [
+        [],
+        ["--fixpoint"],
+        ["--json"],
+        ["--rmw"],
+        ["--fixpoint", "--json"],
+        ["--fixpoint", "--rmw"],
+        ["--json", "--rmw"],
+        ["--fixpoint", "--json", "--rmw"],
+    ]
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """input name -> (trace file, program file)"""
+        d = tmp_path_factory.mktemp("pinned")
+        files = {}
+        for name, text, order, rounds in (
+            ("twin", TWIN_LOOP, ["t"], 100),
+            ("producer-consumer", PRODUCER_CONSUMER, ["p", "c"], 40),
+        ):
+            (d / f"{name}.txt").write_text(text)
+            (d / f"{name}.json").write_text(loop_trace(text, order, rounds))
+            files[name] = (str(d / f"{name}.json"), str(d / f"{name}.txt"))
+        inst = d / "inst.txt"
+        inst.write_text(INSTANCE)
+        gadget, witness = str(d / "gadget.txt"), str(d / "witness.json")
+        assert cli.main(["pcp", "compile", str(inst), "-o", gadget]) == 0
+        assert cli.main(["pcp", "witness", str(inst), "--solution", "1,2,1,2", "-o", witness]) == 0
+        files["witness"] = (witness, gadget)
+        # an empty run between two halves of one thread's loop
+        blob = trace_to_json(corpus.twin_write_trace(4))
+        events = blob["runs"][0]["events"]
+        blob["runs"] = [{"tid": "t", "events": events[:4]}, {"tid": "t", "events": []}, {"tid": "t", "events": events[4:]}]
+        (d / "empty-run.json").write_text(json.dumps(blob))
+        (d / "twin-write.txt").write_text(corpus.TWIN_WRITE_LOOP)
+        files["empty-run"] = (str(d / "empty-run.json"), str(d / "twin-write.txt"))
+        return files
+
+    @staticmethod
+    def digests(capsys, inputs, name):
+        trace, program = inputs[name]
+        out = []
+        for flags in TestReducePinned.FLAGS:
+            code, stdout, _ = run(capsys, "reduce", trace, "--program", program, *flags)
+            out.append(hashlib.sha256(f"{code}\n{stdout}".encode()).hexdigest()[:16])
+        return out
+
+    @pytest.mark.parametrize(
+        "name,want",
+        [
+            ("twin", [
+                "ec74f39a11752bbd", "a8abc4bc1d400494", "13c1923717ec96ae", "ec74f39a11752bbd",
+                "523d2d546cc18261", "a8abc4bc1d400494", "13c1923717ec96ae", "523d2d546cc18261",
+            ]),
+            ("producer-consumer", [
+                "28bcd7488a519feb", "17a4d61cec514f78", "eb9200a1c7036896", "28bcd7488a519feb",
+                "adfd3779dfc0b782", "17a4d61cec514f78", "eb9200a1c7036896", "adfd3779dfc0b782",
+            ]),
+            ("witness", [
+                "f582b60d174e44a6", "f582b60d174e44a6", "a79cb83b4db47b86", "f582b60d174e44a6",
+                "a79cb83b4db47b86", "f582b60d174e44a6", "a79cb83b4db47b86", "a79cb83b4db47b86",
+            ]),
+            ("empty-run", [
+                "3e4e81114401e642", "2010e2684ce5318d", "bfe9d7f91ce7d57f", "3e4e81114401e642",
+                "658ad43f092e824e", "2010e2684ce5318d", "bfe9d7f91ce7d57f", "658ad43f092e824e",
+            ]),
+        ],
+    )
+    def test_pinned_bytes(self, capsys, inputs, name, want):
+        assert self.digests(capsys, inputs, name) == want
+
+
 class TestReach:
     def test_reachable(self, capsys, mp_file):
         code, out, _ = run(capsys, "reach", mp_file, "--contexts", "2")
@@ -244,6 +374,24 @@ class TestReach:
         p = tmp_path / "p.txt"
         p.write_text("locs x\nthread t init q0 final q0\n  q0 q1 blorp x 1\n")
         assert run(capsys, "reach", str(p), "--contexts", "1")[0] == 65
+
+
+class TestHitChecks:
+    def test_hit_checks_survive_python_O(self, mp_file):
+        planted = (
+            "import sys\n"
+            "from rareach import cli, decider\n"
+            "from rareach.consistency import Verdict\n"
+            "decider.check_ra = lambda g: Verdict(consistent=False, axiom=None, witness=None)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(rareach.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", planted, "reach", mp_file, "--contexts", "2"],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 70 and proc.stdout == ""
+        assert proc.stderr.startswith("ra-reach: internal error:") and proc.stderr.count("\n") == 1
 
 
 class TestEnumerate:
@@ -479,6 +627,13 @@ class TestMalformedJson:
             assert err.startswith("ra-reach: error: bad JSON: maximum recursion depth") and err.count("\n") == 1
         code, out, _ = run(capsys, "trace-validate", str(deep))
         assert code == 1 and out.startswith("invalid: bad JSON")
+
+
+class TestUnknownThread:
+    def test_reduce_names_the_thread(self, capsys, twin_trace_file, mp_file):
+        code, out, err = run(capsys, "reduce", twin_trace_file, "--program", mp_file)
+        assert code == 65 and out == ""
+        assert err == "ra-reach: error: thread 't' of the trace is not declared by the program\n"
 
 
 class TestUsage:

@@ -352,3 +352,13 @@ class TestAudits:
         )
         with pytest.raises(GadgetMismatch):
             check_monotonicity(update)
+
+    def test_rewire_reports_pinned(self, long_witness):
+        # criterion 7's adversarial rewires: every violation, in order
+        g = long_witness.graph
+        mutants = [rewired(g, r, w) for r, w in rf_rewire_candidates(g)]
+        assert len(mutants) == 162
+        skip = "\n".join(repr(check_no_skipping(m)) for m in mutants)
+        mono = "\n".join(repr(check_monotonicity(m)) for m in mutants)
+        assert sha256(skip) == "45c8f7f8e455de4030f17e6858e0d71412e5046da388587193e94a779e086bf3"
+        assert sha256(mono) == "5030b6fbbb26d9cbe36163519c1d62b4eea3f1bd2dd1b5335375700a37700052"

@@ -1,9 +1,14 @@
 """Reduction: latest writes, summaries, collapsing, and the length bound."""
 
+import random
+from functools import lru_cache
+from itertools import islice
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rareach.consistency import check_ra
+from rareach.decider import enumerate_graphs
 from rareach.errors import NotCollapsible, UnknownEvent, UnknownThread
 from rareach.graph import Event, build_graph
 from rareach.model import INIT_TID, parse_program, read, rmw, write
@@ -24,7 +29,8 @@ from rareach.reduction import (
 from rareach.trace import Run, canonical_trace, counts, make_trace
 
 from tests import corpus
-from tests.oracle import bound_oracle
+from tests.oracle import bound_oracle, collapsible_oracle, summary_oracle
+from tests.test_acceptance import graph_traces
 
 TWIN_PLUS_SPY = """
 locs x
@@ -200,6 +206,129 @@ class TestCollapsible:
         tr = corpus.twin_write_trace(2)
         prog = corpus.twin_write_loop()
         assert collapsible(tr, prog, "e1", "e3", rmw_mode=True)
+
+
+@lru_cache(maxsize=None)
+def corpus_graphs(seed, rmw_prob):
+    prog = corpus.random_program(seed, rmw_prob=rmw_prob)
+    return prog, list(islice(enumerate_graphs(prog, 5), 40))
+
+
+def random_runs(graph, rng):
+    """A random happens-before-respecting interleaving of the threads, cut into runs at random."""
+    left = {t: list(graph.po[t]) for t in graph.tids()}
+    placed = set(graph.init_events())
+    runs = []
+    while any(left.values()):
+        ready = [t for t, row in left.items() if row and (row[0] not in graph.rf or graph.rf[row[0]] in placed)]
+        t = rng.choice(ready)
+        e = left[t].pop(0)
+        placed.add(e)
+        if runs and runs[-1][0] == t and rng.random() < 0.7:
+            runs[-1][1].append(e)
+        else:
+            runs.append((t, [e]))
+    return make_trace(graph, [Run(t, tuple(es)) for t, es in runs])
+
+
+def assert_matches_oracle(trace, prog, rmw_mode):
+    """The sweep's summaries, pair tests and π-first pair agree with the per-pair definition."""
+    for run in trace.runs:
+        for e in run.events:
+            s = summary(trace, prog, e, rmw_mode)
+            assert (s.states, s.last_write_vals, s.foreign_reads) == summary_oracle(trace, prog, run.events, e, rmw_mode)
+    pairs = [(a, b) for run in trace.runs for i, a in enumerate(run.events) for b in run.events[i + 1 :]]
+    truth = [p for p in pairs if collapsible_oracle(trace, prog, *p, rmw_mode)]
+    for a, b in pairs:
+        assert collapsible(trace, prog, a, b, rmw_mode) == ((a, b) in truth), (a, b)
+    found = find_collapsible(trace, prog, rmw_mode)
+    assert (found and (found.first, found.second)) == (truth[0] if truth else None)
+
+
+class TestCollapsibleOracle:
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 59), st.sampled_from([0.0, 0.3]), st.integers(0, 39), st.integers(0, 2**16), st.booleans()
+    )
+    def test_random_runs(self, seed, rmw_prob, pick, cut, rmw_mode):
+        prog, graphs = corpus_graphs(seed, rmw_prob)
+        if graphs:
+            trace = random_runs(graphs[pick % len(graphs)], random.Random(cut))
+            assert_matches_oracle(trace, prog, rmw_mode)
+
+    @pytest.mark.parametrize("rmw_mode", [False, True])
+    def test_hb_through_program_order(self, rmw_mode):
+        # the spy reads z, written after the first latest write on x: only
+        # the program-order path from a tells the two latest writes apart
+        prog = parse_program(
+            """
+            locs x z
+            vals 0 1
+            thread t init q0 final q1
+              q0 q1 w x 1
+              q1 q1 w z 1
+              q1 q1 w x 1
+            thread u init u0 final u1
+              u0 u1 r z 1
+            """
+        )
+        g = build_graph(
+            [
+                Event("init.x", write(INIT_TID, "x", "0")),
+                Event("init.z", write(INIT_TID, "z", "0")),
+                Event("a", write("t", "x", "1")),
+                Event("b", write("t", "z", "1")),
+                Event("c", write("t", "x", "1")),
+                Event("f", read("u", "z", "1")),
+            ],
+            {"t": ["a", "b", "c"], "u": ["f"]},
+            {"f": "b"},
+            {"x": ["init.x", "a", "c"], "z": ["init.z", "b"]},
+        )
+        tr = make_trace(g, [Run("t", ("a", "b", "c")), Run("u", ("f",))])
+        assert summary(tr, prog, "b") == summary(tr, prog, "c")
+        assert not collapsible_oracle(tr, prog, "b", "c", rmw_mode)
+        assert_matches_oracle(tr, prog, rmw_mode)
+
+    @pytest.mark.parametrize("rmw_mode", [False, True])
+    def test_latest_write_clears_foreign_read(self, rmw_mode):
+        prog = parse_program(
+            """
+            locs x
+            vals 0 1
+            thread t init q0 final q1
+              q0 q1 w x 1
+              q1 q1 r x 0
+              q1 q1 w x 1
+            thread u init u0 final u1
+              u0 u1 w x 0
+            """
+        )
+        g = build_graph(
+            [
+                Event("init.x", write(INIT_TID, "x", "0")),
+                Event("g", write("u", "x", "0")),
+                Event("a", write("t", "x", "1")),
+                Event("b", read("t", "x", "0")),
+                Event("c", write("t", "x", "1")),
+            ],
+            {"t": ["a", "b", "c"], "u": ["g"]},
+            {"b": "g"},
+            {"x": ["init.x", "a", "g", "c"]},
+        )
+        tr = make_trace(g, [Run("u", ("g",)), Run("t", ("a", "b", "c"))])
+        assert summary(tr, prog, "b").foreign_reads == frozenset({"x"})
+        assert summary(tr, prog, "c").foreign_reads == frozenset()
+        assert collapsible_oracle(tr, prog, "a", "c", rmw_mode)
+        assert_matches_oracle(tr, prog, rmw_mode)
+
+    @pytest.mark.parametrize("rmw_mode", [False, True])
+    def test_criterion_3_corpus(self, rmw_mode):
+        programs = [corpus.random_program(s) for s in range(12)] + corpus.loopy_programs() + [corpus.twin_write_loop()]
+        traces = list(graph_traces(programs))
+        traces += [(corpus.twin_write_loop(), corpus.twin_write_trace(r)) for r in (2, 3, 4)]
+        for prog, trace in traces:
+            assert_matches_oracle(trace, prog, rmw_mode)
 
 
 class TestReduce:
