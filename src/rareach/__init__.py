@@ -60,7 +60,6 @@ from .reduction import (
     Summary,
     collapsible,
     find_collapsible,
-    lw,
     reduce,
     reduce_fixpoint,
     reduction_steps,
@@ -75,7 +74,6 @@ from .trace import (
     canonical_trace,
     counts,
     make_trace,
-    range_in_run,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -254,10 +254,13 @@ def _cmd_bound(args) -> int:
     contexts = _required("contexts", contexts)
     program = parse_program(_read(args.program))
     value = small_model_bound(program, contexts, rmws)
-    if args.json:
-        _emit(_json_text({"bound": value, "contexts": contexts, "rmws": rmws}), None)
-    else:
-        print(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the exact bound may have more digits than str() allows by default
+    try:
+        text = _json_text({"bound": value, "contexts": contexts, "rmws": rmws}) if args.json else f"{value}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    _emit(text, None)
     return 0
 
 

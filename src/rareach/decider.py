@@ -178,8 +178,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     testing of pruning soundness.
     """
     budget = config.budget
-    bound = small_model_bound(program, budget.contexts, budget.rmws)
-    cap = bound if config.event_cap is None else config.event_cap
+    cap = small_model_bound(program, budget.contexts, budget.rmws) if config.event_cap is None else config.event_cap
     tids = sorted(program.threads)
     locs = sorted(program.locs)
     target = final_vector(program)
@@ -341,6 +340,6 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     witness = dfs()
     if witness is not None:
         return ReachVerdict(ReachStatus.REACHABLE, witness, stats)
-    if not flags["truncated"] or cap >= bound:
+    if not flags["truncated"] or cap >= small_model_bound(program, budget.contexts, budget.rmws):
         return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)
     return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)

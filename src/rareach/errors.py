@@ -75,14 +75,6 @@ class RunThreadMixed(TraceError):
     """A run mixes events of different threads."""
 
 
-class DifferentRuns(TraceError):
-    """A range was requested across two distinct runs."""
-
-
-class WrongOrder(TraceError):
-    """A range's endpoints are equal or not in run order."""
-
-
 # --- reduction -------------------------------------------------------------
 
 

@@ -26,14 +26,17 @@ a changed latest write must be a plain write, so no read gets rewired onto
 an update).  Removing the range ``(e1, e2]`` then preserves consistency and
 the set of reachable state vectors.
 
-One forward sweep per run (:func:`_sweep`) computes what ``summary`` and
-``lw`` define: it replays the thread's labels before the run once, then
-carries the control-state subset, ``lw(e, x)`` per location and the
+One forward sweep per run (:func:`_sweep`) is the only implementation of
+``summary`` and ``lw``: it replays the thread's labels before the run once,
+then carries the control-state subset, ``lw(e, x)`` per location and the
 foreign-read set (a read of ``x`` whose source is not the current
-``lw(e, x)`` adds ``x``; a new latest write on ``x`` clears it).  The pair
-search sweeps a run only as far as it needs and tests only equal-summary
-pairs, ``e1`` then ``e2`` in π order; unequal summaries are never
-collapsible, so it returns the π-first pair that testing every pair would.
+``lw(e, x)`` adds ``x``; a new latest write on ``x`` clears it).  An event
+its thread's program cannot take stops the sweep with :class:`TraceError`.
+The pair search sweeps a run only as far as it needs and tests only
+equal-summary pairs, ``e1`` then ``e2`` in π order; unequal summaries are
+never collapsible, so it returns the π-first pair that testing every pair
+would.  A collapse reads the removed range, both ``lw`` tuples and the
+summary of ``e1`` off the sweep that proved the pair.
 Happens-before comes from descendant masks: π extends hb, so reverse π order
 is topological for the po and rf edges that generate hb from non-init events,
 and one pass joining each event's po-successor and readers yields exactly the
@@ -42,27 +45,17 @@ events it happens before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
-from .errors import InternalValueMismatch, NotCollapsible, UnknownThread
+from .errors import InternalValueMismatch, NotCollapsible, TraceError, UnknownThread
 from .graph import EventId, build_graph
 from .model import INIT_TID, Op, Program
-from .trace import Run, Trace, make_trace, range_in_run
+from .trace import Run, Trace, make_trace
 
-# --- latest local write and summaries ---------------------------------------
-
-
-def lw(trace: Trace, eid: EventId, loc: str, rmw_mode: bool = False) -> EventId | None:
-    """Latest same-run write on ``loc`` at or before ``eid`` (updates too with ``rmw_mode``), or None."""
-    run = trace.runs[trace.run_of(eid)]
-    for e in reversed(run.events[: trace.position[eid][1] + 1]):
-        ev = trace.graph.events[e]
-        if ev.loc == loc and (ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW)):
-            return e
-    return None
+# --- summaries -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -79,17 +72,19 @@ def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator
     if run.tid not in program.threads:
         raise UnknownThread(f"thread {run.tid!r} of the trace is not declared by the program")
     lts, g = program.threads[run.tid], trace.graph
-    states = frozenset({lts.init})
-    for e in g.po[run.tid][: g.po_pos[run.events[0]]] if run.events else ():
-        states = lts.step(states, g.events[e].label)
     locs = sorted(program.locs)
     slot = {x: k for k, x in enumerate(locs)}
     latest: list[EventId | None] = [None] * len(locs)
     vals: list[tuple[str, str | None]] = [(x, None) for x in locs]
     foreign: set[str] = set()
-    for e in run.events:
+    states = frozenset({lts.init})
+    start = g.po_pos[run.events[0]] if run.events else 0  # the thread's events before the run
+    for n, e in enumerate(g.po[run.tid][: start + len(run.events)]):
         ev = g.events[e]
-        states = lts.step(states, ev.label)
+        if not (states := lts.step(states, ev.label)):
+            raise TraceError(f"thread {run.tid!r} of the program cannot take event {e!r} ({ev.label})")
+        if n < start:
+            continue
         if (k := slot.get(ev.loc)) is not None:
             if ev.op is Op.WRITE or (rmw_mode and ev.op is Op.RMW):
                 latest[k], vals[k] = e, (ev.loc, ev.val_w)
@@ -112,21 +107,22 @@ def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False
 class CollapsiblePair:
     first: EventId
     second: EventId
-    #: the summary of ``first``, so that collapsing the pair need not recompute it
-    _summary: Summary | None = field(default=None, compare=False, repr=False)
 
 
 class _RunSweep:
     """One run's sweep, extended on demand, and the pair test on the positions swept.
 
-    Per position it keeps the summary, interned to an int, the latest writes,
-    and a prefix count of the run's writes that a read of another run observes.
+    Per position it keeps the summary id (``summaries`` holds each summary by
+    its id), the latest writes on ``locs``, and a prefix count of the run's
+    writes that a read of another run observes.
     """
 
     def __init__(self, trace: Trace, program: Program, ri: int, rmw_mode: bool) -> None:
         self.trace, self.run, self.rmw_mode = trace, trace.runs[ri], rmw_mode
+        self.locs = sorted(program.locs)
         self._steps = _sweep(trace, program, self.run, rmw_mode)
-        self._ids: dict[Summary, int] = {}  # each summary swept, by order of first sight
+        self._ids: dict[Summary, int] = {}
+        self.summaries: list[Summary] = []
         self.sid: list[int] = []
         self.lws: list[tuple] = []
         self.read_out = [0]  # read_out[k]: such observed writes before position k
@@ -137,7 +133,9 @@ class _RunSweep:
         """Sweep one position further; False once the run is exhausted."""
         if (step := next(self._steps, None)) is None:
             return False
-        self.sid.append(self._ids.setdefault(step[0], len(self._ids)))
+        if (sid := self._ids.setdefault(step[0], len(self._ids))) == len(self.summaries):
+            self.summaries.append(step[0])
+        self.sid.append(sid)
         self.lws.append(step[1])
         self.read_out.append(self.read_out[-1] + (self.run.events[len(self.sid) - 1] in self._observed))
         return True
@@ -169,24 +167,27 @@ class _RunSweep:
         others, desc = self._hb if moved else (0, {})
         return not any((desc[w1] ^ desc[w2]) & others for w1, w2 in moved if others)
 
-    def pair(self, i: int, j: int) -> CollapsiblePair:
-        s1 = next(islice(self._ids, self.sid[i], None))
-        return CollapsiblePair(self.run.events[i], self.run.events[j], s1)
 
-    def first_pair(self) -> CollapsiblePair | None:
-        """The π-first collapsible pair of the run, sweeping no further than it needs."""
+#: a collapsible pair as the sweep of its run and its two positions in the run
+_Found = tuple[_RunSweep, int, int]
+
+
+def _first_pair(trace: Trace, program: Program, rmw_mode: bool) -> _Found | None:
+    """The π-first collapsible pair, sweeping each run no further than it needs."""
+    for ri in range(len(trace.runs)):
+        sweep = _RunSweep(trace, program, ri, rmw_mode)
         i = 0
-        while i < len(self.sid) or self.extend():
+        while i < len(sweep.sid) or sweep.extend():
             j = i + 1
-            while j < len(self.sid) or self.extend():
-                if self.collapsible(i, j):
-                    return self.pair(i, j)
+            while j < len(sweep.sid) or sweep.extend():
+                if sweep.collapsible(i, j):
+                    return sweep, i, j
                 j += 1
             i += 1
-        return None
+    return None
 
 
-def _pair(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool) -> CollapsiblePair | None:
+def _pair(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool) -> _Found | None:
     """The pair ``(first, second]`` if collapsible, else None."""
     for e in (first, second):
         trace.run_of(e)  # raises UnknownEvent unless ``e`` is in a run
@@ -196,7 +197,7 @@ def _pair(trace: Trace, program: Program, first: EventId, second: EventId, rmw_m
     sweep = _RunSweep(trace, program, r1, rmw_mode)
     while len(sweep.sid) <= j:
         sweep.extend()
-    return sweep.pair(i, j) if sweep.collapsible(i, j) else None
+    return (sweep, i, j) if sweep.collapsible(i, j) else None
 
 
 def collapsible(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool = False) -> bool:
@@ -206,10 +207,10 @@ def collapsible(trace: Trace, program: Program, first: EventId, second: EventId,
 
 def find_collapsible(trace: Trace, program: Program, rmw_mode: bool = False) -> CollapsiblePair | None:
     """First collapsible pair in π-lexicographic order, or None."""
-    for ri in range(len(trace.runs)):
-        if (pair := _RunSweep(trace, program, ri, rmw_mode).first_pair()) is not None:
-            return pair
-    return None
+    if (found := _first_pair(trace, program, rmw_mode)) is None:
+        return None
+    sweep, i, j = found
+    return CollapsiblePair(sweep.run.events[i], sweep.run.events[j])
 
 
 # --- the reduction step --------------------------------------------------------
@@ -217,22 +218,22 @@ def find_collapsible(trace: Trace, program: Program, rmw_mode: bool = False) -> 
 
 def reduce(trace: Trace, program: Program, first: EventId, second: EventId, rmw_mode: bool = False) -> Trace:
     """Remove the range ``(first, second]``; :class:`NotCollapsible` unless collapsible."""
-    pair = _pair(trace, program, first, second, rmw_mode)
-    if pair is None:
+    if (found := _pair(trace, program, first, second, rmw_mode)) is None:
         raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
-    return _collapse(trace, first, second, rmw_mode, pair._summary)
+    return _collapse(*found)
 
 
-def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1: Summary) -> Trace:
-    """Remove the range ``(first, second]``, already known to be collapsible.
+def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
+    """Remove the run range after position ``i`` up to ``j``, which ``sweep`` proved collapsible.
 
-    ``s1`` is the summary of ``first``.  Surviving reads of removed writes are
-    rewired to the latest write at ``first``; modification order is
-    restricted, transposing the two latest writes on locations whose local
-    value survives unobserved from outside.
+    Surviving reads of removed writes are rewired to the latest write at
+    ``i``; modification order is restricted, transposing the two latest
+    writes on locations whose local value survives unobserved from outside.
     """
-    g = trace.graph
-    removed = set(range_in_run(trace, first, second))
+    g, rmw_mode, second = sweep.trace.graph, sweep.rmw_mode, sweep.run.events[j]
+    removed = set(sweep.run.events[i + 1 : j + 1])
+    s1 = sweep.summaries[sweep.sid[i]]
+    lw1, lw2 = dict(zip(sweep.locs, sweep.lws[i])), dict(zip(sweep.locs, sweep.lws[j]))
 
     events2 = [ev for eid, ev in g.events.items() if eid not in removed]
     po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
@@ -245,9 +246,9 @@ def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1:
             rf2[r] = w
             continue
         x = g.events[r].loc
-        if w != lw(trace, second, x, rmw_mode):
+        if w != lw2[x]:
             raise InternalValueMismatch(f"removed writer {w!r} of {r!r} is not the latest write at {second!r}")
-        nw = lw(trace, first, x, rmw_mode)
+        nw = lw1[x]
         if nw is None or g.events[nw].val_w != g.events[r].val_r:
             raise InternalValueMismatch(f"cannot rewire read {r!r}: replacement write disagrees on value")
         if rmw_mode and g.events[nw].op is Op.RMW:
@@ -258,14 +259,13 @@ def _collapse(trace: Trace, first: EventId, second: EventId, rmw_mode: bool, s1:
     for x, row in g.mo.items():
         new_row = list(row)
         if dict(s1.last_write_vals).get(x) is not None and x not in s1.foreign_reads:
-            w1 = lw(trace, first, x, rmw_mode)
-            w2 = lw(trace, second, x, rmw_mode)
+            w1, w2 = lw1[x], lw2[x]
             if w1 != w2:
                 i1, i2 = new_row.index(w1), new_row.index(w2)
                 new_row[i1], new_row[i2] = new_row[i2], new_row[i1]
         mo2[x] = [e for e in new_row if e not in removed]
 
-    runs2 = tuple(Run(run.tid, tuple(e for e in run.events if e not in removed)) for run in trace.runs)
+    runs2 = tuple(Run(run.tid, tuple(e for e in run.events if e not in removed)) for run in sweep.trace.runs)
     return make_trace(build_graph(events2, po2, rf2, mo2), runs2)
 
 
@@ -273,9 +273,10 @@ def reduction_steps(
     trace: Trace, program: Program, rmw_mode: bool = False
 ) -> Iterator[tuple[CollapsiblePair, Trace]]:
     """Collapse π-first pairs until none remain, yielding each pair with the trace after it."""
-    while (pair := find_collapsible(trace, program, rmw_mode)) is not None:
-        trace = _collapse(trace, pair.first, pair.second, rmw_mode, pair._summary)
-        yield pair, trace
+    while (found := _first_pair(trace, program, rmw_mode)) is not None:
+        sweep, i, j = found
+        trace = _collapse(sweep, i, j)
+        yield CollapsiblePair(sweep.run.events[i], sweep.run.events[j]), trace
 
 
 def reduce_fixpoint(
@@ -296,15 +297,10 @@ def summary_space_formula(n_states: int, n_vals: int, n_locs: int) -> int:
     return (2**n_states) * (n_vals + 1) ** n_locs * 2**n_locs
 
 
-def summary_space(program: Program, tid: str | None = None) -> int:
-    """Summary count for one thread, or the max over all threads."""
-    n_vals, n_locs = len(program.vals), len(program.locs)
-    if tid is not None:
-        if tid not in program.threads:
-            raise UnknownThread(tid)
-        return summary_space_formula(len(program.threads[tid].states), n_vals, n_locs)
+def summary_space(program: Program) -> int:
+    """Summary count of the thread with the most control states."""
     n_states = max((len(l.states) for l in program.threads.values()), default=0)
-    return summary_space_formula(n_states, n_vals, n_locs)
+    return summary_space_formula(n_states, len(program.vals), len(program.locs))
 
 
 def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int) -> int:
@@ -316,11 +312,11 @@ def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int) -> 
     """
     if contexts < 1:
         raise ValueError("need at least one context")
-    g = {contexts: s}
-    for c in range(contexts - 1, 0, -1):
-        tail = sum(g[j] for j in range(c + 1, contexts + 1))
-        g[c] = s + (s + 1) * ((n_locs + 1) * tail + rmws)
-    return sum(g.values())
+    g, tail = s, 0  # g(c) and the running Σ_{j>c} g(j), from c = contexts down
+    for _ in range(contexts - 1):
+        tail += g
+        g = s + (s + 1) * ((n_locs + 1) * tail + rmws)
+    return tail + g
 
 
 def small_model_bound(program: Program, contexts: int, rmws: int) -> int:

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    DifferentRuns,
     NotHbExtension,
     NotPartition,
     ParseError,
     RunNotContiguous,
     RunThreadMixed,
     UnknownEvent,
-    WrongOrder,
 )
 from .graph import (
     EventId,
@@ -134,20 +132,6 @@ def make_trace(graph: ExecutionGraph, runs: tuple[Run, ...] | list[Run]) -> Trac
 
 
 # --- queries -----------------------------------------------------------------
-
-
-def range_in_run(trace: Trace, first: EventId, last: EventId) -> tuple[EventId, ...]:
-    """Events strictly after ``first`` up to and including ``last``, same run."""
-    for e in (first, last):
-        if e not in trace.position:
-            raise UnknownEvent(f"event {e!r} is not in any run")
-    r1, o1, _ = trace.position[first]
-    r2, o2, _ = trace.position[last]
-    if r1 != r2:
-        raise DifferentRuns(f"{first!r} and {last!r} are in different runs")
-    if o1 >= o2:
-        raise WrongOrder(f"{first!r} does not strictly precede {last!r}")
-    return trace.runs[r1].events[o1 + 1 : o2 + 1]
 
 
 def counts(trace: Trace) -> tuple[int, int]:

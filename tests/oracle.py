@@ -4,7 +4,8 @@ Every function here recomputes a quantity through a different route than the
 package does: closures by per-source BFS instead of bitset Warshall, axioms
 by explicit relational composition over materialized pair sets, the length
 bound by a memoized recursive functional instead of the iterative table,
-collapsibility pair by pair from the definitions instead of one sweep per run.
+collapsibility pair by pair from the definitions instead of one sweep per run,
+a collapse from backward latest-write scans instead of the sweep's records.
 Keeping both routes alive is the point — tests compare them, they must not
 share code.
 """
@@ -14,8 +15,9 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from rareach.graph import EventId, ExecutionGraph
+from rareach.graph import EventId, ExecutionGraph, build_graph
 from rareach.model import INIT_TID, Op
+from rareach.trace import Run, make_trace
 
 
 def bfs_closure(
@@ -165,3 +167,37 @@ def collapsible_oracle(trace, program, first: EventId, second: EventId, rmw_mode
         if any(((w1, e) in hb) != ((w2, e) in hb) for e in others):
             return False
     return True
+
+
+def collapse_oracle(trace, program, first: EventId, second: EventId, rmw_mode: bool = False):
+    """The trace without ``(first, second]``: reads of removed writes rewired, mo transposed.
+
+    The range comes from run offsets and every latest write from a backward
+    scan; only the validating constructors are shared with the library.
+    """
+    g = trace.graph
+    run = next(r.events for r in trace.runs if first in r.events)
+    removed = set(run[run.index(first) + 1 : run.index(second) + 1])
+    _, vals, foreign = summary_oracle(trace, program, run, first, rmw_mode)
+    rf2 = {}
+    for r, w in g.rf.items():
+        if r in removed:
+            continue
+        if w in removed:
+            x = g.events[r].loc
+            assert w == _lw_oracle(run, g, second, x, rmw_mode)
+            w = _lw_oracle(run, g, first, x, rmw_mode)
+            assert g.events[w].val_w == g.events[r].val_r and not (rmw_mode and g.events[w].op is Op.RMW)
+        rf2[r] = w
+    mo2 = {}
+    for x, row in g.mo.items():
+        row = list(row)
+        if dict(vals).get(x) is not None and x not in foreign:
+            w1, w2 = _lw_oracle(run, g, first, x, rmw_mode), _lw_oracle(run, g, second, x, rmw_mode)
+            i1, i2 = row.index(w1), row.index(w2)
+            row[i1], row[i2] = row[i2], row[i1]
+        mo2[x] = [e for e in row if e not in removed]
+    events2 = [ev for e, ev in g.events.items() if e not in removed]
+    po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
+    runs2 = [Run(r.tid, tuple(e for e in r.events if e not in removed)) for r in trace.runs]
+    return make_trace(build_graph(events2, po2, rf2, mo2), runs2)

@@ -14,7 +14,8 @@ from rareach import cli
 from rareach.consistency import Verdict
 from rareach.graph import Event, build_graph, dump_graph_json
 from rareach.model import parse_program, read, write
-from rareach.trace import ContextBudget, dump_trace_json, load_trace_json, trace_to_json
+from rareach.reduction import small_model_bound
+from rareach.trace import ContextBudget, Run, dump_trace_json, load_trace_json, make_trace, trace_to_json
 
 from tests import corpus
 
@@ -436,6 +437,20 @@ class TestBound:
     def test_contexts_required(self, capsys, mp_file):
         assert run(capsys, "bound", "--program", mp_file)[0] == 64
 
+    def test_exact_past_the_digit_limit(self, capsys, mp_file):
+        limit = sys.get_int_max_str_digits()
+        value = small_model_bound(corpus.mp(), 3000, 0)
+        plain = run(capsys, "bound", "--program", mp_file, "--contexts", "3000")
+        as_json = run(capsys, "bound", "--program", mp_file, "--contexts", "3000", "--json")
+        assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(str(value)) > limit
+            assert plain == (0, f"{value}\n", "")
+            assert as_json[0] == 0 and json.loads(as_json[1]) == {"bound": value, "contexts": 3000, "rmws": 0}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestPcp:
     def test_compile_text(self, capsys, inst_file):
@@ -634,6 +649,21 @@ class TestUnknownThread:
         code, out, err = run(capsys, "reduce", twin_trace_file, "--program", mp_file)
         assert code == 65 and out == ""
         assert err == "ra-reach: error: thread 't' of the trace is not declared by the program\n"
+
+
+class TestNotExecutable:
+    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
+    def test_reduce_names_the_event(self, capsys, tmp_path, twin_prog_file, flags):
+        # the twin loop never writes y, which it does not even declare
+        events = [write("init", "x", "0"), write("init", "y", "0"), write("t", "x", "1"),
+                  write("t", "y", "1"), read("t", "x", "1"), read("t", "x", "1")]
+        g = build_graph([Event(k, lab) for k, lab in enumerate(events)], {"t": [2, 3, 4, 5]},
+                        {4: 2, 5: 2}, {"x": [0, 2], "y": [1, 3]})
+        trace = tmp_path / "bad.json"
+        trace.write_text(json.dumps(trace_to_json(make_trace(g, [Run("t", (2, 3, 4, 5))]))))
+        code, out, err = run(capsys, "reduce", str(trace), "--program", twin_prog_file, *flags)
+        assert (code, out) == (65, "")
+        assert err == "ra-reach: error: thread 't' of the program cannot take event 3 (t: w y 1)\n"
 
 
 class TestUsage:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from rareach import decider
 from rareach.consistency import check_ra
 from rareach.decider import (
     ReachStatus,
@@ -92,6 +93,14 @@ class TestBounded:
     def test_event_cap_inconclusive(self, mp_program):
         v = bounded_reach(mp_program, cfg(2, cap=1))
         assert v.status is ReachStatus.INCONCLUSIVE
+
+    def test_bound_only_when_the_cap_truncates(self, mp_program, monkeypatch):
+        calls = []
+        monkeypatch.setattr(decider, "small_model_bound", lambda *a: calls.append(a) or 10**9)
+        assert bounded_reach(mp_program, cfg(4000, cap=4)).reachable
+        assert calls == []
+        assert bounded_reach(mp_program, cfg(2, cap=1)).status is ReachStatus.INCONCLUSIVE
+        assert len(calls) == 1
 
     def test_cap_at_bound_is_conclusive(self):
         # a tight cap that still covers the small-model bound must not

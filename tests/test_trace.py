@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from rareach.decider import enumerate_graphs
 from rareach.errors import (
-    DifferentRuns,
     NotHbExtension,
     NotPartition,
     RunNotContiguous,
     RunThreadMixed,
     UnknownEvent,
-    WrongOrder,
 )
 from rareach.graph import Event, build_graph
 from rareach.model import read, write
@@ -26,7 +24,6 @@ from rareach.trace import (
     dump_trace_json,
     load_trace_json,
     make_trace,
-    range_in_run,
     trace_from_json,
     trace_to_json,
 )
@@ -98,24 +95,6 @@ class TestMakeTrace:
 
 
 class TestQueries:
-    def test_range_in_run(self, mp_g):
-        tr = make_trace(mp_g, [Run("w", (2, 3)), Run("r", (4, 5))])
-        assert range_in_run(tr, 2, 3) == (3,)
-        with pytest.raises(DifferentRuns):
-            range_in_run(tr, 2, 5)
-        with pytest.raises(WrongOrder):
-            range_in_run(tr, 3, 2)
-        with pytest.raises(WrongOrder):
-            range_in_run(tr, 2, 2)
-        with pytest.raises(UnknownEvent):
-            range_in_run(tr, 0, 2)  # init events live outside every run
-
-    def test_range_from_first_position(self):
-        # the very first event of the first run has position (0, 0, 0);
-        # it must still be found (a falsy tuple is not a missing one)
-        tr = corpus.twin_write_trace(2)
-        assert range_in_run(tr, "e1", "e3") == ("e2", "e3")
-
     def test_counts_and_budget(self, mp_g):
         tr = make_trace(mp_g, [Run("w", (2, 3)), Run("r", (4, 5))])
         assert counts(tr) == (2, 0)
