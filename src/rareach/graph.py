@@ -8,13 +8,13 @@ reserved thread id ``init``: they are mutually unordered, happen before every
 other event, and sit first in their location's mo row.
 
 Happens-before is the transitive closure of po edges, rf edges and the
-init-before-everything edges; it is cached per graph (graphs are immutable
-once built).
+init-before-everything edges, cached per graph (graphs are immutable once
+built) as successor bitmasks that every layer reads.
 
-:func:`build_graph` validates at input boundaries (JSON, reductions, search
-hits); internal producers whose rows are valid by construction, like the
-naive enumerator, call the :class:`ExecutionGraph` constructor or the trusted
-``build_graph(..., like=graph)`` for graphs that differ only in mo.
+:func:`build_graph` validates where data enters (JSON, search hits, the PCP
+witness assembly); producers whose rows are valid by construction, the naive
+enumerator and reduction steps, call the :class:`ExecutionGraph` constructor
+or the trusted ``build_graph(..., like=graph)`` for graphs differing only in mo.
 """
 
 from __future__ import annotations
@@ -131,33 +131,33 @@ class ExecutionGraph:
 
     @cached_property
     def _index(self) -> dict[EventId, int]:
-        order = list(self.init_events()) + self.non_init_events()
-        return {e: i for i, e in enumerate(order)}
+        return {e: i for i, e in enumerate(self.events)}
 
     @cached_property
     def _succ_masks(self) -> dict[EventId, int]:
-        """Transitive closure as successor bitmasks (Warshall over bitsets)."""
+        """Each event's hb-successors as a bitmask over ``_index``: the least fixpoint,
+        exact on hb cycles, of taking in each po, rf and init edge's target and its
+        mask, by passes in reverse ``_index`` order until none changes a mask (one
+        more per rf edge pointing backwards on a path)."""
         idx = self._index
-        order = sorted(idx, key=idx.get)  # type: ignore[arg-type]
-        succ = {e: 0 for e in order}
-        for row_tid, row in self.po.items():
-            if row_tid == INIT_TID:
-                continue
-            for a, b in zip(row, row[1:]):
-                succ[a] |= 1 << idx[b]
+        firsts = [row[0] for t, row in self.po.items() if t != INIT_TID and row]
+        out = {e: list(firsts) if self.events[e].is_init else [] for e in idx}
+        for t, row in self.po.items():
+            for a, b in zip(row, row[1:]) if t != INIT_TID else ():
+                out[a].append(b)
         for r, w in self.rf.items():
-            succ[w] |= 1 << idx[r]
-        firsts = sum(1 << idx[self.po[t][0]] for t in self.tids() if self.po[t])
-        for e0 in self.init_events():
-            succ[e0] |= firsts
-        for k in order:
-            bit = 1 << idx[k]
-            sk = succ[k]
-            if not sk:
-                continue
-            for v in order:
-                if succ[v] & bit:
-                    succ[v] |= sk
+            out[w].append(r)
+        edges = [(e, [(1 << idx[b], b) for b in out[e]]) for e in reversed(idx) if out[e]]
+        succ = dict.fromkeys(idx, 0)
+        changed = True
+        while changed:
+            changed = False
+            for e, targets in edges:
+                mask = succ[e]
+                for bit, b in targets:
+                    mask |= bit | succ[b]
+                if mask != succ[e]:
+                    succ[e], changed = mask, True
         return succ
 
     def hb(self, a: EventId, b: EventId) -> bool:

@@ -23,8 +23,9 @@ their summaries agree, no write between them is observed outside the run,
 and for every other thread's event the latest writes ``lw(e1, x)`` and
 ``lw(e2, x)`` are happens-before-indistinguishable (plus, with ``rmw_mode``,
 a changed latest write must be a plain write, so no read gets rewired onto
-an update).  Removing the range ``(e1, e2]`` then preserves consistency and
-the set of reachable state vectors.
+an update; without it, no read after ``e2`` in the run may observe an update
+between them, which ``lw`` skips).  Removing the range ``(e1, e2]`` then
+preserves consistency and the set of reachable state vectors.
 
 One forward sweep per run (:func:`_sweep`) is the only implementation of
 ``summary`` and ``lw``: it replays the thread's labels before the run once,
@@ -35,25 +36,24 @@ its thread's program cannot take stops the sweep with :class:`TraceError`.
 The pair search sweeps a run only as far as it needs and tests only
 equal-summary pairs, ``e1`` then ``e2`` in π order; unequal summaries are
 never collapsible, so it returns the π-first pair that testing every pair
-would.  A collapse reads the removed range, both ``lw`` tuples and the
-summary of ``e1`` off the sweep that proved the pair.
-Happens-before comes from descendant masks: π extends hb, so reverse π order
-is topological for the po and rf edges that generate hb from non-init events,
-and one pass joining each event's po-successor and readers yields exactly the
-events it happens before.
+would.  Happens-before is the graph's own closure.  A collapse reads the
+removed range, both ``lw`` tuples and the summary of ``e1`` off the sweep
+that proved the pair, and filters the proven trace's rows, which are in
+constructor form, straight into the trusted constructors.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
 from .errors import InternalValueMismatch, NotCollapsible, TraceError, UnknownThread
-from .graph import EventId, build_graph
-from .model import INIT_TID, Op, Program
-from .trace import Run, Trace, make_trace
+from .graph import EventId, ExecutionGraph
+from .model import Op, Program
+from .trace import Run, Trace
 
 # --- summaries -----------------------------------------------------------------
 
@@ -126,8 +126,11 @@ class _RunSweep:
         self.sid: list[int] = []
         self.lws: list[tuple] = []
         self.read_out = [0]  # read_out[k]: such observed writes before position k
-        rf = trace.graph.rf
-        self._observed = {rf[r] for k, run in enumerate(trace.runs) if k != ri for r in run.events if r in rf}
+        g, at = trace.graph, {e: k for k, e in enumerate(self.run.events)}
+        self._observed = {g.rf[r] for k, run in enumerate(trace.runs) if k != ri for r in run.events if r in g.rf}
+        # outside rmw_mode, an update's run position -> that of a later read of the run observing it
+        self._update_reads = {} if rmw_mode else {
+            at[w]: p for p, r in enumerate(self.run.events) if (w := g.rf.get(r)) in at and g.events[w].op is Op.RMW}
 
     def extend(self) -> bool:
         """Sweep one position further; False once the run is exhausted."""
@@ -141,31 +144,24 @@ class _RunSweep:
         return True
 
     @cached_property
-    def _hb(self) -> tuple[int, dict[EventId, int]]:
-        """Other threads' events as a mask over π positions, and each event's hb-successors as one."""
-        g, pos = self.trace.graph, self.trace.position
-        others = sum(1 << k for k, e in enumerate(self.trace.pi) if g.events[e].tid != self.run.tid)
-        desc: dict[EventId, int] = {}
-        readers: dict[EventId, int] = {}  # per write, the joined masks of its readers so far
-        for e in reversed(self.trace.pi) if others else ():
-            d = readers.get(e, 0)
-            if (n := g.po_pos[e] + 1) < len(row := g.po[g.events[e].tid]):
-                d |= 1 << pos[row[n]][2] | desc[row[n]]
-            desc[e] = d
-            if e in g.rf:
-                readers[g.rf[e]] = readers.get(g.rf[e], 0) | 1 << pos[e][2] | d
-        return others, desc
+    def _others(self) -> int:
+        """Other threads' events as a mask over the graph's ``_index``."""
+        g = self.trace.graph
+        return sum(1 << g._index[e] for e in g.non_init_events() if g.events[e].tid != self.run.tid)
 
     def collapsible(self, i: int, j: int) -> bool:
         """Whether the swept positions ``i < j`` are collapsible."""
         if self.sid[i] != self.sid[j] or self.read_out[j + 1] != self.read_out[i + 1]:
             return False
+        if any(i < q <= j < p for q, p in self._update_reads.items()):
+            return False
+        g = self.trace.graph
         moved = [(w1, w2) for w1, w2 in zip(self.lws[i], self.lws[j]) if w1 != w2]
         # summaries agree, so both latest writes are present here
-        if self.rmw_mode and any(self.trace.graph.events[w1].op is not Op.WRITE for w1, _ in moved):
+        if self.rmw_mode and any(g.events[w1].op is not Op.WRITE for w1, _ in moved):
             return False
-        others, desc = self._hb if moved else (0, {})
-        return not any((desc[w1] ^ desc[w2]) & others for w1, w2 in moved if others)
+        others = self._others if moved else 0
+        return not others or not any((g._succ_masks[w1] ^ g._succ_masks[w2]) & others for w1, w2 in moved)
 
 
 #: a collapsible pair as the sweep of its run and its two positions in the run
@@ -235,8 +231,8 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
     s1 = sweep.summaries[sweep.sid[i]]
     lw1, lw2 = dict(zip(sweep.locs, sweep.lws[i])), dict(zip(sweep.locs, sweep.lws[j]))
 
-    events2 = [ev for eid, ev in g.events.items() if eid not in removed]
-    po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
+    events2 = {eid: ev for eid, ev in g.events.items() if eid not in removed}
+    po2 = {t: tuple(e for e in row if e not in removed) for t, row in g.po.items()}
 
     rf2: dict[EventId, EventId] = {}
     for r, w in g.rf.items():
@@ -255,7 +251,7 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
             raise InternalValueMismatch(f"rewiring {r!r} onto update event {nw!r}")
         rf2[r] = nw
 
-    mo2: dict[str, list[EventId]] = {}
+    mo2: dict[str, tuple[EventId, ...]] = {}
     for x, row in g.mo.items():
         new_row = list(row)
         if dict(s1.last_write_vals).get(x) is not None and x not in s1.foreign_reads:
@@ -263,16 +259,18 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
             if w1 != w2:
                 i1, i2 = new_row.index(w1), new_row.index(w2)
                 new_row[i1], new_row[i2] = new_row[i2], new_row[i1]
-        mo2[x] = [e for e in new_row if e not in removed]
+        mo2[x] = tuple(e for e in new_row if e not in removed)
 
     runs2 = tuple(Run(run.tid, tuple(e for e in run.events if e not in removed)) for run in sweep.trace.runs)
-    return make_trace(build_graph(events2, po2, rf2, mo2), runs2)
+    return Trace(ExecutionGraph(events2, po2, rf2, mo2), runs2)
 
 
 def reduction_steps(
     trace: Trace, program: Program, rmw_mode: bool = False
 ) -> Iterator[tuple[CollapsiblePair, Trace]]:
     """Collapse π-first pairs until none remain, yielding each pair with the trace after it."""
+    for run in {run.tid: run for run in trace.runs if run.events}.values():  # TraceError unless executable
+        deque(_sweep(trace, program, run, rmw_mode), maxlen=0)
     while (found := _first_pair(trace, program, rmw_mode)) is not None:
         sweep, i, j = found
         trace = _collapse(sweep, i, j)

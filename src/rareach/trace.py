@@ -62,7 +62,8 @@ class ContextBudget:
 
 
 class Trace:
-    """A validated (graph, runs) pair; construct through :func:`make_trace`."""
+    """A (graph, runs) pair; :func:`make_trace` validates one where data enters,
+    and a reduction step, filtering a validated one, calls this constructor."""
 
     def __init__(self, graph: ExecutionGraph, runs: tuple[Run, ...]) -> None:
         self.graph = graph

@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library.
 
 Every function here recomputes a quantity through a different route than the
-package does: closures by per-source BFS instead of bitset Warshall, axioms
+package does: closures by per-source BFS instead of bitset mask passes, axioms
 by explicit relational composition over materialized pair sets, the length
 bound by a memoized recursive functional instead of the iterative table,
 collapsibility pair by pair from the definitions instead of one sweep per run,
@@ -152,6 +152,9 @@ def collapsible_oracle(trace, program, first: EventId, second: EventId, rmw_mode
     g = trace.graph
     span = run[run.index(first) + 1 : run.index(second) + 1]
     if any(w in span and r not in run for r, w in g.rf.items()):
+        return False
+    after = run[run.index(second) + 1 :]
+    if not rmw_mode and any(w in span and r in after and g.events[w].op is Op.RMW for r, w in g.rf.items()):
         return False
     tid = g.events[first].tid
     others = [e for e in g.events if not g.events[e].is_init and g.events[e].tid != tid]

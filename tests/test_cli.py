@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,14 @@ import pytest
 import rareach
 from rareach import cli
 from rareach.consistency import Verdict
+from rareach.decider import enumerate_graphs
 from rareach.graph import Event, build_graph, dump_graph_json
-from rareach.model import parse_program, read, write
+from rareach.model import parse_program, read, serialize_program, write
 from rareach.reduction import small_model_bound
 from rareach.trace import ContextBudget, Run, dump_trace_json, load_trace_json, make_trace, trace_to_json
 
 from tests import corpus
+from tests.test_reduction import random_runs
 
 INSTANCE = "pair a : aa\npair ab : b\n"
 
@@ -171,6 +175,21 @@ class TestReduce:
         code, out, _ = run(capsys, "reduce", str(p), "--program", twin_prog_file)
         assert code == 0
         assert out.startswith("irreducible: no collapsible pair\n")
+
+    @pytest.mark.parametrize(
+        "flags,head", [([], "collapsed (1, 3]: removed 2 events"), (["--rmw"], "irreducible: no collapsible pair")]
+    )
+    def test_removed_update_read_later_in_the_run(self, capsys, tmp_path, flags, head):
+        # run 1, 2, 3 of t0: update 2 is read by 3, and plain latest writes skip
+        # updates, so (1, 2] would leave 3 without a writer to rewire onto
+        prog = corpus.random_program(4, rmw_prob=0.3)
+        trace, program = tmp_path / "upd.json", tmp_path / "upd.txt"
+        graph = next(islice(enumerate_graphs(prog, 5), 3, None))
+        trace.write_text(dump_trace_json(random_runs(graph, random.Random(0))))
+        program.write_text(serialize_program(prog))
+        code, out, err = run(capsys, "reduce", str(trace), "--program", str(program), *flags)
+        assert (code, err) == (0, "")
+        assert out.startswith(head)
 
     def test_output_file(self, capsys, tmp_path, twin_trace_file, twin_prog_file):
         dst = tmp_path / "out.json"
@@ -654,16 +673,22 @@ class TestUnknownThread:
 class TestNotExecutable:
     @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
     def test_reduce_names_the_event(self, capsys, tmp_path, twin_prog_file, flags):
-        # the twin loop never writes y, which it does not even declare
-        events = [write("init", "x", "0"), write("init", "y", "0"), write("t", "x", "1"),
-                  write("t", "y", "1"), read("t", "x", "1"), read("t", "x", "1")]
-        g = build_graph([Event(k, lab) for k, lab in enumerate(events)], {"t": [2, 3, 4, 5]},
-                        {4: 2, 5: 2}, {"x": [0, 2], "y": [1, 3]})
-        trace = tmp_path / "bad.json"
-        trace.write_text(json.dumps(trace_to_json(make_trace(g, [Run("t", (2, 3, 4, 5))]))))
-        code, out, err = run(capsys, "reduce", str(trace), "--program", twin_prog_file, *flags)
-        assert (code, out) == (65, "")
-        assert err == "ra-reach: error: thread 't' of the program cannot take event 3 (t: w y 1)\n"
+        # the twin loop never writes y, which it does not even declare; in the
+        # second trace the bad event lies past the π-first collapsible pair
+        for ops, rf, bad in (
+            (["w x 1", "w y 1", "r x 1", "r x 1"], {4: 2, 5: 2}, "3 (t: w y 1)"),
+            (["w x 1", "r x 1", "w x 1", "r x 1", "w y 1"], {3: 2, 5: 4}, "6 (t: w y 1)"),
+        ):
+            events = [write("init", "x", "0"), write("init", "y", "0")]
+            events += [{"w": write, "r": read}[op[0]]("t", op[2], op[4]) for op in ops]
+            ids = tuple(range(2, len(events)))
+            mo = {x: [e for e, lab in enumerate(events) if lab.loc == x and lab.op.writes] for x in "xy"}
+            g = build_graph([Event(k, lab) for k, lab in enumerate(events)], {"t": list(ids)}, rf, mo)
+            trace = tmp_path / "bad.json"
+            trace.write_text(json.dumps(trace_to_json(make_trace(g, [Run("t", ids)]))))
+            code, out, err = run(capsys, "reduce", str(trace), "--program", twin_prog_file, *flags)
+            assert (code, out) == (65, "")
+            assert err == f"ra-reach: error: thread 't' of the program cannot take event {bad}\n"
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from rareach.errors import (
     UnknownThread,
     ValueMismatch,
 )
+from rareach.consistency import Axiom, check_ra
 from rareach.decider import enumerate_graphs
 from rareach.graph import (
     Event,
@@ -24,10 +25,11 @@ from rareach.graph import (
     thread_word,
     to_dot,
 )
-from rareach.model import read, write
+from rareach.model import Label, Op, read, write
 
 from tests import corpus
 from tests.oracle import hb_pairs_oracle
+from tests.test_pcp import rewired, rf_rewire_candidates
 
 
 def mp_graph():
@@ -130,6 +132,32 @@ class TestHappensBefore:
             assert {(a, b) for a in g.events for b in g.events if g.hb(a, b)} == hb_pairs_oracle(g)
             if i >= 5:
                 break
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_matches_oracle_with_any_rf(self, data):
+        # reads observe any other same-location write, so hb cycles and rf
+        # edges pointing backwards in event order are common
+        rows = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(list(Op)), st.sampled_from("xy")),
+                                           min_size=1, max_size=4), min_size=1, max_size=3))
+        ops = {f"{t}{k}": (t, op, x) for t, row in zip("abc", rows) for k, (op, x) in enumerate(row)}
+        writers = {x: [f"init.{x}"] + [e for e, (_, op, y) in ops.items() if op.writes and y == x] for x in "xy"}
+        rf = {e: data.draw(st.sampled_from([w for w in writers[x] if w != e]))
+              for e, (_, op, x) in ops.items() if op.reads}
+        events = [Event(f"init.{x}", write("init", x, f"init.{x}")) for x in "xy"]
+        events += [Event(e, Label(op, t, x, val_r=rf.get(e), val_w=e if op.writes else None))
+                   for e, (t, op, x) in ops.items()]
+        g = build_graph(events, {t: [e for e in ops if ops[e][0] == t] for t in "abc"[: len(rows)]}, rf, writers)
+        assert {(a, b) for a in g.events for b in g.events if g.hb(a, b)} == hb_pairs_oracle(g)
+
+    def test_matches_oracle_on_gadget_cycles(self, long_witness):
+        # criterion 7's rewires that close an hb cycle through the PCP gadget
+        g = long_witness.graph
+        cyclic = [m for m in (rewired(g, r, w) for r, w in rf_rewire_candidates(g))
+                  if check_ra(m).axiom is Axiom.IRR_HB]
+        assert len(cyclic) == 34
+        for m in cyclic[::8]:
+            assert {(a, b) for a in m.events for b in m.events if m.hb(a, b)} == hb_pairs_oracle(m)
 
     def test_cycle_is_representable(self):
         # two reads observing each other's later writes: po ∪ rf is cyclic;
