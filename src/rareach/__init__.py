@@ -32,7 +32,7 @@ from .errors import (
     RaReachError,
     TraceError,
 )
-from .graph import Event, EventId, ExecutionGraph, build_graph, reaches, thread_word
+from .graph import EventId, ExecutionGraph, build_graph, reaches, thread_word
 from .model import (
     INIT_TID,
     Label,

@@ -28,7 +28,7 @@ from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
 from .consistency import check_ra
-from .graph import Event, EventId, ExecutionGraph, build_graph, reaches
+from .graph import EventId, ExecutionGraph, build_graph, reaches
 from .model import (
     INIT_TID,
     Label,
@@ -121,24 +121,25 @@ def _graphs_for_words(
     combo: tuple[tuple[Label, ...], ...],
 ) -> Iterator[ExecutionGraph]:
     # rows in the form build_graph normalises them to, valid by construction
-    events = {i: Event(i, write(INIT_TID, x, program.init_vals[x])) for i, x in enumerate(locs)}
+    events: dict[EventId, Label] = {i: write(INIT_TID, x, program.init_vals[x]) for i, x in enumerate(locs)}
     po: dict[str, tuple[EventId, ...]] = {}
     for t, word in zip(tids, combo):
         po[t] = tuple(range(len(events), len(events) + len(word)))
-        events.update((e, Event(e, lab)) for e, lab in zip(po[t], word))
+        events.update(zip(po[t], word))
     if locs:
         po[INIT_TID] = tuple(range(len(locs)))
-    reads = [ev for ev in events.values() if ev.op.reads]
-    writes = [ev for ev in events.values() if ev.op.writes]
-    cands = [[w.eid for w in writes if w.loc == r.loc and w.val_w == r.val_r and w is not r] for r in reads]
+    reads = [(e, lab) for e, lab in events.items() if lab.op.reads]
+    writes = [(e, lab) for e, lab in events.items() if lab.op.writes]
+    # ids, not labels: one word can repeat a label object (an update in a loop)
+    cands = [[w for w, wl in writes if wl.loc == rl.loc and wl.val_w == rl.val_r and w != r] for r, rl in reads]
     if not all(cands):
         return  # some read has no writer to read from
 
-    own = [[w.eid for w in writes if w.loc == x and not w.is_init] for x in locs]
+    own = [[w for w, wl in writes if wl.loc == x and not wl.is_init] for x in locs]
     mo_rows = [[(i, *p) for p in permutations(row)] for i, row in enumerate(own)]
 
     for rf_choice in product(*cands):
-        rf = {r.eid: w for r, w in zip(reads, rf_choice)}
+        rf = {r: w for (r, _), w in zip(reads, rf_choice)}
         like = None  # hb is built from po and rf only: one closure serves every mo
         for choice in product(*mo_rows):
             mo = dict(zip(locs, choice))
@@ -184,11 +185,10 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     target = final_vector(program)
     rng = random.Random(config.explore_order) if config.explore_order else None
 
-    init_events = [Event(i, write(INIT_TID, x, program.init_vals[x])) for i, x in enumerate(locs)]
-    n_init = len(init_events)
+    events: list[Label] = [write(INIT_TID, x, program.init_vals[x]) for x in locs]
+    n_init = len(events)
     init_mask = (1 << n_init) - 1
 
-    events: list[Event] = list(init_events)
     preds: list[int] = [0] * n_init
     subsets = {t: frozenset({program.threads[t].init}) for t in tids}
     po_rows: dict[str, list[int]] = {t: [] for t in tids}
@@ -203,7 +203,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     def hit_trace() -> Trace | None:
         graph = build_graph(
-            list(events),
+            list(enumerate(events)),
             {t: list(r) for t, r in po_rows.items()},
             dict(rf),
             {x: list(r) for x, r in mo_rows.items()},
@@ -251,11 +251,10 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             for w2 in row[pos:]:
                 if p & (1 << w2):
                     return True  # write coherence: we would be mo-before w2
-            for u, usrc in rf.items():
-                if events[u].op is Op.RMW and events[u].loc == lab.loc:
-                    iu, isrc = row.index(u), row.index(usrc)
-                    if isrc < pos <= iu:
-                        return True  # would wedge between an update and its source
+            # pruning keeps every placed update right after its source in mo,
+            # so an insertion wedges one exactly when it lands on an update
+            if pos < len(row) and events[row[pos]].op is Op.RMW:
+                return True  # would wedge between an update and its source
         if lab.op is Op.RMW:
             pos = br.mo_pos
             assert pos is not None
@@ -274,7 +273,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             p |= preds[br.rf_src] | (1 << br.rf_src)
         if prune and violates(br, eid, p):
             return None
-        events.append(Event(eid, lab))
+        events.append(lab)
         preds.append(p)
         old_subset = subsets[t]
         subsets[t] = program.threads[t].step(old_subset, lab)

@@ -1,11 +1,13 @@
 """Execution graphs: events, program order, reads-from, modification order.
 
-An execution graph holds one event per executed action.  Program order (po)
-is kept as one row of event ids per thread, reads-from (rf) maps each read to
-the write it observes, and modification order (mo) is one total row per
-location over that location's writes.  Initialising writes live on the
-reserved thread id ``init``: they are mutually unordered, happen before every
-other event, and sit first in their location's mo row.
+An execution graph maps each event id to the label of the action it performs,
+in one stored order: the init events by location, then each sorted thread's
+po row; JSON and DOT emit events in that order.  Program order (po) is kept as
+one row of event ids per thread, reads-from (rf) maps each read to the write
+it observes, and modification order (mo) is one total row per location over
+that location's writes.  Initialising writes live on the reserved thread id
+``init``: they are mutually unordered, happen before every other event, and
+sit first in their location's mo row.
 
 Happens-before is the transitive closure of po edges, rf edges and the
 init-before-everything edges, cached per graph (graphs are immutable once
@@ -20,7 +22,6 @@ or the trusted ``build_graph(..., like=graph)`` for graphs differing only in mo.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -48,49 +49,19 @@ def id_key(eid: EventId) -> tuple[int, int, str]:
     return (1, 0, eid)
 
 
-@dataclass(frozen=True)
-class Event:
-    """An event id paired with the action it performs."""
-
-    eid: EventId
-    label: Label
-
-    @property
-    def tid(self) -> str:
-        return self.label.tid
-
-    @property
-    def op(self) -> Op:
-        return self.label.op
-
-    @property
-    def loc(self) -> str:
-        return self.label.loc
-
-    @property
-    def val_r(self) -> str | None:
-        return self.label.val_r
-
-    @property
-    def val_w(self) -> str | None:
-        return self.label.val_w
-
-    @property
-    def is_init(self) -> bool:
-        return self.label.tid == INIT_TID
-
-
 class ExecutionGraph:
     """Immutable event graph; :func:`build_graph` validates at input boundaries.
 
-    The constructor trusts rows in ``build_graph``'s form: init events (by
-    location) then each sorted thread's po row, tuple po rows with the init
-    row last, and tuple mo rows starting with the init write.
+    ``events`` maps each id to its label in the stored order that JSON and DOT
+    emit.  The constructor trusts rows in ``build_graph``'s form: events with
+    the init events (by location) first, then each sorted thread's po row,
+    tuple po rows with the init row last, and tuple mo rows starting with the
+    init write.
     """
 
     def __init__(
         self,
-        events: dict[EventId, Event],
+        events: dict[EventId, Label],
         po: dict[str, tuple[EventId, ...]],
         rf: dict[EventId, EventId],
         mo: dict[str, tuple[EventId, ...]],
@@ -164,38 +135,13 @@ class ExecutionGraph:
         """Whether ``a`` happens before ``b``."""
         return bool(self._succ_masks[a] & (1 << self._index[b]))
 
-    # -- structural equality --------------------------------------------------
-
-    @cached_property
-    def _canonical(self) -> tuple:
-        def ref(eid: EventId) -> tuple:
-            ev = self.events[eid]
-            if ev.is_init:
-                return (INIT_TID, ev.loc)
-            return (ev.tid, self.po_pos[eid])
-
-        words = tuple(
-            (t, tuple(self.events[e].label for e in self.po[t])) for t in self.tids()
-        )
-        inits = tuple(sorted((self.events[e].loc, self.events[e].val_w) for e in self.init_events()))
-        rf = tuple(sorted((ref(r), ref(w)) for r, w in self.rf.items()))
-        mo = tuple(sorted((loc, tuple(ref(e) for e in row)) for loc, row in self.mo.items()))
-        return (words, inits, rf, mo)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExecutionGraph):
-            return NotImplemented
-        return self._canonical == other._canonical
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         n = len(self.events) - len(self.init_events())
         return f"<ExecutionGraph {n} events, {len(self.tids())} threads>"
 
 
 def build_graph(
-    events: Iterable[Event],
+    events: Iterable[tuple[EventId, Label]],
     po: Mapping[str, Sequence[EventId]],
     rf: Mapping[EventId, EventId],
     mo: Mapping[str, Sequence[EventId]],
@@ -204,10 +150,11 @@ def build_graph(
 ) -> ExecutionGraph:
     """Validate and assemble an execution graph.
 
-    ``po`` maps each thread to its event ids in program order; the row for the
-    reserved init thread may be omitted (it is derived from the init events).
-    ``rf`` maps read ids to write ids, ``mo`` maps each written location to a
-    total row over its writes with the init write (if any) first.
+    ``events`` lists each event as an ``(id, label)`` pair.  ``po`` maps each
+    thread to its event ids in program order; the row for the reserved init
+    thread may be omitted (it is derived from the init events).  ``rf`` maps
+    read ids to write ids, ``mo`` maps each written location to a total row
+    over its writes with the init write (if any) first.
 
     ``like`` is the trusted path for graphs differing only in mo: ``events``,
     ``po`` and ``rf`` must be ``like``'s own rows and ``mo`` in the
@@ -217,11 +164,11 @@ def build_graph(
         if events is not like.events or po is not like.po or rf is not like.rf:
             raise GraphError("a graph built like another must share its events, po and rf")
         return like._with_mo(mo)  # type: ignore[arg-type]
-    by_id: dict[EventId, Event] = {}
-    for ev in events:
-        if ev.eid in by_id:
-            raise DuplicateId(f"event id {ev.eid!r} used twice")
-        by_id[ev.eid] = ev
+    by_id: dict[EventId, Label] = {}
+    for eid, lab in events:
+        if eid in by_id:
+            raise DuplicateId(f"event id {eid!r} used twice")
+        by_id[eid] = lab
 
     init_ids = sorted(
         (e for e, ev in by_id.items() if ev.is_init), key=lambda e: by_id[e].loc
@@ -295,7 +242,7 @@ def build_graph(
         if loc not in writes_by_loc and row:
             raise MoNotTotal(f"mo row for unknown/unwritten location {loc!r}")
 
-    ordered: dict[EventId, Event] = {}
+    ordered: dict[EventId, Label] = {}
     for e in init_ids:
         ordered[e] = by_id[e]
     for tid in sorted(po_rows):
@@ -315,7 +262,7 @@ def thread_word(graph: ExecutionGraph, tid: str) -> list[Label]:
         raise UnknownThread(f"{INIT_TID!r} has no word")
     if tid not in graph.po:
         raise UnknownThread(tid)
-    return [graph.events[e].label for e in graph.po[tid]]
+    return [graph.events[e] for e in graph.po[tid]]
 
 
 def reaches(graph: ExecutionGraph, program: Program, target: StateVector) -> bool:
@@ -331,25 +278,20 @@ def reaches(graph: ExecutionGraph, program: Program, target: StateVector) -> boo
 
 
 def graph_to_json(graph: ExecutionGraph) -> dict:
-    events = []
-    for e in graph.init_events():
-        events.append(_event_json(graph.events[e]))
-    for tid in graph.tids():
-        for e in graph.po[tid]:
-            events.append(_event_json(graph.events[e]))
+    events = [_event_json(e, lab) for e, lab in graph.events.items()]
     rf = sorted(([r, w] for r, w in graph.rf.items()), key=lambda p: id_key(p[0]))
     mo = {loc: list(row) for loc, row in sorted(graph.mo.items())}
     return {"events": events, "rf": rf, "mo": mo}
 
 
-def _event_json(ev: Event) -> dict:
+def _event_json(eid: EventId, lab: Label) -> dict:
     return {
-        "id": ev.eid,
-        "tid": ev.tid,
-        "op": ev.op.value,
-        "loc": ev.loc,
-        "valR": ev.val_r,
-        "valW": ev.val_w,
+        "id": eid,
+        "tid": lab.tid,
+        "op": lab.op.value,
+        "loc": lab.loc,
+        "valR": lab.val_r,
+        "valW": lab.val_w,
     }
 
 
@@ -372,9 +314,9 @@ def graph_from_json(data: dict) -> ExecutionGraph:
                 val_r=json_field(item.get("valR"), str, type(None)),
                 val_w=json_field(item.get("valW"), str, type(None)),
             )
-            ev = Event(json_field(item["id"], int, str), lab)
-            events.append(ev)
-            po.setdefault(ev.tid, []).append(ev.eid)
+            eid = json_field(item["id"], int, str)
+            events.append((eid, lab))
+            po.setdefault(lab.tid, []).append(eid)
         rf = {json_field(r, int, str): json_field(w, int, str) for r, w in data["rf"]}
         mo = {json_field(x, str): [json_field(e, int, str) for e in row] for x, row in data["mo"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -394,23 +336,17 @@ def load_graph_json(text: str) -> ExecutionGraph:
     return graph_from_json(_json_data(text))
 
 
-def dump_graph_json(graph: ExecutionGraph) -> str:
-    return json.dumps(graph_to_json(graph), indent=2, sort_keys=True) + "\n"
-
-
 def to_dot(graph: ExecutionGraph) -> str:
     """GraphViz rendering: po solid, rf green, mo orange (transitively reduced)."""
     def q(eid: EventId) -> str:
         return json.dumps(str(eid))
 
     lines = ["digraph execution {", "  rankdir=TB;", "  node [shape=box, fontname=monospace];"]
-    for e in graph.init_events():
-        ev = graph.events[e]
-        lines.append(f"  {q(e)} [label={json.dumps(f'{e}: init {ev.loc}={ev.val_w}')}, style=dashed];")
-    for tid in graph.tids():
-        for e in graph.po[tid]:
-            ev = graph.events[e]
-            lines.append(f"  {q(e)} [label={json.dumps(f'{e}: {ev.label}')}];")
+    for e, lab in graph.events.items():
+        if lab.is_init:
+            lines.append(f"  {q(e)} [label={json.dumps(f'{e}: init {lab.loc}={lab.val_w}')}, style=dashed];")
+        else:
+            lines.append(f"  {q(e)} [label={json.dumps(f'{e}: {lab}')}];")
     for tid in graph.tids():
         row = graph.po[tid]
         for a, b in zip(row, row[1:]):

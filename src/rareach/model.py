@@ -83,6 +83,11 @@ class Label:
         if not self.op.writes and self.val_w is not None:
             raise ValueError("read label cannot carry val_w")
 
+    @property
+    def is_init(self) -> bool:
+        """Whether this is an initialising write (on the reserved init thread)."""
+        return self.tid == INIT_TID
+
     def __str__(self) -> str:
         vals = [v for v in (self.val_r, self.val_w) if v is not None]
         return f"{self.tid}: {self.op.value} {self.loc} {' '.join(vals)}"

@@ -42,7 +42,7 @@ from itertools import zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import GadgetMismatch, InvalidSolution, ParseError
-from .graph import Event, EventId, ExecutionGraph, build_graph
+from .graph import EventId, ExecutionGraph, build_graph
 from .model import Label, Lts, Op, Program, read, write
 from .trace import Trace, canonical_trace
 
@@ -507,9 +507,7 @@ def pcp_witness(inst: PcpInstance, js: Sequence[int]) -> Trace:
 
 
 def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
-    events: list[Event] = [
-        Event(f"init.{x}", write("init", x, "0")) for x in LOCS
-    ]
+    events: list[tuple[EventId, Label]] = [(f"init.{x}", write("init", x, "0")) for x in LOCS]
     po: dict[str, list[EventId]] = {}
     writes_of: dict[tuple[str, str], list[EventId]] = {}
     reads_of: dict[EventId, tuple[str, str, int]] = {}
@@ -518,7 +516,7 @@ def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
         row: list[EventId] = []
         for n, lab in enumerate(words[tid], start=1):
             eid = f"{tid}.{n}"
-            events.append(Event(eid, lab))
+            events.append((eid, lab))
             row.append(eid)
             if lab.op.writes:
                 writes_of.setdefault((tid, lab.loc), []).append(eid)

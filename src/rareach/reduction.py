@@ -81,8 +81,8 @@ def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator
     start = g.po_pos[run.events[0]] if run.events else 0  # the thread's events before the run
     for n, e in enumerate(g.po[run.tid][: start + len(run.events)]):
         ev = g.events[e]
-        if not (states := lts.step(states, ev.label)):
-            raise TraceError(f"thread {run.tid!r} of the program cannot take event {e!r} ({ev.label})")
+        if not (states := lts.step(states, ev)):
+            raise TraceError(f"thread {run.tid!r} of the program cannot take event {e!r} ({ev})")
         if n < start:
             continue
         if (k := slot.get(ev.loc)) is not None:

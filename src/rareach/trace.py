@@ -12,7 +12,6 @@ runs and the number of update events a trace may use.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -198,7 +197,3 @@ def trace_from_json(data: dict) -> Trace:
 
 def load_trace_json(text: str) -> Trace:
     return trace_from_json(_json_data(text))
-
-
-def dump_trace_json(trace: Trace) -> str:
-    return json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n"

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
-from rareach.graph import Event, build_graph
+from rareach.graph import ExecutionGraph, build_graph, graph_to_json
 from rareach.model import Lts, Program, parse_program, read, rmw, write
-from rareach.trace import Run, Trace, make_trace
+from rareach.trace import Run, Trace, make_trace, trace_to_json
 
 MP = """
 locs x y
@@ -66,6 +67,16 @@ thread t init q0 final q0
 """
 
 
+def dump_graph_json(graph: ExecutionGraph) -> str:
+    """The graph's JSON text, as the command line tool writes it."""
+    return json.dumps(graph_to_json(graph), indent=2, sort_keys=True) + "\n"
+
+
+def dump_trace_json(trace: Trace) -> str:
+    """The trace's JSON text, as the command line tool writes it."""
+    return json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n"
+
+
 def mp() -> Program:
     return parse_program(MP)
 
@@ -88,14 +99,14 @@ def twin_write_loop() -> Program:
 
 def twin_write_trace(rounds: int = 2) -> Trace:
     """``rounds`` write/read iterations of the loop as one single-run trace."""
-    events = [Event("init.x", write("init", "x", "0"))]
+    events = [("init.x", write("init", "x", "0"))]
     row: list[str] = []
     rf: dict[str, str] = {}
     mo = ["init.x"]
     for i in range(1, rounds + 1):
         w, r = f"e{2 * i - 1}", f"e{2 * i}"
-        events.append(Event(w, write("t", "x", "1")))
-        events.append(Event(r, read("t", "x", "1")))
+        events.append((w, write("t", "x", "1")))
+        events.append((r, read("t", "x", "1")))
         rf[r] = w
         mo.append(w)
         row.extend((w, r))
@@ -189,6 +200,37 @@ thread u init s0 final s0
   s0 s0 rmw x 1 1
 """,
 )
+
+
+#: Tiny update-event programs for the search's rmw checks: a chain of two
+#: updates in one thread (the rmw budget), two updates racing on one source
+#: (atomicity), and an update next to a plain write that could wedge between
+#: the update and its source.
+UPDATE_CHAIN = """
+locs x
+vals 0 1 2
+thread t init q0 final q2
+  q0 q1 rmw x 0 1
+  q1 q2 rmw x 1 2
+"""
+
+UPDATE_RACE = """
+locs x
+vals 0 1
+thread a init a0 final a1
+  a0 a1 rmw x 0 1
+thread b init b0 final b1
+  b0 b1 rmw x 0 1
+"""
+
+UPDATE_WEDGE = """
+locs x
+vals 0 1 2
+thread a init a0 final a1
+  a0 a1 rmw x 0 1
+thread b init b0 final b1
+  b0 b1 w x 2
+"""
 
 
 def loopy_programs() -> list[Program]:

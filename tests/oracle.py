@@ -129,7 +129,7 @@ def summary_oracle(trace, program, run: tuple, eid: EventId, rmw_mode: bool) -> 
     states = {lts.init}
     row = list(g.po[ev.tid])
     for e in row[: row.index(eid) + 1]:
-        lab = g.events[e].label
+        lab = g.events[e]
         states = {dst for src, l, dst in lts.transitions if src in states and l == lab}
     vals, foreign = [], set()
     for x in sorted(program.locs):
@@ -200,7 +200,7 @@ def collapse_oracle(trace, program, first: EventId, second: EventId, rmw_mode: b
             i1, i2 = row.index(w1), row.index(w2)
             row[i1], row[i2] = row[i2], row[i1]
         mo2[x] = [e for e in row if e not in removed]
-    events2 = [ev for e, ev in g.events.items() if e not in removed]
+    events2 = [(e, lab) for e, lab in g.events.items() if e not in removed]
     po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
     runs2 = [Run(r.tid, tuple(e for e in r.events if e not in removed)) for r in trace.runs]
     return make_trace(build_graph(events2, po2, rf2, mo2), runs2)

@@ -15,12 +15,13 @@ import rareach
 from rareach import cli
 from rareach.consistency import Verdict
 from rareach.decider import enumerate_graphs
-from rareach.graph import Event, build_graph, dump_graph_json
+from rareach.graph import build_graph
 from rareach.model import parse_program, read, serialize_program, write
 from rareach.reduction import small_model_bound
-from rareach.trace import ContextBudget, Run, dump_trace_json, load_trace_json, make_trace, trace_to_json
+from rareach.trace import ContextBudget, Run, load_trace_json, make_trace, trace_to_json
 
 from tests import corpus
+from tests.corpus import dump_graph_json, dump_trace_json
 from tests.test_reduction import random_runs
 
 INSTANCE = "pair a : aa\npair ab : b\n"
@@ -62,10 +63,10 @@ def inst_file(tmp_path):
 
 def cycle_graph():
     events = [
-        Event(0, read("t", "x", "1")),
-        Event(1, write("t", "y", "1")),
-        Event(2, read("u", "y", "1")),
-        Event(3, write("u", "x", "1")),
+        (0, read("t", "x", "1")),
+        (1, write("t", "y", "1")),
+        (2, read("u", "y", "1")),
+        (3, write("u", "x", "1")),
     ]
     return build_graph(
         events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
@@ -191,6 +192,20 @@ class TestReduce:
         assert (code, err) == (0, "")
         assert out.startswith(head)
 
+    def test_mo_swap(self, capsys, tmp_path):
+        trace, program = tmp_path / "t.json", tmp_path / "p.txt"
+        trace.write_text(mo_swap_trace())
+        program.write_text(MO_SWAP)
+        code, out, _ = run(capsys, "reduce", str(trace), "--program", str(program), "--json")
+        bundle = json.loads(out)
+        assert code == 0
+        (step,) = bundle["steps"]
+        assert (step["moSwaps"], step["removed"]) == (["x"], [2])
+        assert bundle["trace"]["graph"]["mo"] == {"x": [0, 3, 1]}
+        code, out, _ = run(capsys, "reduce", str(trace), "--program", str(program))
+        assert code == 0
+        assert out.startswith("collapsed (1, 2]: removed 1 events, rewired 0 reads, transposed mo on ['x']\n")
+
     def test_output_file(self, capsys, tmp_path, twin_trace_file, twin_prog_file):
         dst = tmp_path / "out.json"
         code, out, _ = run(
@@ -260,6 +275,25 @@ def loop_trace(text, order, rounds):
     return json.dumps({"graph": {"events": events, "rf": rf, "mo": mo}, "runs": runs})
 
 
+#: two threads writing x; the trace runs a's two writes, then b's, with b's
+#: write mo-between them, so collapsing a's pair transposes mo on x
+MO_SWAP = """
+locs x
+vals 0 1 2
+thread a init a0 final a0
+  a0 a0 w x 1
+thread b init b0 final b1
+  b0 b1 w x 2
+"""
+
+
+def mo_swap_trace():
+    """Trace JSON of ``MO_SWAP``: events 1, 2 are a's writes, 3 is b's; mo x is 0, 1, 3, 2."""
+    events = [{"id": e, "tid": t, "op": "w", "loc": "x", "valR": None, "valW": v}
+              for e, t, v in ((0, "init", "0"), (1, "a", "1"), (2, "a", "1"), (3, "b", "2"))]
+    runs = [{"tid": "a", "events": [1, 2]}, {"tid": "b", "events": [3]}]
+    return json.dumps({"graph": {"events": events, "rf": [], "mo": {"x": [0, 1, 3, 2]}}, "runs": runs})
+
 class TestReducePinned:
     """``reduce`` stdout and exit code, pinned by sha256 over every flag combination."""
 
@@ -299,6 +333,9 @@ class TestReducePinned:
         (d / "empty-run.json").write_text(json.dumps(blob))
         (d / "twin-write.txt").write_text(corpus.TWIN_WRITE_LOOP)
         files["empty-run"] = (str(d / "empty-run.json"), str(d / "twin-write.txt"))
+        (d / "mo-swap.json").write_text(mo_swap_trace())
+        (d / "mo-swap.txt").write_text(MO_SWAP)
+        files["mo-swap"] = (str(d / "mo-swap.json"), str(d / "mo-swap.txt"))
         return files
 
     @staticmethod
@@ -329,10 +366,42 @@ class TestReducePinned:
                 "3e4e81114401e642", "2010e2684ce5318d", "bfe9d7f91ce7d57f", "3e4e81114401e642",
                 "658ad43f092e824e", "2010e2684ce5318d", "bfe9d7f91ce7d57f", "658ad43f092e824e",
             ]),
+            ("mo-swap", [
+                "25e7cb543e1e9d90", "25e7cb543e1e9d90", "6b76568549049b40", "25e7cb543e1e9d90",
+                "f550e45160717aa1", "25e7cb543e1e9d90", "6b76568549049b40", "f550e45160717aa1",
+            ]),
         ],
     )
     def test_pinned_bytes(self, capsys, inputs, name, want):
         assert self.digests(capsys, inputs, name) == want
+
+
+class TestPinnedOutput:
+    """DOT and ``enumerate --json`` bytes and exit codes, pinned by sha256."""
+
+    @staticmethod
+    def digest(code, *texts):
+        return hashlib.sha256("\n".join([str(code), *texts]).encode()).hexdigest()[:16]
+
+    def test_check_dot_on_witness(self, capsys, tmp_path, inst_file):
+        trace, graph, dot = tmp_path / "w.json", tmp_path / "g.json", tmp_path / "g.dot"
+        assert run(capsys, "pcp", "witness", inst_file, "--solution", "1,2,1,2", "-o", str(trace))[0] == 0
+        graph.write_text(json.dumps(json.loads(trace.read_text())["graph"]))
+        code, out, _ = run(capsys, "check", str(graph), "--dot", str(dot))
+        assert self.digest(code, out, dot.read_text()) == "72028e740987ccd2"
+
+    def test_reach_json_dot_on_update_wedge(self, capsys, tmp_path):
+        prog, dot = tmp_path / "p.txt", tmp_path / "w.dot"
+        prog.write_text(corpus.UPDATE_WEDGE)
+        code, out, _ = run(capsys, "reach", str(prog), "--contexts", "2", "--rmws", "2", "--json", "--dot", str(dot))
+        assert self.digest(code, out, dot.read_text()) == "127e4aec344d04f9"
+
+    @pytest.mark.parametrize("text,want", [(corpus.MP, "aa4208901c6679af"), (corpus.LOOPY_RMW[1], "54770075d9ce4638")])
+    def test_enumerate_json(self, capsys, tmp_path, text, want):
+        prog = tmp_path / "p.txt"
+        prog.write_text(text)
+        code, out, _ = run(capsys, "enumerate", str(prog), "--max-events", "4", "--json")
+        assert self.digest(code, out) == want
 
 
 class TestReach:
@@ -643,6 +712,26 @@ class TestMalformedJson:
         code, out, _ = run(capsys, "trace-validate", str(t))
         assert code == 1 and out.startswith("invalid: bad graph JSON")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda g: g["events"][0].update(op="rmw", valR="0"), "init event 'init.x' must be a plain write"),
+            (lambda g: g["rf"][0].__setitem__(1, "e9"), "rf edge 'e2' <- 'e9' mentions unknown events"),
+            (lambda g: g["rf"].append(["e1", "init.x"]), "rf target 'e1' is not a read"),
+            (lambda g: g["rf"][1].__setitem__(1, "e2"), "rf source 'e2' is not a write"),
+            (lambda g: (g["events"][3].update(op="rmw", valR="1"), g["rf"].append(["e3", "e3"])),
+             "event 'e3' cannot read from itself"),
+            (lambda g: g["mo"].update(y=["e1"]), "mo row for unknown/unwritten location 'y'"),
+        ],
+    )
+    def test_graph_rules(self, capsys, tmp_path, edit, message):
+        # well-typed graphs that break a rule of build_graph are input errors too
+        blob = trace_to_json(corpus.twin_write_trace(2))["graph"]
+        edit(blob)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(blob))
+        assert run(capsys, "check", str(g)) == (65, "", f"ra-reach: error: {message}\n")
+
     @pytest.mark.parametrize("bad", [[0], 2.0, None, {"e": 1}])
     def test_run_event_ids(self, capsys, tmp_path, twin_prog_file, bad):
         blob = trace_to_json(corpus.twin_write_trace(2))
@@ -683,7 +772,7 @@ class TestNotExecutable:
             events += [{"w": write, "r": read}[op[0]]("t", op[2], op[4]) for op in ops]
             ids = tuple(range(2, len(events)))
             mo = {x: [e for e, lab in enumerate(events) if lab.loc == x and lab.op.writes] for x in "xy"}
-            g = build_graph([Event(k, lab) for k, lab in enumerate(events)], {"t": list(ids)}, rf, mo)
+            g = build_graph(list(enumerate(events)), {"t": list(ids)}, rf, mo)
             trace = tmp_path / "bad.json"
             trace.write_text(json.dumps(trace_to_json(make_trace(g, [Run("t", ids)]))))
             code, out, err = run(capsys, "reduce", str(trace), "--program", twin_prog_file, *flags)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from itertools import permutations, product
 
 from rareach.consistency import AXIOM_ORDER, Axiom, check_axiom, check_ra
-from rareach.graph import Event, build_graph
+from rareach.graph import build_graph
 from rareach.model import read, rmw, write
 
 from tests import corpus
@@ -14,10 +14,10 @@ from tests.oracle import axiom_failures_oracle, consistent_oracle
 
 def hb_cycle_graph():
     events = [
-        Event(0, read("t", "x", "1")),
-        Event(1, write("t", "y", "1")),
-        Event(2, read("u", "y", "1")),
-        Event(3, write("u", "x", "1")),
+        (0, read("t", "x", "1")),
+        (1, write("t", "y", "1")),
+        (2, read("u", "y", "1")),
+        (3, write("u", "x", "1")),
     ]
     return build_graph(
         events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
@@ -27,10 +27,10 @@ def hb_cycle_graph():
 def write_coherence_graph():
     # mo says 1 -> 3 but thread u reads 1's value after writing 3's
     events = [
-        Event(0, write("init", "x", "0")),
-        Event(1, write("t", "x", "1")),
-        Event(2, read("u", "x", "1")),
-        Event(3, write("u", "x", "2")),
+        (0, write("init", "x", "0")),
+        (1, write("t", "x", "1")),
+        (2, read("u", "x", "1")),
+        (3, write("u", "x", "2")),
     ]
     return build_graph(
         events, {"t": [1], "u": [2, 3]}, {2: 1}, {"x": [0, 3, 1]}
@@ -40,10 +40,10 @@ def write_coherence_graph():
 def read_coherence_graph():
     # u reads the stale initial value after the write happened before it
     events = [
-        Event(0, write("init", "x", "0")),
-        Event(1, write("t", "x", "1")),
-        Event(2, read("u", "x", "1")),
-        Event(3, read("u", "x", "0")),
+        (0, write("init", "x", "0")),
+        (1, write("t", "x", "1")),
+        (2, read("u", "x", "1")),
+        (3, read("u", "x", "0")),
     ]
     return build_graph(
         events, {"t": [1], "u": [2, 3]}, {2: 1, 3: 0}, {"x": [0, 1]}
@@ -53,9 +53,9 @@ def read_coherence_graph():
 def atomicity_graph():
     # a write squeezes between an update and the write it read
     events = [
-        Event(0, write("init", "x", "0")),
-        Event(1, rmw("t", "x", "0", "2")),
-        Event(2, write("u", "x", "1")),
+        (0, write("init", "x", "0")),
+        (1, rmw("t", "x", "0", "2")),
+        (2, write("u", "x", "1")),
     ]
     return build_graph(events, {"t": [1], "u": [2]}, {1: 0}, {"x": [0, 2, 1]})
 
@@ -63,12 +63,12 @@ def atomicity_graph():
 class TestAxioms:
     def test_mp_witness_consistent(self):
         events = [
-            Event(0, write("init", "x", "0")),
-            Event(1, write("init", "y", "0")),
-            Event(2, write("w", "x", "1")),
-            Event(3, write("w", "y", "1")),
-            Event(4, read("r", "y", "1")),
-            Event(5, read("r", "x", "1")),
+            (0, write("init", "x", "0")),
+            (1, write("init", "y", "0")),
+            (2, write("w", "x", "1")),
+            (3, write("w", "y", "1")),
+            (4, read("r", "y", "1")),
+            (5, read("r", "x", "1")),
         ]
         g = build_graph(
             events, {"w": [2, 3], "r": [4, 5]}, {4: 3, 5: 2}, {"x": [0, 2], "y": [1, 3]}
@@ -91,7 +91,7 @@ class TestAxioms:
         # every event lies on the cycle; ints sort before strings
         g = hb_cycle_graph()
         a, b, c, d = ids
-        events = [Event(new, g.events[old].label) for old, new in zip(range(4), ids)]
+        events = [(new, g.events[old]) for old, new in zip(range(4), ids)]
         g = build_graph(events, {"t": [a, b], "u": [c, d]}, {a: d, c: b}, {"x": [d], "y": [b]})
         assert check_ra(g).witness == (least,)
 
@@ -147,7 +147,7 @@ class TestAgainstOracle:
         rng = random.Random(seed)
         prog = corpus.random_program(seed)
         # one random word per thread, then every rf/mo combination
-        events = [Event(0, write("init", "x", "0")), Event(1, write("init", "y", "0"))]
+        events = [(0, write("init", "x", "0")), (1, write("init", "y", "0"))]
         locs_present = {"x", "y"}
         nid = 2
         po = {}
@@ -166,26 +166,26 @@ class TestAgainstOracle:
                 states = {d for (s, l, d) in lts.transitions if s in states and l == lab}
             po[tid] = []
             for lab in word:
-                events.append(Event(nid, lab))
+                events.append((nid, lab))
                 po[tid].append(nid)
                 nid += 1
         writes = {}
-        for ev in events:
-            if ev.op.writes:
-                writes.setdefault(ev.loc, []).append(ev.eid)
-        reads = [ev for ev in events if ev.op.reads]
+        for e, lab in events:
+            if lab.op.writes:
+                writes.setdefault(lab.loc, []).append(e)
+        reads = [(e, lab) for e, lab in events if lab.op.reads]
         cands = []
-        for ev in reads:
+        for r, lab in reads:
             opts = [
-                w for w in writes.get(ev.loc, [])
-                if events[w].val_w == ev.val_r and w != ev.eid
+                w for w in writes.get(lab.loc, [])
+                if events[w][1].val_w == lab.val_r and w != r
             ]
             if not opts:
                 return  # this draw has an unservable read; skip
             cands.append(opts)
         checked = 0
         for rf_pick in product(*cands):
-            rf = {ev.eid: w for ev, w in zip(reads, rf_pick)}
+            rf = {r: w for (r, _), w in zip(reads, rf_pick)}
             mo_all = [
                 permutations([w for w in writes.get(x, []) if w >= 2])
                 for x in sorted(locs_present)

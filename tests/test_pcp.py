@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rareach import cli
 from rareach.consistency import check_ra
 from rareach.errors import GadgetMismatch, InvalidSolution, ParseError
-from rareach.graph import Event, build_graph, thread_word
+from rareach.graph import build_graph, thread_word
 from rareach.model import INIT_TID, final_vector, word_reaches, read, rmw, serialize_program, write
 from rareach.pcp import (
     BRIDGE_LOCS,
@@ -29,8 +29,9 @@ from rareach.pcp import (
     pcp_witness,
     verify_solution,
 )
-from rareach.trace import ContextBudget, counts, dump_trace_json
+from rareach.trace import ContextBudget, counts
 
+from tests.corpus import dump_trace_json
 from tests.oracle import pcp_concat_oracle
 
 
@@ -70,7 +71,7 @@ def rewired(graph, r, w):
     rf = dict(graph.rf)
     rf[r] = w
     po = {t: list(row) for t, row in graph.po.items() if t != INIT_TID}
-    return build_graph(list(graph.events.values()), po, rf, graph.mo)
+    return build_graph(list(graph.events.items()), po, rf, graph.mo)
 
 
 class TestParse:
@@ -277,10 +278,10 @@ class TestIndexing:
     def test_counts_reads_and_writes_separately(self):
         g = build_graph(
             [
-                Event("init.aw", write(INIT_TID, "aw", "0")),
-                Event("g1", write("guess_aw", "aw", "v")),
-                Event("c1", read("check_w", "aw", "v")),
-                Event("c2", write("check_w", "aw", "v")),
+                ("init.aw", write(INIT_TID, "aw", "0")),
+                ("g1", write("guess_aw", "aw", "v")),
+                ("c1", read("check_w", "aw", "v")),
+                ("c2", write("check_w", "aw", "v")),
             ],
             {"guess_aw": ["g1"], "check_w": ["c1", "c2"]},
             {"c1": "g1"},
@@ -310,10 +311,10 @@ class TestAudits:
         # the po discipline and the cross-thread write ordering break
         g = build_graph(
             [
-                Event("init.aw", write(INIT_TID, "aw", "0")),
-                Event("g1", write("guess_aw", "aw", "v")),
-                Event("c1", read("check_w", "aw", "v")),
-                Event("c2", write("check_w", "aw", "v")),
+                ("init.aw", write(INIT_TID, "aw", "0")),
+                ("g1", write("guess_aw", "aw", "v")),
+                ("c1", read("check_w", "aw", "v")),
+                ("c2", write("check_w", "aw", "v")),
             ],
             {"guess_aw": ["g1"], "check_w": ["c1", "c2"]},
             {"c1": "g1"},
@@ -326,7 +327,7 @@ class TestAudits:
 
     def test_foreign_graphs_rejected(self):
         alien_tid = build_graph(
-            [Event("a", write("writer", "aw", "1"))],
+            [("a", write("writer", "aw", "1"))],
             {"writer": ["a"]},
             {},
             {"aw": ["a"]},
@@ -334,7 +335,7 @@ class TestAudits:
         with pytest.raises(GadgetMismatch):
             check_no_skipping(alien_tid)
         alien_loc = build_graph(
-            [Event("a", write("guess_aw", "x", "1"))],
+            [("a", write("guess_aw", "x", "1"))],
             {"guess_aw": ["a"]},
             {},
             {"x": ["a"]},
@@ -343,8 +344,8 @@ class TestAudits:
             check_monotonicity(alien_loc)
         update = build_graph(
             [
-                Event("init.aw", write(INIT_TID, "aw", "0")),
-                Event("u", rmw("check_w", "aw", "0", "1")),
+                ("init.aw", write(INIT_TID, "aw", "0")),
+                ("u", rmw("check_w", "aw", "0", "1")),
             ],
             {"check_w": ["u"]},
             {"u": "init.aw"},

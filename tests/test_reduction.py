@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from rareach.consistency import check_ra
 from rareach.decider import enumerate_graphs
 from rareach.errors import NotCollapsible, UnknownThread
-from rareach.graph import Event, build_graph
+from rareach.graph import build_graph
 from rareach.model import INIT_TID, parse_program, read, rmw, write
 from rareach.reduction import (
     CollapsiblePair,
@@ -25,9 +25,10 @@ from rareach.reduction import (
     summary_space,
     summary_space_formula,
 )
-from rareach.trace import Run, canonical_trace, counts, dump_trace_json, make_trace
+from rareach.trace import Run, canonical_trace, counts, make_trace
 
 from tests import corpus
+from tests.corpus import dump_graph_json, dump_trace_json
 from tests.oracle import bound_oracle, collapse_oracle, collapsible_oracle, summary_oracle
 from tests.test_acceptance import collapsible_pairs, graph_traces, rmw_corpus
 
@@ -56,12 +57,12 @@ thread t init q0 final q0
 def spy_trace(spied_write):
     """Twin-write run plus a second thread reading ``spied_write``."""
     events = [
-        Event("init.x", write(INIT_TID, "x", "0")),
-        Event("e1", write("t", "x", "1")),
-        Event("e2", read("t", "x", "1")),
-        Event("e3", write("t", "x", "1")),
-        Event("e4", read("t", "x", "1")),
-        Event("f1", read("u", "x", "1")),
+        ("init.x", write(INIT_TID, "x", "0")),
+        ("e1", write("t", "x", "1")),
+        ("e2", read("t", "x", "1")),
+        ("e3", write("t", "x", "1")),
+        ("e4", read("t", "x", "1")),
+        ("f1", read("u", "x", "1")),
     ]
     g = build_graph(
         events,
@@ -74,11 +75,11 @@ def spy_trace(spied_write):
 
 def rmw_loop_trace():
     events = [
-        Event("init.x", write(INIT_TID, "x", "0")),
-        Event("e1", rmw("t", "x", "0", "1")),
-        Event("e2", read("t", "x", "1")),
-        Event("e3", write("t", "x", "1")),
-        Event("e4", read("t", "x", "1")),
+        ("init.x", write(INIT_TID, "x", "0")),
+        ("e1", rmw("t", "x", "0", "1")),
+        ("e2", read("t", "x", "1")),
+        ("e3", write("t", "x", "1")),
+        ("e4", read("t", "x", "1")),
     ]
     g = build_graph(
         events,
@@ -113,10 +114,10 @@ class TestSummary:
             """
         )
         events = [
-            Event("init.x", write(INIT_TID, "x", "0")),
-            Event("a1", write("w", "x", "1")),
-            Event("b1", write("t", "x", "2")),
-            Event("b2", read("t", "x", "1")),
+            ("init.x", write(INIT_TID, "x", "0")),
+            ("a1", write("w", "x", "1")),
+            ("b1", write("t", "x", "2")),
+            ("b2", read("t", "x", "1")),
         ]
         g = build_graph(
             events,
@@ -252,12 +253,12 @@ class TestCollapsibleOracle:
         )
         g = build_graph(
             [
-                Event("init.x", write(INIT_TID, "x", "0")),
-                Event("init.z", write(INIT_TID, "z", "0")),
-                Event("a", write("t", "x", "1")),
-                Event("b", write("t", "z", "1")),
-                Event("c", write("t", "x", "1")),
-                Event("f", read("u", "z", "1")),
+                ("init.x", write(INIT_TID, "x", "0")),
+                ("init.z", write(INIT_TID, "z", "0")),
+                ("a", write("t", "x", "1")),
+                ("b", write("t", "z", "1")),
+                ("c", write("t", "x", "1")),
+                ("f", read("u", "z", "1")),
             ],
             {"t": ["a", "b", "c"], "u": ["f"]},
             {"f": "b"},
@@ -284,11 +285,11 @@ class TestCollapsibleOracle:
         )
         g = build_graph(
             [
-                Event("init.x", write(INIT_TID, "x", "0")),
-                Event("g", write("u", "x", "0")),
-                Event("a", write("t", "x", "1")),
-                Event("b", read("t", "x", "0")),
-                Event("c", write("t", "x", "1")),
+                ("init.x", write(INIT_TID, "x", "0")),
+                ("g", write("u", "x", "0")),
+                ("a", write("t", "x", "1")),
+                ("b", read("t", "x", "0")),
+                ("c", write("t", "x", "1")),
             ],
             {"t": ["a", "b", "c"], "u": ["g"]},
             {"b": "g"},
@@ -335,12 +336,12 @@ class TestReduce:
             """
         )
         events = [
-            Event("init.x", write(INIT_TID, "x", "0")),
-            Event("e1", write("t", "x", "1")),
-            Event("e2", read("t", "x", "1")),
-            Event("e3", write("t", "x", "1")),
-            Event("e4", read("t", "x", "1")),
-            Event("u1", write("u", "x", "2")),
+            ("init.x", write(INIT_TID, "x", "0")),
+            ("e1", write("t", "x", "1")),
+            ("e2", read("t", "x", "1")),
+            ("e3", write("t", "x", "1")),
+            ("e4", read("t", "x", "1")),
+            ("u1", write("u", "x", "2")),
         ]
         g = build_graph(
             events,
@@ -382,8 +383,8 @@ class TestReduce:
 def assert_trusted(trace):
     """A collapse's rows are the ones build_graph makes from them, and make_trace accepts its runs."""
     g = trace.graph
-    rebuilt = build_graph(list(g.events.values()), g.po, g.rf, g.mo)
-    assert g == rebuilt
+    rebuilt = build_graph(list(g.events.items()), g.po, g.rf, g.mo)
+    assert dump_graph_json(g) == dump_graph_json(rebuilt)
     for rows in ("events", "po", "rf", "mo"):
         assert list(getattr(g, rows).items()) == list(getattr(rebuilt, rows).items()), rows
     assert make_trace(g, trace.runs).runs == trace.runs
@@ -445,14 +446,14 @@ class TestCollapseOracle:
         )
         g = build_graph(
             [
-                Event("init.x", write(INIT_TID, "x", "0")),
-                Event("y", write("u", "x", "2")),
-                Event("g", write("v", "x", "0")),
-                Event("h", write("w", "x", "0")),
-                Event("a", write("t", "x", "1")),
-                Event("b", read("t", "x", "0")),
-                Event("c", write("t", "x", "1")),
-                Event("d", read("t", "x", "0")),
+                ("init.x", write(INIT_TID, "x", "0")),
+                ("y", write("u", "x", "2")),
+                ("g", write("v", "x", "0")),
+                ("h", write("w", "x", "0")),
+                ("a", write("t", "x", "1")),
+                ("b", read("t", "x", "0")),
+                ("c", write("t", "x", "1")),
+                ("d", read("t", "x", "0")),
             ],
             {"t": ["a", "b", "c", "d"], "u": ["y"], "v": ["g"], "w": ["h"]},
             {"b": "g", "d": "h"},
