@@ -214,7 +214,7 @@ def _cmd_reach(args) -> int:
     if args.naive:
         verdict = naive_reach(program, event_cap)
     else:
-        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed))
+        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed, memo=True))
 
     witness = verdict.witness
     if args.emit_witness and witness is not None:

@@ -14,6 +14,41 @@ Two engines answer "can this program reach its final state vector":
   cap at ``None`` uses the small-model bound, making exhaustion a proof of
   unreachability within the budget.
 
+With ``SearchConfig.memo`` (and pruning on) the search skips repeated
+states.  A node's future depends only on an abstract state, the key, which
+is exact for everything ``branches`` / ``violates`` / ``apply`` /
+``at_target`` read:
+
+* the active thread, the number of runs and the number of updates used;
+* per thread, its control subset and its *view*: per location, the highest
+  mo position among the writes in ``preds[last] | bit(last)`` of its last
+  event (``violates`` only asks whether an hb-predecessor sits at or past a
+  row index, and a union of masks answers that by the maximum);
+* per location, its mo row as ``(value written, is an update, writer's
+  view)`` entries.
+
+Views cover only locations that hold a non-init write; the others read
+position 0 in every view.  Writes below every thread's view are dropped,
+the rows renumbered and the views clamped to that cut: every future event
+already sees the cut write, so no future read can take a write below it and
+no future write can go before it.  The key is the state of the RA view
+semantics (Kang et al., POPL 2017; Abdulla, Arora, Atig and Krishna, PLDI
+2019) with messages in mo order.
+
+A node whose key was already recorded at a depth no greater than its own,
+an ancestor's included, is skipped; keys are recorded on entry, keeping the
+least depth.  This is sound.  Let s_0 ... s_k be the states along a shortest
+path to a hit, so s_i lies at distance i.  A node of s_i at depth i is
+skipped only for a record at depth i, made by another node of s_i that is
+not an ancestor (ancestors are shallower) and so was already searched in
+full.  By induction from s_k back to s_0, searching a node of s_i at depth
+i finds the hit, or sets the truncation flag if the hit lies past the cap.
+So a search that closes without truncation proves
+``unreachable-within-bound`` at any cap.  Keys are built only at nodes at
+least two events below the cap: a repeat one level above it saves only
+leaf checks.  The key assumes every placed prefix is consistent, so
+without pruning the memo stays off.
+
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
 reproducible shuffle (0 keeps the canonical order).
@@ -75,11 +110,16 @@ class ReachVerdict:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget plus an optional event cap and branch-order seed."""
+    """Budget plus an optional event cap and branch-order seed.
+
+    ``memo`` skips repeated search states (see :func:`bounded_reach`); off,
+    the search walks the full tree of traces, the reference for tests.
+    """
 
     budget: ContextBudget
     event_cap: int | None = None
     explore_order: int = 0
+    memo: bool = False
 
 
 # --- exhaustive enumeration ----------------------------------------------------
@@ -173,6 +213,13 @@ class _Branch(NamedTuple):
 
 def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) -> ReachVerdict:
     """Search traces within the context budget; see module docstring.
+
+    With ``config.memo`` a node whose state key (module docstring) was
+    already recorded at the same or a lower depth is skipped, so
+    ``stats.visited`` counts the nodes actually expanded, and a search that
+    closes without truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any
+    cap.  Which of two equal states is expanded depends on branch order, so
+    witnesses can differ from the uncached search's.
 
     ``prune`` disables the incremental axiom checks when False (complete
     graphs are then vetted only on target hits); it exists for differential
@@ -309,9 +356,43 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         if not runs[-1][1]:
             runs.pop()
 
+    # the key assumes every placed prefix is consistent, which only pruning keeps
+    memo: dict[tuple, int] | None = {} if config.memo and prune else None
+
+    def state_key() -> tuple:
+        # locations without a non-init write sit at position 0 in every view
+        live = [(x, row) for x, row in mo_rows.items() if len(row) > 1]
+
+        def view(mask: int, cut: list[int]) -> tuple[int, ...]:
+            # per live row, the mask's highest write counted from the cut (writes below it read as 0)
+            out = []
+            for (_, row), c in zip(live, cut):
+                i = len(row) - 1
+                while i > c and not mask >> row[i] & 1:
+                    i -= 1
+                out.append(i - c)
+            return tuple(out)
+
+        heads = [preds[po[-1]] | 1 << po[-1] if (po := po_rows[t]) else 0 for t in tids]
+        zero = [0] * len(live)
+        # a thread without events (mask 0) sees only the init writes
+        cut = [min(col) for col in zip(*(view(m, zero) for m in heads))] if all(heads) else zero
+        rows = tuple(
+            (x, tuple((events[w].val_w, events[w].op is Op.RMW, view(preds[w] | 1 << w, cut)) for w in row[c:]))
+            for (x, row), c in zip(live, cut)
+        )
+        active = runs[-1][0] if runs else None
+        views = tuple(view(m, cut) for m in heads)
+        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), views, rows
+
     def dfs() -> Trace | None:
-        stats.visited += 1
         n = len(events) - n_init
+        if memo is not None and n <= cap - 2:  # one level above the cap a repeat saves only leaf checks
+            key = state_key()
+            if memo.get(key, n + 1) <= n:
+                return None
+            memo[key] = n
+        stats.visited += 1
         stats.max_events = max(stats.max_events, n)
         if at_target():
             found = hit_trace()

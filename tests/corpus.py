@@ -233,6 +233,119 @@ thread b init b0 final b1
 """
 
 
+#: Part of the search memo -> (program, contexts, rmws).  Every witness
+#: within the budget and 6 events passes through a state that the memo
+#: without that part would skip: a key component would merge it with a
+#: state that the search meets first, at the same depth, and that reaches
+#: nothing; without the depth check a deeper first meeting would hide it.
+MEMO_PARTS = {
+    # t's two choices differ only in the value written
+    "value written": ("""
+locs x
+vals 0 1 2
+thread t init a0 final a1
+  a0 a1 w x 1
+  a0 a1 w x 2
+thread u init b0 final b1
+  b0 b1 r x 2
+""", 2, 0),
+    # t's two write orders differ only in the view of t's y write
+    "writer view": ("""
+locs x y
+vals 0 1
+thread t init a0 final a3
+  a0 a1 w x 1
+  a1 a3 w y 1
+  a0 a2 w y 1
+  a2 a3 w x 1
+thread u init b0 final b2
+  b0 b1 r y 1
+  b1 b2 r x 0
+""", 2, 0),
+    # u's two reads of x differ only in u's view; v keeps the cut at init
+    "thread view": ("""
+locs x y z
+vals 0 1
+init x=1 y=0 z=0
+thread t init a0 final a2
+  a0 a1 w y 1
+  a1 a2 w x 0
+thread u init b0 final b3
+  b0 b1 r y 1
+  b1 b2 r x 0
+  b1 b2 r x 1
+  b2 b3 r x 1
+thread v init c0 final c0
+  c0 c1 w z 1
+""", 2, 0),
+    # b's x write, then a's run, or a's z write first: one run more
+    "runs": ("""
+locs x y z
+vals 0 1
+thread a init p0 final p3
+  p0 p1 w z 1
+  p1 p2 r x 1
+  p2 p3 w y 1
+thread b init q0 final q2
+  q0 q1 w x 1
+  q1 q2 r y 1
+""", 3, 0),
+    # a, then b, or b, then a: only a can still move
+    "active thread": ("""
+locs x z
+vals 0 1
+thread a init p0 final p2
+  p0 p1 w z 1
+  p1 p2 r x 1
+thread b init q0 final q1
+  q0 q1 w x 1
+""", 2, 0),
+    # x=1 written by an update leaves no update for the last step
+    "updates used": ("""
+locs x y
+vals 0 1 2
+thread t init a0 final a4
+  a0 a1 rmw x 0 1
+  a0 a1 w x 1
+  a1 a2 rmw x 1 2
+  a2 a3 r y 1
+  a3 a4 rmw x 2 0
+thread u init b0 final b2
+  b0 b1 r x 2
+  b1 b2 w y 1
+""", 3, 2),
+    # u can put x=2 in mo before a plain x=1, not before an update of init
+    "is an update": ("""
+locs x y z
+vals 0 1 2
+thread t init a0 final a4
+  a0 a1 w z 1
+  a1 a2 rmw x 0 1
+  a1 a3 w x 1
+  a2 a4 w y 1
+  a3 a4 rmw y 0 1
+thread u init b0 final b3
+  b0 b1 r z 1
+  b1 b2 w x 2
+  b2 b3 r x 1
+""", 2, 1),
+    # a3 is met first three events deep, where the last four writes pass the cap
+    "depth": ("""
+locs x y
+vals 0 1
+thread t init a0 final a7
+  a0 a1 r x 0
+  a1 a2 r x 0
+  a2 a3 r x 0
+  a0 a3 r y 0
+  a3 a4 w x 1
+  a4 a5 w x 1
+  a5 a6 w x 1
+  a6 a7 w x 1
+""", 1, 0),
+}
+
+
 def loopy_programs() -> list[Program]:
     return [parse_program(text) for text in LOOPY]
 

@@ -22,6 +22,7 @@ from rareach.trace import ContextBudget, Run, load_trace_json, make_trace, trace
 
 from tests import corpus
 from tests.corpus import dump_graph_json, dump_trace_json
+from tests.test_decider import MP_LOOP
 from tests.test_reduction import random_runs
 
 INSTANCE = "pair a : aa\npair ab : b\n"
@@ -430,6 +431,13 @@ class TestReach:
         assert blob["status"] == "reachable"
         assert blob["stats"] == {"visited": 5, "prunes": 0, "maxEvents": 4}
         assert blob["witness"] is not None
+
+    def test_skips_repeated_states(self, capsys, tmp_path):
+        prog = tmp_path / "mp_loop.txt"
+        prog.write_text(MP_LOOP)
+        code, out, _ = run(capsys, "reach", str(prog), "--contexts", "2", "--event-cap", "13", "--json")
+        assert code == 2
+        assert json.loads(out)["stats"] == {"visited": 777, "prunes": 938, "maxEvents": 13}
 
     def test_emit_witness(self, capsys, tmp_path, mp_file):
         dst = tmp_path / "w.json"

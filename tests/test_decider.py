@@ -21,10 +21,11 @@ from rareach.trace import ContextBudget
 from tests import corpus
 from tests.corpus import dump_graph_json
 from tests.oracle import consistent_oracle, hb_pairs_oracle
+from tests.test_acceptance import rmw_corpus
 
 
-def cfg(contexts, rmws=0, cap=None, seed=0):
-    return SearchConfig(ContextBudget(contexts, rmws), event_cap=cap, explore_order=seed)
+def cfg(contexts, rmws=0, cap=None, seed=0, memo=False):
+    return SearchConfig(ContextBudget(contexts, rmws), event_cap=cap, explore_order=seed, memo=memo)
 
 
 class TestEnumerate:
@@ -222,6 +223,116 @@ class TestPinnedCounters:
         v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert (v.explored.visited, v.explored.prunes) == (22639, 48258)
+
+
+#: x=0 is written only by init, which is mo-first; reading x=2 and then x=0
+#: reads a write mo-before one that happens before the read
+CORR_LOOP = """
+locs x
+vals 0 1 2
+init x=0
+thread writer init a0 final a0
+  a0 a1 w x 1
+  a1 a0 w x 2
+thread reader init b0 final b2
+  b0 b0 r x 1
+  b0 b1 r x 2
+  b1 b2 r x 0
+"""
+
+#: write-to-read causality: t3 sees y=1, written after t2 saw a non-init x,
+#: so reading the init value x=0 in t3 violates read coherence
+WRC_LOOP = """
+locs x y
+vals 0 1 2
+init x=0 y=0
+thread t1 init a0 final a0
+  a0 a1 w x 1
+  a1 a0 w x 2
+thread t2 init b0 final b2
+  b0 b1 r x 1
+  b1 b1 r x 2
+  b1 b2 w y 1
+thread t3 init c0 final c2
+  c0 c1 r y 1
+  c1 c2 r x 0
+"""
+
+#: program family -> programs: criterion 2's random programs, criterion 4's
+#: update corpus and the loop programs
+MEMO_CASES = {
+    "random": [corpus.random_program(seed) for seed in range(50)],
+    "rmw": rmw_corpus(),
+    "loops": [parse_program(text) for text in (MP_LOOP, CORR_LOOP, WRC_LOOP)],
+}
+#: (contexts, rmws, cap)
+MEMO_BUDGETS = [(1, 0, 5), (2, 1, 6), (3, 2, 6), (4, 4, 5)]
+
+
+class TestMemo:
+    """The visited-state memo against the uncached search and the naive enumerator.
+
+    Every hit the memo search returns has passed ``hit_trace``'s checks
+    (consistent, replays to the target, within budget), which raise otherwise.
+    """
+
+    @pytest.mark.parametrize("family", MEMO_CASES)
+    def test_agrees_with_uncached(self, family):
+        for prog in MEMO_CASES[family]:
+            for contexts, rmws, cap in MEMO_BUDGETS:
+                plain = bounded_reach(prog, cfg(contexts, rmws, cap))
+                memo = bounded_reach(prog, cfg(contexts, rmws, cap, memo=True))
+                assert memo.reachable == plain.reachable
+                if memo.status is not plain.status:
+                    # a memo search that closes without truncation decides at any cap
+                    assert (plain.status, memo.status) == (
+                        ReachStatus.INCONCLUSIVE,
+                        ReachStatus.UNREACHABLE_WITHIN_BOUND,
+                    )
+                    assert not bounded_reach(prog, cfg(contexts, rmws, cap + 3)).reachable
+                if not plain.reachable:
+                    assert memo.explored.visited <= plain.explored.visited
+
+    @pytest.mark.parametrize("family", MEMO_CASES)
+    def test_agrees_with_naive(self, family):
+        for prog in MEMO_CASES[family]:
+            assert bounded_reach(prog, cfg(4, 4, 4, memo=True)).reachable == naive_reach(prog, 4).reachable
+
+    @pytest.mark.parametrize("part", corpus.MEMO_PARTS)
+    def test_every_part_needed(self, part):
+        text, contexts, rmws = corpus.MEMO_PARTS[part]
+        prog = parse_program(text)
+        assert bounded_reach(prog, cfg(contexts, rmws, cap=6)).reachable
+        assert bounded_reach(prog, cfg(contexts, rmws, cap=6, memo=True)).reachable
+
+    @pytest.mark.parametrize("text,cap", [(corpus.MP, 4), (MP_LOOP, 6)], ids=["mp", "mp-loop"])
+    def test_inert_without_pruning(self, text, cap):
+        # the key assumes every placed prefix is consistent
+        prog = parse_program(text)
+        plain = bounded_reach(prog, cfg(2, cap=cap), prune=False)
+        memo = bounded_reach(prog, cfg(2, cap=cap, memo=True), prune=False)
+        assert memo.explored == plain.explored
+        assert memo.status is plain.status
+        if plain.witness is not None:
+            assert memo.witness.runs == plain.witness.runs
+
+
+class TestPinnedMemoCounters:
+    """Memo counters depend on branch order, so only seed 0 pins them."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_mp_loop_cap_13(self, seed):
+        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        if seed == 0:
+            assert (v.explored.visited, v.explored.prunes) == (777, 938)
+
+    def test_gadget_cap_4(self):
+        # keys are built two or more events below the cap, where the gadget repeats no state
+        gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
+        v = bounded_reach(gadget.program, cfg(12, cap=4, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 
 
 #: program family -> [(program, max_events)]: random programs with and
