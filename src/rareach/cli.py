@@ -52,7 +52,7 @@ _REACH_EXIT = {
     ReachStatus.INCONCLUSIVE: 2,
 }
 
-_CONFIG_KEYS = ("contexts", "rmws", "event-cap", "seed")
+_CONFIG_KEYS = ("contexts", "rmws", "event-cap", "seed", "max-nodes")
 
 
 class _UsageError(Exception):
@@ -204,6 +204,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_reach(args) -> int:
     cfg, contexts, rmws = _budget(args)
     event_cap = _setting(args.event_cap, cfg, "event-cap")
+    max_nodes = _setting(args.max_nodes, cfg, "max-nodes", low=1)
     if args.naive:  # the enumeration knows no context budget, only the cap
         event_cap = _required("event-cap", event_cap)
     else:
@@ -214,7 +215,7 @@ def _cmd_reach(args) -> int:
     if args.naive:
         verdict = naive_reach(program, event_cap)
     else:
-        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed, memo=True))
+        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed, memo=True, max_nodes=max_nodes))
 
     witness = verdict.witness
     if args.emit_witness and witness is not None:
@@ -360,6 +361,7 @@ def build_parser() -> _Parser:
                    help="exhaustive graph enumeration up to --event-cap (ignores --contexts and --rmws)")
     p.add_argument("--emit-witness", metavar="FILE", help="write the witness trace JSON here")
     p.add_argument("--seed", type=int, help="branch-order shuffle seed (0 = canonical order)")
+    p.add_argument("--max-nodes", type=int, help="stop as inconclusive after expanding this many nodes")
     p.add_argument("--config", metavar="FILE", help="key=value presets for budget flags")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="FILE", help="render the witness graph to DOT")

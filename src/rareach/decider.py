@@ -49,6 +49,14 @@ least two events below the cap: a repeat one level above it saves only
 leaf checks.  The key assumes every placed prefix is consistent, so
 without pruning the memo stays off.
 
+The search is one loop over a stack of per-node branch iterators, so its
+depth is not bounded by Python's recursion limit.  Once some leaf has cut
+a branch off at the cap, a child on the cap that leaves a thread outside
+its final state can neither hit nor truncate: its parent runs the pruning
+check and counts it in ``visited`` without placing it.  ``max_nodes``
+bounds ``visited`` (and so the memo): the node past it ends the search as
+``INCONCLUSIVE``, even at the small-model bound.
+
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
 reproducible shuffle (0 keeps the canonical order).
@@ -57,6 +65,7 @@ reproducible shuffle (0 keeps the canonical order).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
@@ -114,12 +123,14 @@ class SearchConfig:
 
     ``memo`` skips repeated search states (see :func:`bounded_reach`); off,
     the search walks the full tree of traces, the reference for tests.
+    ``max_nodes`` caps the nodes expanded; ``None`` leaves them unbounded.
     """
 
     budget: ContextBudget
     event_cap: int | None = None
     explore_order: int = 0
     memo: bool = False
+    max_nodes: int | None = None
 
 
 # --- exhaustive enumeration ----------------------------------------------------
@@ -243,10 +254,9 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     rf: dict[int, int] = {}
     runs: list[tuple[str, list[int]]] = []
     stats = SearchStats()
-    flags = {"rmws": 0, "truncated": False}
-
-    def at_target() -> bool:
-        return all(program.threads[t].final in subsets[t] for t in tids)
+    finals = {t: program.threads[t].final for t in tids}
+    # updates placed, and threads whose subset lacks their final state (0 at the target)
+    flags = {"rmws": 0, "unfinished": sum(finals[t] not in subsets[t] for t in tids)}
 
     def hit_trace() -> Trace | None:
         graph = build_graph(
@@ -283,7 +293,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                     for pos in range(1, len(row) + 1) if lab.op.writes else (None,):
                         yield _Branch(t, lab, w, pos)
 
-    def violates(br: _Branch, eid: int, p: int) -> bool:
+    def violates(br: _Branch, p: int) -> bool:
         lab = br.label
         row = mo_rows[lab.loc]
         if lab.op.reads:
@@ -309,21 +319,25 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 return True  # our own source must be our immediate mo-predecessor
         return False
 
-    def apply(br: _Branch) -> tuple | None:
-        t, lab = br.tid, br.label
-        eid = len(events)
+    def seen(br: _Branch) -> int:
+        """The hb-predecessor mask of ``br``'s event: init, its po-predecessor and its source."""
         p = init_mask
-        if po_rows[t]:
-            last = po_rows[t][-1]
+        if po_rows[br.tid]:
+            last = po_rows[br.tid][-1]
             p |= preds[last] | (1 << last)
         if br.rf_src is not None:
             p |= preds[br.rf_src] | (1 << br.rf_src)
-        if prune and violates(br, eid, p):
-            return None
+        return p
+
+    def apply(br: _Branch, p: int) -> tuple:
+        t, lab = br.tid, br.label
+        eid = len(events)
         events.append(lab)
         preds.append(p)
         old_subset = subsets[t]
         subsets[t] = program.threads[t].step(old_subset, lab)
+        moved = (finals[t] not in subsets[t]) - (finals[t] not in old_subset)
+        flags["unfinished"] += moved
         po_rows[t].append(eid)
         if lab.op.reads:
             assert br.rf_src is not None
@@ -337,14 +351,15 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             runs[-1][1].append(eid)
         else:
             runs.append((t, [eid]))
-        return (t, lab, old_subset)
+        return (t, lab, old_subset, moved)
 
     def unapply(rec: tuple) -> None:
-        t, lab, old_subset = rec
+        t, lab, old_subset, moved = rec
         eid = len(events) - 1
         events.pop()
         preds.pop()
         subsets[t] = old_subset
+        flags["unfinished"] -= moved
         po_rows[t].pop()
         if lab.op.reads:
             del rf[eid]
@@ -357,7 +372,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             runs.pop()
 
     # the key assumes every placed prefix is consistent, which only pruning keeps
-    memo: dict[tuple, int] | None = {} if config.memo and prune else None
+    keyed = config.memo and prune
+    memo: dict[tuple, int] = {}  # state key -> least depth it was entered at
 
     def state_key() -> tuple:
         # locations without a non-init write sit at position 0 in every view
@@ -385,41 +401,59 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         views = tuple(view(m, cut) for m in heads)
         return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), views, rows
 
-    def dfs() -> Trace | None:
-        n = len(events) - n_init
-        if memo is not None and n <= cap - 2:  # one level above the cap a repeat saves only leaf checks
-            key = state_key()
-            if memo.get(key, n + 1) <= n:
-                return None
-            memo[key] = n
-        stats.visited += 1
-        stats.max_events = max(stats.max_events, n)
-        if at_target():
-            found = hit_trace()
-            if found is not None:
-                return found
-        if n >= cap:
-            # a leaf only needs to know whether it cut anything off
-            if next(branches(), None) is not None:
-                flags["truncated"] = True
-            return None
-        out = list(branches())
-        if rng is not None:
-            rng.shuffle(out)
-        for br in out:
-            rec = apply(br)
-            if rec is None:
-                stats.prunes += 1
-                continue
-            found = dfs()
-            unapply(rec)
-            if found is not None:
-                return found
-        return None
+    def misses(br: _Branch) -> bool:
+        """Whether placing ``br`` leaves some thread outside its final state."""
+        t, old = br.tid, subsets[br.tid]
+        return flags["unfinished"] > (finals[t] not in old) or finals[t] not in program.threads[t].step(old, br.label)
 
-    witness = dfs()
-    if witness is not None:
-        return ReachVerdict(ReachStatus.REACHABLE, witness, stats)
-    if not flags["truncated"] or cap >= small_model_bound(program, budget.contexts, budget.rmws):
-        return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)
-    return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)
+    limit = math.inf if config.max_nodes is None else config.max_nodes
+    truncated = tripped = False
+    # frames: (the node's unexplored branches, the record that undoes it, whether its children sit at the cap)
+    stack: list[tuple[Iterator[_Branch], tuple | None, bool]] = []
+    rec: tuple | None = None  # undoes the node just placed; None at the root
+    while True:
+        n = len(events) - n_init
+        # keys only two or more events below the cap: one level above it a repeat saves only leaf checks
+        key = state_key() if keyed and n <= cap - 2 else None
+        children: Iterator[_Branch] = iter(())
+        if key is None or memo.get(key, n + 1) > n:
+            if stats.visited >= limit:
+                tripped = True
+                break
+            if key is not None:
+                memo[key] = n
+            stats.visited += 1
+            stats.max_events = max(stats.max_events, n)
+            if not flags["unfinished"] and (found := hit_trace()) is not None:
+                return ReachVerdict(ReachStatus.REACHABLE, found, stats)
+            if n < cap:
+                out = list(branches())
+                if rng is not None:
+                    rng.shuffle(out)
+                children = iter(out)
+            elif not truncated and next(branches(), None) is not None:
+                truncated = True  # a leaf only needs to know whether it cuts anything off
+        stack.append((children, rec, n + 1 == cap))
+        rec = None
+        while rec is None and stack:
+            children, up, leaves = stack[-1]
+            br = next(children, None)
+            if br is None:
+                stack.pop()
+                if up is not None:
+                    unapply(up)
+                continue
+            p = seen(br)
+            if prune and violates(br, p):
+                stats.prunes += 1
+            elif leaves and truncated and stats.visited < limit and misses(br):
+                # a capped leaf that can neither hit nor truncate: counted, never placed
+                stats.visited += 1
+                stats.max_events = max(stats.max_events, cap)
+            else:
+                rec = apply(br, p)
+        if rec is None:
+            break
+    if tripped or (truncated and cap < small_model_bound(program, budget.contexts, budget.rmws)):
+        return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)
+    return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)

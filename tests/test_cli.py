@@ -491,6 +491,35 @@ class TestHitChecks:
         assert proc.stderr.startswith("ra-reach: internal error:") and proc.stderr.count("\n") == 1
 
 
+class TestNodeBudget:
+    @pytest.fixture()
+    def loop_file(self, tmp_path):
+        p = tmp_path / "mp_loop.txt"
+        p.write_text(MP_LOOP)
+        return str(p)
+
+    def test_uncapped_loop_stops_inconclusive(self, capsys, loop_file):
+        code, out, err = run(capsys, "reach", loop_file, "--contexts", "2", "--max-nodes", "200", "--json")
+        assert (code, err) == (2, "")
+        blob = json.loads(out)
+        assert (blob["status"], blob["stats"]["visited"], blob["witness"]) == ("inconclusive", 200, None)
+
+    def test_config_key_and_human_output(self, capsys, tmp_path, mp_file):
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text("contexts=2\nmax-nodes=3\n")
+        code, out, _ = run(capsys, "reach", mp_file, "--config", str(cfgf))
+        assert (code, out) == (2, "inconclusive (visited 3, pruned 0, max events 2)\n")
+        code, out, _ = run(capsys, "reach", mp_file, "--config", str(cfgf), "--max-nodes", "5")
+        assert (code, out) == (0, "reachable (visited 5, pruned 0, max events 4)\n")
+
+    def test_below_one_exits_64(self, capsys, tmp_path, mp_file):
+        code, out, err = run(capsys, "reach", mp_file, "--contexts", "2", "--max-nodes", "0")
+        assert (code, out, err) == (64, "", "ra-reach: error: --max-nodes must be at least 1, got 0\n")
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text("contexts=2\nmax-nodes=-4\n")
+        assert run(capsys, "reach", mp_file, "--config", str(cfgf))[0] == 64
+
+
 class TestEnumerate:
     def test_human(self, capsys, mp_file):
         code, out, _ = run(capsys, "enumerate", mp_file, "--max-events", "4")

@@ -1,5 +1,7 @@
 """Reachability: exhaustive enumeration vs the budgeted incremental search."""
 
+import sys
+
 import pytest
 
 from rareach import decider
@@ -24,8 +26,8 @@ from tests.oracle import consistent_oracle, hb_pairs_oracle
 from tests.test_acceptance import rmw_corpus
 
 
-def cfg(contexts, rmws=0, cap=None, seed=0, memo=False):
-    return SearchConfig(ContextBudget(contexts, rmws), event_cap=cap, explore_order=seed, memo=memo)
+def cfg(contexts, rmws=0, cap=None, seed=0, memo=False, max_nodes=None):
+    return SearchConfig(ContextBudget(contexts, rmws), cap, seed, memo, max_nodes)
 
 
 class TestEnumerate:
@@ -333,6 +335,106 @@ class TestPinnedMemoCounters:
         v = bounded_reach(gadget.program, cfg(12, cap=4, memo=True))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
+
+
+def _runs(v):
+    return [(r.tid, r.events) for r in v.witness.runs]
+
+
+class TestPinnedSeededMemo:
+    """Seeded memo searches: counters and witnesses follow the shuffle order and the memo's records."""
+
+    @pytest.mark.parametrize(
+        "seed,counters,runs",
+        [
+            (3, (5, 0), [("writer", (2, 3)), ("reader", (4, 5))]),
+            (7, (5, 0), [("writer", (2, 3)), ("reader", (4, 5))]),
+        ],
+    )
+    def test_mp(self, seed, counters, runs):
+        v = bounded_reach(parse_program(corpus.MP), cfg(2, seed=seed, memo=True))
+        assert v.status is ReachStatus.REACHABLE
+        assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
+
+    @pytest.mark.parametrize(
+        "seed,counters,runs",
+        [
+            (3, (5, 0), [("right", (2, 3)), ("left", (4, 5))]),
+            (7, (6, 0), [("left", (2,)), ("right", (3, 4)), ("left", (5,))]),
+        ],
+    )
+    def test_sb(self, seed, counters, runs):
+        v = bounded_reach(corpus.sb(), cfg(3, seed=seed, memo=True))
+        assert v.status is ReachStatus.REACHABLE
+        assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
+
+    @pytest.mark.parametrize(
+        "seed,counters,runs",
+        [
+            (3, (63, 18), [("t1", (1,)), ("t2", (2, 3))]),
+            (7, (11, 2), [("t2", (1,)), ("t1", (2,)), ("t2", (3, 4))]),
+        ],
+    )
+    def test_random_19(self, seed, counters, runs):
+        v = bounded_reach(corpus.random_program(19), cfg(3, 1, 6, seed=seed, memo=True))
+        assert v.status is ReachStatus.REACHABLE
+        assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
+
+    @pytest.mark.parametrize("seed,counters", [(3, (695, 721)), (7, (842, 900))])
+    def test_mp_loop_cap_13(self, seed, counters):
+        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert (v.explored.visited, v.explored.prunes) == counters
+
+    def test_gadget_cap_4(self):
+        gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
+        v = bounded_reach(gadget.program, cfg(12, cap=4, seed=7, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
+
+
+class TestNodeBudget:
+    """``max_nodes`` stops the search as inconclusive once that many nodes were expanded."""
+
+    def test_trips_a_closing_search(self):
+        assert bounded_reach(corpus.corr(), cfg(3, cap=6, memo=True)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
+        v = bounded_reach(corpus.corr(), cfg(3, cap=6, memo=True, max_nodes=1))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.visited == 1
+
+    def test_trips_at_the_small_model_bound(self):
+        v = bounded_reach(corpus.mp_forbidden(), cfg(1, cap=10**9, max_nodes=2))
+        assert (v.status, v.explored.visited) == (ReachStatus.INCONCLUSIVE, 2)
+
+    @pytest.mark.parametrize(
+        "prog,budget",
+        [
+            (corpus.corr(), (3, 0, 6)),
+            (corpus.sb(), (3, 0, None)),
+            (parse_program(MP_LOOP), (2, 0, 13)),
+            (corpus.random_program(19), (3, 1, 6)),
+        ],
+        ids=["corr", "sb", "mp-loop", "random-19"],
+    )
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_budget_at_or_above_visited_changes_nothing(self, prog, budget, memo):
+        free = bounded_reach(prog, cfg(*budget, memo=memo))
+        for extra in (0, 1):
+            v = bounded_reach(prog, cfg(*budget, memo=memo, max_nodes=free.explored.visited + extra))
+            assert (v.status, v.explored) == (free.status, free.explored)
+            if free.witness is not None:
+                assert v.witness.runs == free.witness.runs
+
+    def test_depth_not_limited_by_recursion(self):
+        # an uncapped dive into the writer's loop, far below the recursion limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=None, max_nodes=2000))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.visited == 2000 and v.explored.max_events > 300
 
 
 #: program family -> [(program, max_events)]: random programs with and
