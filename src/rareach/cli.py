@@ -205,8 +205,11 @@ def _cmd_reach(args) -> int:
     cfg, contexts, rmws = _budget(args)
     event_cap = _setting(args.event_cap, cfg, "event-cap")
     max_nodes = _setting(args.max_nodes, cfg, "max-nodes", low=1)
-    if args.naive:  # the enumeration knows no context budget, only the cap
+    if args.naive:  # the enumeration knows no context budget, branch order or node budget, only the cap
         event_cap = _required("event-cap", event_cap)
+        for flag, value in (("seed", args.seed), ("max-nodes", args.max_nodes)):
+            if value is not None:
+                raise _UsageError(f"--{flag} does not apply to --naive")
     else:
         budget = ContextBudget(contexts=_required("contexts", contexts), rmws=rmws)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)

@@ -8,11 +8,16 @@ Two engines answer "can this program reach its final state vector":
 * :func:`bounded_reach` searches over traces directly: events are placed one
   at a time at the end of the active run (or of a freshly opened run while
   the context budget allows), reads branch over already-placed writers,
-  writes over modification-order insertion points.  Placements that already
-  violate an axiom are pruned; since the axioms only ever forbid patterns
-  that persist in extensions, pruning loses no witnesses.  Leaving the event
-  cap at ``None`` uses the small-model bound, making exhaustion a proof of
-  unreachability within the budget.
+  writes over modification-order insertion points.  Each placed event stores
+  its *view*: per location, the mo-latest write it sees, i.e. the join (by
+  mo position) of its po-predecessor's view and its source's view, plus its
+  own write; a thread without events sees the init writes.  Placements that
+  already violate an axiom are pruned: a read whose source lies mo-below its
+  thread's view, a write whose insertion point lies at or below it, and the
+  update checks.  Since the axioms only ever forbid patterns that persist in
+  extensions, pruning loses no witnesses.  Leaving the event cap at ``None``
+  uses the small-model bound, making exhaustion a proof of unreachability
+  within the budget.
 
 With ``SearchConfig.memo`` (and pruning on) the search skips repeated
 states.  A node's future depends only on an abstract state, the key, which
@@ -20,10 +25,8 @@ is exact for everything ``branches`` / ``violates`` / ``apply`` /
 ``at_target`` read:
 
 * the active thread, the number of runs and the number of updates used;
-* per thread, its control subset and its *view*: per location, the highest
-  mo position among the writes in ``preds[last] | bit(last)`` of its last
-  event (``violates`` only asks whether an hb-predecessor sits at or past a
-  row index, and a union of masks answers that by the maximum);
+* per thread, the control subset and the view of its last event, as mo
+  positions (``violates`` compares only those);
 * per location, its mo row as ``(value written, is an update, writer's
   view)`` entries.
 
@@ -45,9 +48,10 @@ full.  By induction from s_k back to s_0, searching a node of s_i at depth
 i finds the hit, or sets the truncation flag if the hit lies past the cap.
 So a search that closes without truncation proves
 ``unreachable-within-bound`` at any cap.  Keys are built only at nodes at
-least two events below the cap: a repeat one level above it saves only
-leaf checks.  The key assumes every placed prefix is consistent, so
-without pruning the memo stays off.
+least two events below the cap.  Keys one level higher would skip more
+(the PCP gadget at cap 4 expands 28,107 nodes instead of 46,503) but change
+pinned counters; that move is left open in ROADMAP.md.  The key assumes
+every placed prefix is consistent, so without pruning the memo stays off.
 
 The search is one loop over a stack of per-node branch iterators, so its
 depth is not bounded by Python's recursion limit.  Once some leaf has cut
@@ -245,9 +249,11 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     events: list[Label] = [write(INIT_TID, x, program.init_vals[x]) for x in locs]
     n_init = len(events)
-    init_mask = (1 << n_init) - 1
-
-    preds: list[int] = [0] * n_init
+    # per event its view: per location (init write i is on locs[i]) the mo-latest write it sees
+    init_view = tuple(range(n_init))
+    views: list[tuple[int, ...]] = [init_view] * n_init
+    at = [0] * n_init  # per write its index in its mo row (0 for reads)
+    ix = {x: i for i, x in enumerate(locs)}
     subsets = {t: frozenset({program.threads[t].init}) for t in tids}
     po_rows: dict[str, list[int]] = {t: [] for t in tids}
     mo_rows: dict[str, list[int]] = {x: [i] for i, x in enumerate(locs)}
@@ -293,47 +299,36 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                     for pos in range(1, len(row) + 1) if lab.op.writes else (None,):
                         yield _Branch(t, lab, w, pos)
 
-    def violates(br: _Branch, p: int) -> bool:
-        lab = br.label
+    def head(t: str) -> tuple[int, ...]:
+        """The view of ``t``'s last event; a thread without events sees the init writes."""
+        return views[po_rows[t][-1]] if po_rows[t] else init_view
+
+    def violates(br: _Branch) -> bool:
+        # a source's own view holds the source on this row, and an update's source sits at pos - 1,
+        # so the thread's view alone decides both coherence checks
+        lab, pos = br.label, br.mo_pos
         row = mo_rows[lab.loc]
-        if lab.op.reads:
-            src = br.rf_src
-            assert src is not None
-            for w2 in row[row.index(src) + 1 :]:
-                if p & (1 << w2):
-                    return True  # read coherence: mo-later write happens before us
+        po = po_rows[br.tid]  # head(br.tid), inlined: this runs once per branch
+        top = at[(views[po[-1]] if po else init_view)[ix[lab.loc]]]
+        if lab.op.reads and top > at[br.rf_src]:
+            return True  # read coherence: an mo-later write happens before us
         if lab.op.writes:
-            pos = br.mo_pos
             assert pos is not None
-            for w2 in row[pos:]:
-                if p & (1 << w2):
-                    return True  # write coherence: we would be mo-before w2
+            if top >= pos:
+                return True  # write coherence: we would be mo-before a write that happens before us
             # pruning keeps every placed update right after its source in mo,
             # so an insertion wedges one exactly when it lands on an update
             if pos < len(row) and events[row[pos]].op is Op.RMW:
                 return True  # would wedge between an update and its source
-        if lab.op is Op.RMW:
-            pos = br.mo_pos
-            assert pos is not None
-            if row[pos - 1] != br.rf_src:
-                return True  # our own source must be our immediate mo-predecessor
-        return False
+        # an update's own source must be its immediate mo-predecessor
+        return lab.op is Op.RMW and row[pos - 1] != br.rf_src
 
-    def seen(br: _Branch) -> int:
-        """The hb-predecessor mask of ``br``'s event: init, its po-predecessor and its source."""
-        p = init_mask
-        if po_rows[br.tid]:
-            last = po_rows[br.tid][-1]
-            p |= preds[last] | (1 << last)
-        if br.rf_src is not None:
-            p |= preds[br.rf_src] | (1 << br.rf_src)
-        return p
-
-    def apply(br: _Branch, p: int) -> tuple:
+    def apply(br: _Branch) -> tuple:
         t, lab = br.tid, br.label
+        view = head(t)
         eid = len(events)
         events.append(lab)
-        preds.append(p)
+        at.append(0)
         old_subset = subsets[t]
         subsets[t] = program.threads[t].step(old_subset, lab)
         moved = (finals[t] not in subsets[t]) - (finals[t] not in old_subset)
@@ -342,9 +337,17 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         if lab.op.reads:
             assert br.rf_src is not None
             rf[eid] = br.rf_src
+            # join with the source's view: per location the write at the higher mo position
+            view = tuple(a if at[a] >= at[b] else b for a, b in zip(view, views[br.rf_src]))
         if lab.op.writes:
             assert br.mo_pos is not None
-            mo_rows[lab.loc].insert(br.mo_pos, eid)
+            row = mo_rows[lab.loc]
+            row.insert(br.mo_pos, eid)
+            for j in range(br.mo_pos, len(row)):
+                at[row[j]] = j
+            i = ix[lab.loc]
+            view = view[:i] + (eid,) + view[i + 1 :]
+        views.append(view)
         if lab.op is Op.RMW:
             flags["rmws"] += 1
         if runs and runs[-1][0] == t:
@@ -357,14 +360,18 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         t, lab, old_subset, moved = rec
         eid = len(events) - 1
         events.pop()
-        preds.pop()
+        views.pop()
         subsets[t] = old_subset
         flags["unfinished"] -= moved
         po_rows[t].pop()
         if lab.op.reads:
             del rf[eid]
         if lab.op.writes:
-            mo_rows[lab.loc].remove(eid)
+            row, pos = mo_rows[lab.loc], at[eid]
+            del row[pos]
+            for j in range(pos, len(row)):
+                at[row[j]] = j
+        at.pop()
         if lab.op is Op.RMW:
             flags["rmws"] -= 1
         runs[-1][1].pop()
@@ -377,29 +384,20 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     def state_key() -> tuple:
         # locations without a non-init write sit at position 0 in every view
-        live = [(x, row) for x, row in mo_rows.items() if len(row) > 1]
+        live = [(ix[x], row) for x, row in mo_rows.items() if len(row) > 1]
+        heads = [head(t) for t in tids]
+        cut = [min(at[v[i]] for v in heads) for i, _ in live]
 
-        def view(mask: int, cut: list[int]) -> tuple[int, ...]:
-            # per live row, the mask's highest write counted from the cut (writes below it read as 0)
-            out = []
-            for (_, row), c in zip(live, cut):
-                i = len(row) - 1
-                while i > c and not mask >> row[i] & 1:
-                    i -= 1
-                out.append(i - c)
-            return tuple(out)
+        def clamp(view: tuple[int, ...]) -> tuple[int, ...]:
+            # per live row, the view's position counted from the cut (writes below it read as 0)
+            return tuple(max(at[view[i]] - c, 0) for (i, _), c in zip(live, cut))
 
-        heads = [preds[po[-1]] | 1 << po[-1] if (po := po_rows[t]) else 0 for t in tids]
-        zero = [0] * len(live)
-        # a thread without events (mask 0) sees only the init writes
-        cut = [min(col) for col in zip(*(view(m, zero) for m in heads))] if all(heads) else zero
         rows = tuple(
-            (x, tuple((events[w].val_w, events[w].op is Op.RMW, view(preds[w] | 1 << w, cut)) for w in row[c:]))
-            for (x, row), c in zip(live, cut)
+            (i, tuple((events[w].val_w, events[w].op is Op.RMW, clamp(views[w])) for w in row[c:]))
+            for (i, row), c in zip(live, cut)
         )
         active = runs[-1][0] if runs else None
-        views = tuple(view(m, cut) for m in heads)
-        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), views, rows
+        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), tuple(map(clamp, heads)), rows
 
     def misses(br: _Branch) -> bool:
         """Whether placing ``br`` leaves some thread outside its final state."""
@@ -413,7 +411,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     rec: tuple | None = None  # undoes the node just placed; None at the root
     while True:
         n = len(events) - n_init
-        # keys only two or more events below the cap: one level above it a repeat saves only leaf checks
+        # keys only two or more events below the cap (see the module docstring)
         key = state_key() if keyed and n <= cap - 2 else None
         children: Iterator[_Branch] = iter(())
         if key is None or memo.get(key, n + 1) > n:
@@ -443,15 +441,14 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 if up is not None:
                     unapply(up)
                 continue
-            p = seen(br)
-            if prune and violates(br, p):
+            if prune and violates(br):
                 stats.prunes += 1
             elif leaves and truncated and stats.visited < limit and misses(br):
                 # a capped leaf that can neither hit nor truncate: counted, never placed
                 stats.visited += 1
                 stats.max_events = max(stats.max_events, cap)
             else:
-                rec = apply(br, p)
+                rec = apply(br)
         if rec is None:
             break
     if tripped or (truncated and cap < small_model_bound(program, budget.contexts, budget.rmws)):

@@ -249,6 +249,16 @@ thread t init a0 final a1
 thread u init b0 final b1
   b0 b1 r x 2
 """, 2, 0),
+    # t's two choices differ only in the location written
+    "location": ("""
+locs x y
+vals 0 1
+thread t init a0 final a1
+  a0 a1 w x 1
+  a0 a1 w y 1
+thread u init b0 final b1
+  b0 b1 r y 1
+""", 2, 0),
     # t's two write orders differ only in the view of t's y write
     "writer view": ("""
 locs x y

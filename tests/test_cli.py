@@ -699,6 +699,18 @@ class TestBadSettings:
         code, _, err = run(capsys, "reach", mp_file, "--naive", "--config", str(cfgf))
         assert code == 64 and err == "ra-reach: error: --event-cap is required (flag or config)\n"
 
+    @pytest.mark.parametrize("flag,value", [("--seed", "3"), ("--max-nodes", "1")])
+    def test_naive_rejects_search_flags(self, capsys, tmp_path, mp_file, flag, value):
+        # the enumeration has no branch order and no node budget: a flag it would ignore is a usage error
+        code, out, err = run(capsys, "reach", mp_file, "--naive", "--event-cap", "4", flag, value)
+        assert (code, out) == (64, "")
+        assert err == f"ra-reach: error: {flag} does not apply to --naive\n"
+        # --contexts (which the enumeration also ignores) and config presets stay accepted
+        assert run(capsys, "reach", mp_file, "--naive", "--contexts", "2", "--event-cap", "4")[0] == 0
+        cfgf = tmp_path / "budget.cfg"
+        cfgf.write_text(f"event-cap=4\n{flag[2:]}={value}\n")
+        assert run(capsys, "reach", mp_file, "--naive", "--config", str(cfgf))[0] == 0
+
     def test_jobs_is_gone(self, capsys, tmp_path, mp_file):
         with pytest.raises(SystemExit) as ei:
             cli.main(["reach", mp_file, "--contexts", "2", "--jobs", "2"])

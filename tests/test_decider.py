@@ -226,6 +226,19 @@ class TestPinnedCounters:
         assert v.status is ReachStatus.INCONCLUSIVE
         assert (v.explored.visited, v.explored.prunes) == (22639, 48258)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_wrc_loop_cap_13(self, seed):
+        # t3's view of x comes through t2's read: the rf chain runs through a middle thread
+        v = bounded_reach(parse_program(WRC_LOOP), cfg(3, cap=13, seed=seed))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert (v.explored.visited, v.explored.prunes) == (2702, 11215)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_corr_loop_cap_14(self, seed):
+        v = bounded_reach(parse_program(CORR_LOOP), cfg(2, cap=14, seed=seed))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert (v.explored.visited, v.explored.prunes) == (2568, 4711)
+
 
 #: x=0 is written only by init, which is mo-first; reading x=2 and then x=0
 #: reads a write mo-before one that happens before the read
@@ -328,6 +341,20 @@ class TestPinnedMemoCounters:
         assert v.status is ReachStatus.INCONCLUSIVE
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == (777, 938)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_wrc_loop_cap_20(self, seed):
+        v = bounded_reach(parse_program(WRC_LOOP), cfg(3, cap=20, seed=seed, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        if seed == 0:
+            assert (v.explored.visited, v.explored.prunes) == (2090, 14639)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_corr_loop_cap_60(self, seed):
+        v = bounded_reach(parse_program(CORR_LOOP), cfg(2, cap=60, seed=seed, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        if seed == 0:
+            assert (v.explored.visited, v.explored.prunes) == (2114, 3562)
 
     def test_gadget_cap_4(self):
         # keys are built two or more events below the cap, where the gadget repeats no state
