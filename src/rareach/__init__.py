@@ -46,7 +46,6 @@ from .model import (
     write,
 )
 from .pcp import (
-    GadgetProgram,
     PcpInstance,
     check_monotonicity,
     check_no_skipping,

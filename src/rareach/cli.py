@@ -32,13 +32,7 @@ from .decider import ReachStatus, SearchConfig, bounded_reach, enumerate_graphs,
 from .errors import ParseError, RaReachError
 from .graph import graph_to_json, load_graph_json, to_dot
 from .model import parse_program, program_to_json, serialize_program
-from .pcp import (
-    check_monotonicity,
-    check_no_skipping,
-    compile_pcp,
-    parse_pcp,
-    pcp_witness,
-)
+from .pcp import BRIDGE_LOCS, LOC_ROLE, ROLE_MAP, check_monotonicity, check_no_skipping, compile_pcp, parse_pcp, pcp_witness
 from .reduction import reduction_steps, small_model_bound
 from .trace import ContextBudget, Trace, load_trace_json, trace_to_json
 
@@ -269,17 +263,17 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_pcp_compile(args) -> int:
-    gadget = compile_pcp(parse_pcp(_read(args.instance)))
+    program = compile_pcp(parse_pcp(_read(args.instance)))
     if args.json:
         out = {
-            "program": program_to_json(gadget.program),
-            "roles": gadget.role_map,
-            "locRoles": gadget.loc_map,
-            "bridgeLocs": sorted(gadget.bridge_locs),
+            "program": program_to_json(program),
+            "roles": ROLE_MAP,
+            "locRoles": LOC_ROLE,
+            "bridgeLocs": sorted(BRIDGE_LOCS),
         }
         _emit(_json_text(out), args.output)
     else:
-        _emit(serialize_program(gadget.program), args.output)
+        _emit(serialize_program(program), args.output)
     return 0
 
 

@@ -17,16 +17,19 @@ Two engines answer "can this program reach its final state vector":
   update checks.  Since the axioms only ever forbid patterns that persist in
   extensions, pruning loses no witnesses.  Leaving the event cap at ``None``
   uses the small-model bound, making exhaustion a proof of unreachability
-  within the budget.
+  within the budget.  The search state holds each fact once: per thread its
+  control subset and its head (the view of its last event), per location
+  its mo row of writes with their views, and the runs, whose per-thread
+  stretches give po.
 
 With ``SearchConfig.memo`` (and pruning on) the search skips repeated
 states.  A node's future depends only on an abstract state, the key, which
-is exact for everything ``branches`` / ``violates`` / ``apply`` /
-``at_target`` read:
+is exact for everything ``branches`` / ``violates`` / ``apply`` and the
+target check read:
 
 * the active thread, the number of runs and the number of updates used;
-* per thread, the control subset and the view of its last event, as mo
-  positions (``violates`` compares only those);
+* per thread, the control subset and the head, as mo positions
+  (``violates`` compares only those);
 * per location, its mo row as ``(value written, is an update, writer's
   view)`` entries.
 
@@ -244,7 +247,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     cap = small_model_bound(program, budget.contexts, budget.rmws) if config.event_cap is None else config.event_cap
     tids = sorted(program.threads)
     locs = sorted(program.locs)
-    target = final_vector(program)
+    finals = final_vector(program)
     rng = random.Random(config.explore_order) if config.explore_order else None
 
     events: list[Label] = [write(INIT_TID, x, program.init_vals[x]) for x in locs]
@@ -255,19 +258,21 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     at = [0] * n_init  # per write its index in its mo row (0 for reads)
     ix = {x: i for i, x in enumerate(locs)}
     subsets = {t: frozenset({program.threads[t].init}) for t in tids}
-    po_rows: dict[str, list[int]] = {t: [] for t in tids}
+    heads = {t: init_view for t in tids}  # per thread the view of its last event
     mo_rows: dict[str, list[int]] = {x: [i] for i, x in enumerate(locs)}
     rf: dict[int, int] = {}
     runs: list[tuple[str, list[int]]] = []
     stats = SearchStats()
-    finals = {t: program.threads[t].final for t in tids}
     # updates placed, and threads whose subset lacks their final state (0 at the target)
     flags = {"rmws": 0, "unfinished": sum(finals[t] not in subsets[t] for t in tids)}
 
     def hit_trace() -> Trace | None:
+        po: dict[str, list[int]] = {t: [] for t in tids}
+        for t, es in runs:  # each run is a stretch of its thread's po
+            po[t] += es
         graph = build_graph(
             list(enumerate(events)),
-            {t: list(r) for t, r in po_rows.items()},
+            po,
             dict(rf),
             {x: list(r) for x, r in mo_rows.items()},
         )
@@ -275,7 +280,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         if prune:  # explicit raises, not asserts, so that python -O keeps them
             if not check_ra(graph).consistent:
                 raise AssertionError("pruned search reached an inconsistent graph")
-            if not reaches(graph, program, target):
+            if not reaches(graph, program, finals):
                 raise AssertionError("hit does not replay to the target")
             if not budget.admits(trace):
                 raise AssertionError("hit exceeds its own budget")
@@ -299,17 +304,12 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                     for pos in range(1, len(row) + 1) if lab.op.writes else (None,):
                         yield _Branch(t, lab, w, pos)
 
-    def head(t: str) -> tuple[int, ...]:
-        """The view of ``t``'s last event; a thread without events sees the init writes."""
-        return views[po_rows[t][-1]] if po_rows[t] else init_view
-
     def violates(br: _Branch) -> bool:
         # a source's own view holds the source on this row, and an update's source sits at pos - 1,
         # so the thread's view alone decides both coherence checks
         lab, pos = br.label, br.mo_pos
         row = mo_rows[lab.loc]
-        po = po_rows[br.tid]  # head(br.tid), inlined: this runs once per branch
-        top = at[(views[po[-1]] if po else init_view)[ix[lab.loc]]]
+        top = at[heads[br.tid][ix[lab.loc]]]
         if lab.op.reads and top > at[br.rf_src]:
             return True  # read coherence: an mo-later write happens before us
         if lab.op.writes:
@@ -325,7 +325,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     def apply(br: _Branch) -> tuple:
         t, lab = br.tid, br.label
-        view = head(t)
+        view = old_head = heads[t]
         eid = len(events)
         events.append(lab)
         at.append(0)
@@ -333,7 +333,6 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         subsets[t] = program.threads[t].step(old_subset, lab)
         moved = (finals[t] not in subsets[t]) - (finals[t] not in old_subset)
         flags["unfinished"] += moved
-        po_rows[t].append(eid)
         if lab.op.reads:
             assert br.rf_src is not None
             rf[eid] = br.rf_src
@@ -348,22 +347,23 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             i = ix[lab.loc]
             view = view[:i] + (eid,) + view[i + 1 :]
         views.append(view)
+        heads[t] = view
         if lab.op is Op.RMW:
             flags["rmws"] += 1
         if runs and runs[-1][0] == t:
             runs[-1][1].append(eid)
         else:
             runs.append((t, [eid]))
-        return (t, lab, old_subset, moved)
+        return (t, lab, old_subset, moved, old_head)
 
     def unapply(rec: tuple) -> None:
-        t, lab, old_subset, moved = rec
+        t, lab, old_subset, moved, old_head = rec
+        heads[t] = old_head
         eid = len(events) - 1
         events.pop()
         views.pop()
         subsets[t] = old_subset
         flags["unfinished"] -= moved
-        po_rows[t].pop()
         if lab.op.reads:
             del rf[eid]
         if lab.op.writes:
@@ -385,8 +385,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     def state_key() -> tuple:
         # locations without a non-init write sit at position 0 in every view
         live = [(ix[x], row) for x, row in mo_rows.items() if len(row) > 1]
-        heads = [head(t) for t in tids]
-        cut = [min(at[v[i]] for v in heads) for i, _ in live]
+        cut = [min(at[v[i]] for v in heads.values()) for i, _ in live]
 
         def clamp(view: tuple[int, ...]) -> tuple[int, ...]:
             # per live row, the view's position counted from the cut (writes below it read as 0)
@@ -397,7 +396,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             for (i, row), c in zip(live, cut)
         )
         active = runs[-1][0] if runs else None
-        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), tuple(map(clamp, heads)), rows
+        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), tuple(map(clamp, heads.values())), rows
 
     def misses(br: _Branch) -> bool:
         """Whether placing ``br`` leaves some thread outside its final state."""
@@ -451,6 +450,9 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 rec = apply(br)
         if rec is None:
             break
-    if tripped or (truncated and cap < small_model_bound(program, budget.contexts, budget.rmws)):
+    # a truncated search decides only at the small-model bound; the bound stops counting past the cap
+    if tripped or (
+        truncated and config.event_cap is not None and cap < small_model_bound(program, budget.contexts, budget.rmws, cap)
+    ):
         return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)
     return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)

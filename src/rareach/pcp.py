@@ -31,7 +31,10 @@ graphs.
 
 Gadget names live only in ``_family`` / ``_SIDES`` / ``_VERIFIERS``: the
 machines, the witness walk and every wiring table derive from them, except
-``ROLE_MAP``, the literal role vocabulary that ``pcp compile --json`` emits.
+``ROLE_MAP``, the literal role vocabulary.  :func:`compile_pcp` returns a
+plain :class:`Program`; the role tables ``ROLE_MAP``, ``LOC_ROLE`` and
+``BRIDGE_LOCS`` are module constants, which ``pcp compile --json`` emits
+next to the program.
 """
 
 from __future__ import annotations
@@ -423,17 +426,6 @@ def _echo_check_machine(tid: str, chk: str, fa: _Family, fb: _Family) -> _Spec:
 # --- compilation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetProgram:
-    """The compiled program plus its role metadata."""
-
-    program: Program
-    role_map: dict[str, str]
-    loc_map: dict[str, str]
-    bridge_locs: frozenset[str]
-    instance: PcpInstance
-
-
 def _machines(inst: PcpInstance) -> list[_Spec]:
     """The specs of all 12 threads, side a, side b, then the verifier cluster."""
     specs: list[_Spec] = []
@@ -450,8 +442,8 @@ def _machines(inst: PcpInstance) -> list[_Spec]:
     return specs
 
 
-def compile_pcp(inst: PcpInstance) -> GadgetProgram:
-    """Build the 12-thread gadget for an instance."""
+def compile_pcp(inst: PcpInstance) -> Program:
+    """Build the 12-thread gadget program for an instance."""
     threads = {tid: _build_machine(tid, init, step) for tid, init, step in _machines(inst)}
     vals = {"0"}
     for lts in threads.values():
@@ -459,13 +451,12 @@ def compile_pcp(inst: PcpInstance) -> GadgetProgram:
             for v in (lab.val_r, lab.val_w):
                 if v is not None:
                     vals.add(v)
-    program = Program(
+    return Program(
         threads=threads,
         locs=frozenset(LOCS),
         vals=frozenset(vals),
         init_vals={x: "0" for x in LOCS},
     )
-    return GadgetProgram(program, dict(ROLE_MAP), dict(LOC_ROLE), BRIDGE_LOCS, inst)
 
 
 # --- the witness for a known solution --------------------------------------------

@@ -301,22 +301,26 @@ def summary_space(program: Program) -> int:
     return summary_space_formula(n_states, len(program.vals), len(program.locs))
 
 
-def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int) -> int:
+def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int, stop_above: int | None = None) -> int:
     """Per-run length bound summed over runs.
 
     The last run needs at most ``s`` events; each earlier run additionally
     pays for every later event that may observe it: ``g(c) = s + (s+1) ·
-    ((n_locs+1) · Σ_{j>c} g(j) + rmws)``.
+    ((n_locs+1) · Σ_{j>c} g(j) + rmws)``.  With ``stop_above`` the sum stops
+    at the first partial total above it; partial totals only grow, so the
+    result exceeds ``stop_above`` exactly when the bound does.
     """
     if contexts < 1:
         raise ValueError("need at least one context")
     g, tail = s, 0  # g(c) and the running Σ_{j>c} g(j), from c = contexts down
     for _ in range(contexts - 1):
+        if stop_above is not None and tail + g > stop_above:
+            break
         tail += g
         g = s + (s + 1) * ((n_locs + 1) * tail + rmws)
     return tail + g
 
 
-def small_model_bound(program: Program, contexts: int, rmws: int) -> int:
-    """Events any reaching trace ever needs within the budget."""
-    return small_model_bound_formula(summary_space(program), len(program.locs), contexts, rmws)
+def small_model_bound(program: Program, contexts: int, rmws: int, stop_above: int | None = None) -> int:
+    """Events any reaching trace ever needs within the budget (see the formula for ``stop_above``)."""
+    return small_model_bound_formula(summary_space(program), len(program.locs), contexts, rmws, stop_above)

@@ -1,8 +1,32 @@
+import signal
+
 import pytest
 
 from rareach.pcp import PcpInstance, compile_pcp, pcp_witness
 
 from tests import corpus
+
+
+#: seconds any one test may run; the slowest takes a few seconds
+TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an ``Exception``, so neither ``cli.main``'s handler nor Hypothesis catches it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past ``TIME_LIMIT_S``, say a search that stopped pruning."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran longer than {TIME_LIMIT_S} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, saved)
 
 
 @pytest.fixture(scope="session")

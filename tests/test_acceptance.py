@@ -178,13 +178,13 @@ def test_criterion_6_gadget_pipeline(pcp_inst):
     with criterion(6, "gadget compiles, witness consistent, audits clean"):
         start = time.perf_counter()
         gadget = compile_pcp(pcp_inst)
-        assert len(gadget.program.threads) == 12
-        assert len(gadget.program.locs) == 20
+        assert len(gadget.threads) == 12
+        assert len(gadget.locs) == 20
         trace = pcp_witness(pcp_inst, (1, 2))
         graph = trace.graph
         assert check_ra(graph).consistent
-        words = {t: thread_word(graph, t) for t in gadget.program.threads}
-        assert word_reaches(gadget.program, words, final_vector(gadget.program))
+        words = {t: thread_word(graph, t) for t in gadget.threads}
+        assert word_reaches(gadget, words, final_vector(gadget))
         assert check_no_skipping(graph).ok
         assert check_monotonicity(graph).ok
         assert time.perf_counter() - start < 10.0

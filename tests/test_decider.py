@@ -106,6 +106,17 @@ class TestBounded:
         assert bounded_reach(mp_program, cfg(2, cap=1)).status is ReachStatus.INCONCLUSIVE
         assert len(calls) == 1
 
+    def test_bound_once_without_a_cap(self, monkeypatch):
+        # the cap is the bound, so a truncated search never asks for it again
+        calls = []
+        monkeypatch.setattr(decider, "small_model_bound", lambda *a: calls.append(a) or 3)
+        v = bounded_reach(corpus.mp_forbidden(), cfg(2))
+        assert (v.status, len(calls)) == (ReachStatus.UNREACHABLE_WITHIN_BOUND, 1)
+
+    def test_small_cap_under_a_huge_budget(self, mp_program):
+        # the bound stops counting past the cap instead of summing a million contexts
+        assert bounded_reach(mp_program, cfg(10**6, cap=3)).status is ReachStatus.INCONCLUSIVE
+
     def test_cap_at_bound_is_conclusive(self):
         # a tight cap that still covers the small-model bound must not
         # downgrade the verdict
@@ -216,7 +227,7 @@ class TestPinnedCounters:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_gadget_cap_4(self, seed):
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget.program, cfg(12, cap=4, seed=seed))
+        v = bounded_reach(gadget, cfg(12, cap=4, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 
@@ -359,7 +370,7 @@ class TestPinnedMemoCounters:
     def test_gadget_cap_4(self):
         # keys are built two or more events below the cap, where the gadget repeats no state
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget.program, cfg(12, cap=4, memo=True))
+        v = bounded_reach(gadget, cfg(12, cap=4, memo=True))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 
@@ -415,7 +426,7 @@ class TestPinnedSeededMemo:
 
     def test_gadget_cap_4(self):
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget.program, cfg(12, cap=4, seed=7, memo=True))
+        v = bounded_reach(gadget, cfg(12, cap=4, seed=7, memo=True))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 

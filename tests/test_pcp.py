@@ -119,20 +119,18 @@ class TestVerify:
 
 class TestCompile:
     def test_shape(self, gadget):
-        prog = gadget.program
-        assert set(prog.threads) == set(ROLE_MAP)
-        assert len(prog.threads) == 12
-        assert prog.locs == frozenset(LOCS)
-        assert len(prog.locs) == 20
-        assert gadget.bridge_locs == BRIDGE_LOCS
-        assert gadget.bridge_locs == {"cross_a", "ell_a", "cross_b", "ell_b"}
-        assert prog.init_vals == {x: "0" for x in LOCS}
-        assert "0" in prog.vals
+        assert set(gadget.threads) == set(ROLE_MAP)
+        assert len(gadget.threads) == 12
+        assert gadget.locs == frozenset(LOCS)
+        assert len(gadget.locs) == 20
+        assert BRIDGE_LOCS == {"cross_a", "ell_a", "cross_b", "ell_b"}
+        assert gadget.init_vals == {x: "0" for x in LOCS}
+        assert "0" in gadget.vals
 
     def test_machine_sizes_frozen(self, gadget):
         sizes = {
             t: (len(l.states), len(l.transitions))
-            for t, l in gadget.program.threads.items()
+            for t, l in gadget.threads.items()
         }
         assert sizes["guess_aw"] == (250, 282)
         assert sizes["guess_bw"] == (250, 282)
@@ -145,7 +143,7 @@ class TestCompile:
 
     def test_at_most_two_writers_per_location(self, gadget):
         writers = {x: set() for x in LOCS}
-        for tid, lts in gadget.program.threads.items():
+        for tid, lts in gadget.threads.items():
             for _, lab, _ in lts.transitions:
                 if lab.op.writes:
                     writers[lab.loc].add(tid)
@@ -153,21 +151,20 @@ class TestCompile:
 
     def test_reads_stay_inside_the_family_table(self, gadget):
         assert len(RF_WRITER) == 28
-        for tid, lts in gadget.program.threads.items():
+        for tid, lts in gadget.threads.items():
             for _, lab, _ in lts.transitions:
                 if lab.op.reads:
                     assert (tid, lab.loc) in RF_WRITER
 
     def test_metadata_and_determinism(self, gadget, pcp_inst):
-        assert gadget.role_map == ROLE_MAP
-        assert set(gadget.loc_map) == set(LOCS)
-        assert gadget.instance == pcp_inst
-        assert compile_pcp(pcp_inst).program == gadget.program
+        assert set(ROLE_MAP) == set(gadget.threads)
+        assert set(LOC_ROLE) == gadget.locs
+        assert compile_pcp(pcp_inst) == gadget
 
     def test_three_pair_instance(self):
         gp = compile_pcp(PcpInstance((("a", "ab"), ("b", "ca"), ("ca", "a"))))
-        assert len(gp.program.threads) == 12
-        assert len(gp.program.locs) == 20
+        assert len(gp.threads) == 12
+        assert len(gp.locs) == 20
 
     @pytest.mark.parametrize(
         "pairs,text_digest,json_digest",
@@ -184,7 +181,7 @@ class TestCompile:
         ],
     )
     def test_pinned_bytes(self, capsys, tmp_path, pairs, text_digest, json_digest):
-        assert sha256(serialize_program(compile_pcp(PcpInstance(pairs)).program)) == text_digest
+        assert sha256(serialize_program(compile_pcp(PcpInstance(pairs)))) == text_digest
         inst = tmp_path / "inst.txt"
         inst.write_text("".join(f"pair {a} : {b}\n" for a, b in pairs))
         assert cli.main(["pcp", "compile", str(inst), "--json"]) == 0
@@ -215,9 +212,8 @@ class TestWitness:
         assert check_monotonicity(witness.graph).ok
 
     def test_replays_every_machine_to_final(self, gadget, witness):
-        prog = gadget.program
-        words = {t: thread_word(witness.graph, t) for t in prog.threads}
-        assert word_reaches(prog, words, final_vector(prog))
+        words = {t: thread_word(witness.graph, t) for t in gadget.threads}
+        assert word_reaches(gadget, words, final_vector(gadget))
 
     def test_budget(self, witness):
         assert ContextBudget(30, 0).admits(witness)
@@ -259,7 +255,7 @@ class TestWitnessWalk:
     @given(solved_instances())
     def test_random_solutions_replay_and_audit(self, case):
         inst, js = case
-        prog = compile_pcp(inst).program
+        prog = compile_pcp(inst)
         g = pcp_witness(inst, js).graph
         words = {t: thread_word(g, t) for t in prog.threads}
         assert word_reaches(prog, words, final_vector(prog))

@@ -510,6 +510,23 @@ class TestBounds:
             s, n_locs, contexts, rmws
         )
 
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 3),
+        st.integers(1, 6),
+        st.integers(0, 3),
+        st.integers(0, 10**6),
+    )
+    def test_stop_above_keeps_the_comparison(self, s, n_locs, contexts, rmws, cap):
+        exact = bound_oracle(s, n_locs, contexts, rmws)
+        stopped = small_model_bound_formula(s, n_locs, contexts, rmws, cap)
+        assert (cap < stopped) == (cap < exact)
+        assert stopped == exact or cap < stopped <= exact
+
+    def test_stop_above_ends_early(self):
+        # the exact bound at a million contexts has millions of digits
+        assert small_model_bound_formula(288, 2, 10**6, 0, 3) == 288
+
     def test_whole_program_bound(self, mp_program):
         assert small_model_bound(mp_program, 2, 0) == 250272
 
