@@ -17,7 +17,8 @@ Two engines answer "can this program reach its final state vector":
   update checks.  Since the axioms only ever forbid patterns that persist in
   extensions, pruning loses no witnesses.  Leaving the event cap at ``None``
   uses the small-model bound, making exhaustion a proof of unreachability
-  within the budget.  The search state holds each fact once: per thread its
+  within the budget; the bound is summed only until it passes a ceiling no
+  search reaches.  The search state holds each fact once: per thread its
   control subset and its head (the view of its last event), per location
   its mo row of writes with their views, and the runs, whose per-thread
   stretches give po.
@@ -74,6 +75,7 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
@@ -91,6 +93,10 @@ from .model import (
 )
 from .reduction import small_model_bound
 from .trace import ContextBudget, Run, Trace, canonical_trace, make_trace
+
+
+#: Where an uncapped search stops summing the small-model bound: no search places this many events.
+_BOUND_CEILING = sys.maxsize
 
 
 class ReachStatus(enum.Enum):
@@ -159,9 +165,10 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     Graphs are yielded in a fixed order and each at most once (per-thread
     words, reads-from choices and modification orders all differ between
     yields, and any of them distinguishes two graphs structurally).  Nothing
-    is pruned: every candidate goes through :func:`check_ra`.  Candidates are
-    built by ``build_graph(..., like=)`` from rows prepared once per word
-    combination, sharing each reads-from choice's hb closure across its mos.
+    is pruned: every candidate is built and goes through :func:`check_ra`
+    once.  Candidates are built by ``build_graph(..., like=)`` from rows
+    prepared once per word combination, so all mos of one reads-from choice
+    share its hb closure and its ``IRR_HB`` answer.
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)
@@ -244,7 +251,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     testing of pruning soundness.
     """
     budget = config.budget
-    cap = small_model_bound(program, budget.contexts, budget.rmws) if config.event_cap is None else config.event_cap
+    cap = small_model_bound(program, budget.contexts, budget.rmws, _BOUND_CEILING) if config.event_cap is None else config.event_cap
     tids = sorted(program.threads)
     locs = sorted(program.locs)
     finals = final_vector(program)
@@ -450,9 +457,11 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 rec = apply(br)
         if rec is None:
             break
-    # a truncated search decides only at the small-model bound; the bound stops counting past the cap
+    # a truncated search decides only at the small-model bound; the bound stops counting past the cap,
+    # and an uncapped search's cap is the bound unless the bound passed the ceiling
     if tripped or (
-        truncated and config.event_cap is not None and cap < small_model_bound(program, budget.contexts, budget.rmws, cap)
+        truncated
+        and (cap > _BOUND_CEILING if config.event_cap is None else cap < small_model_bound(program, budget.contexts, budget.rmws, cap))
     ):
         return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)
     return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)

@@ -11,12 +11,16 @@ sit first in their location's mo row.
 
 Happens-before is the transitive closure of po edges, rf edges and the
 init-before-everything edges, cached per graph (graphs are immutable once
-built) as successor bitmasks that every layer reads.
+built) as successor bitmasks that every layer reads, next to the least event
+on an hb cycle.
 
 :func:`build_graph` validates where data enters (JSON, search hits, the PCP
 witness assembly); producers whose rows are valid by construction, the naive
 enumerator and reduction steps, call the :class:`ExecutionGraph` constructor
-or the trusted ``build_graph(..., like=graph)`` for graphs differing only in mo.
+or the trusted ``build_graph(..., like=graph)`` for graphs differing only in
+mo.  A graph built ``like=`` another shares its event index, hb masks and
+least cycle event, the facts that never read mo; whatever reads mo, such as
+``mo_pos`` and every coherence verdict, is the new graph's own.
 """
 
 from __future__ import annotations
@@ -93,9 +97,10 @@ class ExecutionGraph:
         return {e: i for row in self.mo.values() for i, e in enumerate(row)}
 
     def _with_mo(self, mo: dict[str, tuple[EventId, ...]]) -> ExecutionGraph:
-        """This graph with another mo, sharing the hb closure (which never reads mo)."""
+        """This graph with another mo, sharing the facts that never read mo: the
+        event index, the hb closure and the least event on an hb cycle."""
         graph = ExecutionGraph(self.events, self.po, self.rf, mo)
-        graph.__dict__.update(_index=self._index, _succ_masks=self._succ_masks)
+        graph.__dict__.update(_index=self._index, _succ_masks=self._succ_masks, _hb_cycle=self._hb_cycle)
         return graph
 
     # -- happens-before -----------------------------------------------------
@@ -130,6 +135,12 @@ class ExecutionGraph:
                 if mask != succ[e]:
                     succ[e], changed = mask, True
         return succ
+
+    @cached_property
+    def _hb_cycle(self) -> EventId | None:
+        """The least event by ``id_key`` that happens before itself, or None."""
+        succ = self._succ_masks
+        return min((e for e, i in self._index.items() if succ[e] >> i & 1), key=id_key, default=None)
 
     def hb(self, a: EventId, b: EventId) -> bool:
         """Whether ``a`` happens before ``b``."""

@@ -86,6 +86,41 @@ def axiom_failures_oracle(graph: ExecutionGraph) -> dict[str, bool]:
     }
 
 
+def _id_order(eid: EventId) -> tuple:
+    return (1, eid) if isinstance(eid, str) else (0, eid)
+
+
+def least_violation_oracle(graph: ExecutionGraph) -> tuple[bool, str | None, tuple | None]:
+    """``(consistent, axiom, least witness)`` from each axiom's definition, pair by pair.
+
+    Witnesses are listed as the checker shapes them (see ``Verdict``) by
+    testing every candidate tuple against the hb pair set and the mo pairs;
+    the first failing axiom in checking order reports its least witness,
+    ints before strings.
+    """
+    hb = hb_pairs_oracle(graph)
+    mo = {(a, b) for row in graph.mo.values() for i, a in enumerate(row) for b in row[i + 1 :]}
+    writes = [e for e, lab in graph.events.items() if lab.op.writes]
+    witnesses = {
+        "irr-hb": [(e,) for e in graph.events if (e, e) in hb],
+        "write-coherence": [(w, w2) for w, w2 in mo if (w2, w) in hb],
+        "read-coherence": [
+            (w, r, w2) for r, w in graph.rf.items() for w2 in writes if (w, w2) in mo and (w2, r) in hb
+        ],
+        "atomicity": [
+            (w, r, w2)
+            for r, w in graph.rf.items()
+            if graph.events[r].op is Op.RMW
+            for w2 in writes
+            if (w, w2) in mo and (w2, r) in mo
+        ],
+    }
+    for axiom in ("irr-hb", "write-coherence", "read-coherence", "atomicity"):
+        if witnesses[axiom]:
+            return False, axiom, min(witnesses[axiom], key=lambda w: tuple(map(_id_order, w)))
+    return True, None, None
+
+
 def consistent_oracle(graph: ExecutionGraph) -> bool:
     return not any(axiom_failures_oracle(graph).values())
 

@@ -415,6 +415,11 @@ class TestReach:
         code, out, _ = run(capsys, "reach", mp_file, "--contexts", "1")
         assert code == 1 and out.startswith("unreachable-within-bound")
 
+    def test_huge_budget_without_a_cap(self, capsys, mp_file):
+        # the bound stops summing past a ceiling no search reaches instead of summing a million contexts
+        code, out, _ = run(capsys, "reach", mp_file, "--contexts", "1000000")
+        assert (code, out) == (0, "reachable (visited 5, pruned 0, max events 4)\n")
+
     def test_inconclusive(self, capsys, mp_file):
         code, out, _ = run(capsys, "reach", mp_file, "--contexts", "2", "--event-cap", "1")
         assert code == 2 and out.startswith("inconclusive")

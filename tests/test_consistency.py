@@ -9,7 +9,7 @@ from rareach.graph import build_graph
 from rareach.model import read, rmw, write
 
 from tests import corpus
-from tests.oracle import axiom_failures_oracle, consistent_oracle
+from tests.oracle import axiom_failures_oracle, consistent_oracle, least_violation_oracle
 
 
 def hb_cycle_graph():
@@ -47,6 +47,30 @@ def read_coherence_graph():
     ]
     return build_graph(
         events, {"t": [1], "u": [2, 3]}, {2: 1, 3: 0}, {"x": [0, 1]}
+    )
+
+
+def two_writers_read_graph():
+    # v reads 2 then 1; mo [0, 1, 2] makes its second read stale, mo [0, 2, 1] does not
+    events = [
+        (0, write("init", "x", "0")),
+        (1, write("t", "x", "1")),
+        (2, write("u", "x", "2")),
+        (3, read("v", "x", "2")),
+        (4, read("v", "x", "1")),
+    ]
+    return build_graph(
+        events, {"t": [1], "u": [2], "v": [3, 4]}, {3: 2, 4: 1}, {"x": [0, 1, 2]}
+    )
+
+
+def mixed_id_cycle_graph():
+    # the hb cycle runs through "b", 9, "a" and 5; the smaller int 1 lies off it
+    g = hb_cycle_graph()
+    events = [(new, g.events[old]) for old, new in zip(range(4), ("b", 9, "a", 5))]
+    events.append((1, write("v", "z", "1")))
+    return build_graph(
+        events, {"t": ["b", 9], "u": ["a", 5], "v": [1]}, {"b": 5, "a": 9}, {"x": [5], "y": [9], "z": [1]}
     )
 
 
@@ -95,6 +119,9 @@ class TestAxioms:
         g = build_graph(events, {"t": [a, b], "u": [c, d]}, {a: d, c: b}, {"x": [d], "y": [b]})
         assert check_ra(g).witness == (least,)
 
+    def test_least_cycle_event_among_mixed_ids(self):
+        assert check_ra(mixed_id_cycle_graph()).witness == (5,)
+
     def test_write_coherence(self):
         v = check_ra(write_coherence_graph())
         assert v.axiom is Axiom.WRITE_COHERENCE
@@ -127,16 +154,25 @@ class TestAxioms:
         }
 
 
+FIXED_GRAPHS = [
+    hb_cycle_graph,
+    write_coherence_graph,
+    read_coherence_graph,
+    two_writers_read_graph,
+    mixed_id_cycle_graph,
+    atomicity_graph,
+]
+
+
 class TestAgainstOracle:
-    @pytest.mark.parametrize(
-        "make",
-        [hb_cycle_graph, write_coherence_graph, read_coherence_graph, atomicity_graph],
-    )
+    @pytest.mark.parametrize("make", FIXED_GRAPHS)
     def test_fixed_graphs(self, make):
         g = make()
         failures = axiom_failures_oracle(g)
         for axiom in Axiom:
             assert check_axiom(g, axiom).consistent == (not failures[axiom.value])
+        v = check_ra(g)
+        assert (v.consistent, v.axiom.value, v.witness) == least_violation_oracle(g)
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(min_value=0, max_value=5000))
@@ -200,3 +236,24 @@ class TestAgainstOracle:
                 checked += 1
                 if checked >= 8:
                     return
+
+
+class TestSharedClosure:
+    """Graphs built ``like=`` one base share its hb closure; each verdict still follows its own mo."""
+
+    @pytest.mark.parametrize(
+        "make,bad,good,axiom",
+        [
+            (write_coherence_graph, (0, 3, 1), (0, 1, 3), Axiom.WRITE_COHERENCE),
+            (two_writers_read_graph, (0, 1, 2), (0, 2, 1), Axiom.READ_COHERENCE),
+        ],
+        ids=["write-coherence", "read-coherence"],
+    )
+    def test_each_mo_gets_its_own_verdict(self, make, bad, good, axiom):
+        base = make()
+        for rows in ((bad, good), (good, bad)):  # a verdict kept on the closure answers the second with the first's
+            graphs = [build_graph(base.events, base.po, base.rf, {"x": row}, like=base) for row in rows]
+            verdicts = {row: check_ra(g) for row, g in zip(rows, graphs)}
+            assert verdicts[good].consistent
+            assert verdicts[bad].axiom is axiom
+            assert [check_axiom(g, axiom).consistent for g in graphs] == [row == good for row in rows]

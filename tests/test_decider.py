@@ -22,7 +22,7 @@ from rareach.trace import ContextBudget
 
 from tests import corpus
 from tests.corpus import dump_graph_json
-from tests.oracle import consistent_oracle, hb_pairs_oracle
+from tests.oracle import consistent_oracle, hb_pairs_oracle, least_violation_oracle
 from tests.test_acceptance import rmw_corpus
 
 
@@ -112,6 +112,14 @@ class TestBounded:
         monkeypatch.setattr(decider, "small_model_bound", lambda *a: calls.append(a) or 3)
         v = bounded_reach(corpus.mp_forbidden(), cfg(2))
         assert (v.status, len(calls)) == (ReachStatus.UNREACHABLE_WITHIN_BOUND, 1)
+
+    def test_bound_past_the_ceiling_is_inconclusive(self, monkeypatch):
+        # an uncapped search truncated at the bound decides, one truncated short of it does not
+        monkeypatch.setattr(decider, "small_model_bound", lambda *a: 13)
+        prog = parse_program(MP_LOOP)
+        assert bounded_reach(prog, cfg(2, memo=True)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
+        monkeypatch.setattr(decider, "_BOUND_CEILING", 12)
+        assert bounded_reach(prog, cfg(2, memo=True)).status is ReachStatus.INCONCLUSIVE
 
     def test_small_cap_under_a_huge_budget(self, mp_program):
         # the bound stops counting past the cap instead of summing a million contexts
@@ -536,6 +544,30 @@ class TestTrustedConstruction:
             calls.update(build_graph=0, check_ra=0)
             sum(1 for _ in enumerate_graphs(prog, n))
             assert calls == {"build_graph": want, "check_ra": want}
+
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            [(prog, n) for prog, n in zip(corpus.loopy_rmw_programs(), (5, 4))],
+            [(corpus.random_program(seed, rmw_prob=0.4), 4) for seed in range(12)],
+        ],
+        ids=["loopy-rmw", "random-rmw"],
+    )
+    def test_least_witness_on_every_candidate(self, monkeypatch, cases):
+        # every candidate, consistent or not, gets the oracle's verdict down to the witness
+        check, axioms = decider.check_ra, set()
+
+        def compared(graph):
+            v = check(graph)
+            got = (v.consistent, v.axiom and v.axiom.value, v.witness)
+            assert got == least_violation_oracle(graph)
+            axioms.add(got[1])
+            return v
+
+        monkeypatch.setattr(decider, "check_ra", compared)
+        for prog, n in cases:
+            sum(1 for _ in enumerate_graphs(prog, n))
+        assert axioms == {None, "irr-hb", "write-coherence", "read-coherence", "atomicity"}
 
     def test_like_requires_the_same_rows(self):
         g = next(enumerate_graphs(corpus.loopy_rmw_programs()[1], 2))
