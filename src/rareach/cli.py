@@ -34,7 +34,7 @@ from .graph import graph_to_json, load_graph_json, to_dot
 from .model import parse_program, program_to_json, serialize_program
 from .pcp import BRIDGE_LOCS, LOC_ROLE, ROLE_MAP, check_monotonicity, check_no_skipping, compile_pcp, parse_pcp, pcp_witness
 from .reduction import reduction_steps, small_model_bound
-from .trace import ContextBudget, Trace, load_trace_json, trace_to_json
+from .trace import ContextBudget, load_trace_json, trace_to_json
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -149,34 +149,18 @@ def _cmd_trace_validate(args) -> int:
     return 0
 
 
-def _step_log(before: Trace, after: Trace, pair) -> dict:
-    """What one reduction step did: removals, rf rewires, mo transpositions."""
-    gone = sorted(set(before.position) - set(after.position), key=str)
-    rewires = sorted(
-        ([r, before.graph.rf[r], w] for r, w in after.graph.rf.items() if before.graph.rf[r] != w),
-        key=lambda row: str(row[0]),
-    )
-    swaps = []
-    for loc, row in sorted(after.graph.mo.items()):
-        old = [e for e in before.graph.mo[loc] if e in after.graph.events]
-        if list(row) != old:
-            swaps.append(loc)
-    return {
-        "first": pair.first,
-        "second": pair.second,
-        "removed": gone,
-        "rfRewires": rewires,
-        "moSwaps": swaps,
-    }
-
-
 def _cmd_reduce(args) -> int:
     program = parse_program(_read(args.program))
     trace = load_trace_json(_read(args.trace))
     steps: list[dict] = []
-    for pair, after in reduction_steps(trace, program, rmw_mode=args.rmw):
-        steps.append(_step_log(trace, after, pair))
-        trace = after
+    for pair, trace, removed, rewires, swapped in reduction_steps(trace, program, rmw_mode=args.rmw):
+        steps.append({
+            "first": pair.first,
+            "second": pair.second,
+            "removed": sorted(removed, key=str),
+            "rfRewires": sorted(rewires, key=lambda row: str(row[0])),
+            "moSwaps": sorted(swapped),
+        })
         if not args.fixpoint:
             break
     if args.dot:
@@ -241,7 +225,7 @@ def _cmd_enumerate(args) -> int:
         _emit(_json_text({"count": len(graphs), "graphs": [graph_to_json(g) for g in graphs]}), args.output)
     else:
         for i, g in enumerate(graphs):
-            words = {t: len(g.po[t]) for t in g.tids() if g.po[t]}
+            words = {t: len(g.po[t]) for t in g.tids()}
             print(f"graph {i}: {len(g.non_init_events())} events {words}")
         print(f"{len(graphs)} consistent graphs")
     return 0

@@ -168,7 +168,7 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     is pruned: every candidate is built and goes through :func:`check_ra`
     once.  Candidates are built by ``build_graph(..., like=)`` from rows
     prepared once per word combination, so all mos of one reads-from choice
-    share its hb closure and its ``IRR_HB`` answer.
+    share its po, its hb closure and its ``IRR_HB`` answer.
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)
@@ -176,23 +176,18 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     for combo in product(*words_per):
         if sum(len(w) for w in combo) > max_events:
             continue
-        yield from _graphs_for_words(program, tids, locs, combo)
+        yield from _graphs_for_words(program, locs, combo)
 
 
 def _graphs_for_words(
     program: Program,
-    tids: list[str],
     locs: list[str],
     combo: tuple[tuple[Label, ...], ...],
 ) -> Iterator[ExecutionGraph]:
     # rows in the form build_graph normalises them to, valid by construction
     events: dict[EventId, Label] = {i: write(INIT_TID, x, program.init_vals[x]) for i, x in enumerate(locs)}
-    po: dict[str, tuple[EventId, ...]] = {}
-    for t, word in zip(tids, combo):
-        po[t] = tuple(range(len(events), len(events) + len(word)))
-        events.update(zip(po[t], word))
-    if locs:
-        po[INIT_TID] = tuple(range(len(locs)))
+    for word in combo:
+        events.update(zip(range(len(events), len(events) + len(word)), word))
     reads = [(e, lab) for e, lab in events.items() if lab.op.reads]
     writes = [(e, lab) for e, lab in events.items() if lab.op.writes]
     # ids, not labels: one word can repeat a label object (an update in a loop)
@@ -208,8 +203,8 @@ def _graphs_for_words(
         like = None  # hb is built from po and rf only: one closure serves every mo
         for choice in product(*mo_rows):
             mo = dict(zip(locs, choice))
-            like = like or ExecutionGraph(events, po, rf, mo)
-            graph = build_graph(events, po, rf, mo, like=like)
+            like = like or ExecutionGraph(events, rf, mo)
+            graph = build_graph(events, like.po, rf, mo, like=like)
             if check_ra(graph).consistent:
                 yield graph
 

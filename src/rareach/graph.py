@@ -1,13 +1,14 @@
-"""Execution graphs: events, program order, reads-from, modification order.
+"""Execution graphs: events, reads-from, modification order.
 
-An execution graph maps each event id to the label of the action it performs,
-in one stored order: the init events by location, then each sorted thread's
-po row; JSON and DOT emit events in that order.  Program order (po) is kept as
-one row of event ids per thread, reads-from (rf) maps each read to the write
-it observes, and modification order (mo) is one total row per location over
+An execution graph is its events, rf and mo.  ``events`` maps each event id
+to the label of the action it performs, in one stored order: the init events
+by location, then each sorted thread's events in program order; JSON and DOT
+emit events in that order.  Program order (po) is read off that order, one
+row per thread with events; reads-from (rf) maps each read to the write it
+observes, and modification order (mo) is one total row per location over
 that location's writes.  Initialising writes live on the reserved thread id
-``init``: they are mutually unordered, happen before every other event, and
-sit first in their location's mo row.
+``init``, which has no po row: they are mutually unordered, happen before
+every other event, and sit first in their location's mo row.
 
 Happens-before is the transitive closure of po edges, rf edges and the
 init-before-everything edges, cached per graph (graphs are immutable once
@@ -18,9 +19,9 @@ on an hb cycle.
 witness assembly); producers whose rows are valid by construction, the naive
 enumerator and reduction steps, call the :class:`ExecutionGraph` constructor
 or the trusted ``build_graph(..., like=graph)`` for graphs differing only in
-mo.  A graph built ``like=`` another shares its event index, hb masks and
-least cycle event, the facts that never read mo; whatever reads mo, such as
-``mo_pos`` and every coherence verdict, is the new graph's own.
+mo.  A graph built ``like=`` another shares its po, event index, hb masks
+and least cycle event, the facts that never read mo; whatever reads mo, such
+as ``mo_pos`` and every coherence verdict, is the new graph's own.
 """
 
 from __future__ import annotations
@@ -58,31 +59,37 @@ class ExecutionGraph:
 
     ``events`` maps each id to its label in the stored order that JSON and DOT
     emit.  The constructor trusts rows in ``build_graph``'s form: events with
-    the init events (by location) first, then each sorted thread's po row,
-    tuple po rows with the init row last, and tuple mo rows starting with the
-    init write.
+    the init events (by location) first, then each sorted thread's events in
+    program order, and tuple mo rows starting with the init write.
     """
 
     def __init__(
         self,
         events: dict[EventId, Label],
-        po: dict[str, tuple[EventId, ...]],
         rf: dict[EventId, EventId],
         mo: dict[str, tuple[EventId, ...]],
     ) -> None:
         self.events = events
-        self.po = po
         self.rf = rf
         self.mo = mo
 
     # -- basic lookups ------------------------------------------------------
 
+    @cached_property
+    def po(self) -> dict[str, tuple[EventId, ...]]:
+        """Each thread's events in their ``events`` order; init events are on no row."""
+        rows: dict[str, list[EventId]] = {}
+        for e, lab in self.events.items():
+            if not lab.is_init:
+                rows.setdefault(lab.tid, []).append(e)
+        return {t: tuple(row) for t, row in rows.items()}
+
     def tids(self) -> list[str]:
-        """Real (non-init) thread ids, sorted."""
-        return sorted(t for t in self.po if t != INIT_TID)
+        """Ids of the threads with events, sorted."""
+        return sorted(self.po)
 
     def init_events(self) -> tuple[EventId, ...]:
-        return self.po.get(INIT_TID, ())
+        return tuple(e for e, lab in self.events.items() if lab.is_init)
 
     def non_init_events(self) -> list[EventId]:
         return [e for t in self.tids() for e in self.po[t]]
@@ -97,10 +104,10 @@ class ExecutionGraph:
         return {e: i for row in self.mo.values() for i, e in enumerate(row)}
 
     def _with_mo(self, mo: dict[str, tuple[EventId, ...]]) -> ExecutionGraph:
-        """This graph with another mo, sharing the facts that never read mo: the
-        event index, the hb closure and the least event on an hb cycle."""
-        graph = ExecutionGraph(self.events, self.po, self.rf, mo)
-        graph.__dict__.update(_index=self._index, _succ_masks=self._succ_masks, _hb_cycle=self._hb_cycle)
+        """This graph with another mo, sharing the facts that never read mo: po,
+        the event index, the hb closure and the least event on an hb cycle."""
+        graph = ExecutionGraph(self.events, self.rf, mo)
+        graph.__dict__.update(po=self.po, _index=self._index, _succ_masks=self._succ_masks, _hb_cycle=self._hb_cycle)
         return graph
 
     # -- happens-before -----------------------------------------------------
@@ -116,10 +123,10 @@ class ExecutionGraph:
         mask, by passes in reverse ``_index`` order until none changes a mask (one
         more per rf edge pointing backwards on a path)."""
         idx = self._index
-        firsts = [row[0] for t, row in self.po.items() if t != INIT_TID and row]
+        firsts = [row[0] for row in self.po.values()]
         out = {e: list(firsts) if self.events[e].is_init else [] for e in idx}
-        for t, row in self.po.items():
-            for a, b in zip(row, row[1:]) if t != INIT_TID else ():
+        for row in self.po.values():
+            for a, b in zip(row, row[1:]):
                 out[a].append(b)
         for r, w in self.rf.items():
             out[w].append(r)
@@ -163,9 +170,11 @@ def build_graph(
 
     ``events`` lists each event as an ``(id, label)`` pair.  ``po`` maps each
     thread to its event ids in program order; the row for the reserved init
-    thread may be omitted (it is derived from the init events).  ``rf`` maps
-    read ids to write ids, ``mo`` maps each written location to a total row
-    over its writes with the init write (if any) first.
+    thread may be omitted (if given, it must list init events).  ``po`` is
+    input only: it is validated and orders the stored events, and the graph
+    reads its po back off that order.  ``rf`` maps read ids to write ids,
+    ``mo`` maps each written location to a total row over its writes with
+    the init write (if any) first.
 
     ``like`` is the trusted path for graphs differing only in mo: ``events``,
     ``po`` and ``rf`` must be ``like``'s own rows and ``mo`` in the
@@ -198,25 +207,18 @@ def build_graph(
         if not ev.is_init:
             by_tid.setdefault(ev.tid, []).append(e)
 
-    po_rows: dict[str, tuple[EventId, ...]] = {}
     for tid, row in po.items():
         if tid == INIT_TID:
             if sorted(row, key=id_key) != sorted(init_ids, key=id_key):
                 raise PoNotTotal(f"init row does not list the init events")
-            continue
-        if tid not in by_tid:
+        elif tid not in by_tid:
             if row:
                 raise PoNotTotal(f"po row for {tid!r} lists unknown events")
-            po_rows[tid] = ()
-            continue
-        if sorted(row, key=id_key) != sorted(by_tid[tid], key=id_key):
+        elif sorted(row, key=id_key) != sorted(by_tid[tid], key=id_key):
             raise PoNotTotal(f"po row for {tid!r} is not a permutation of its events")
-        po_rows[tid] = tuple(row)
     for tid in by_tid:
-        if tid not in po_rows:
+        if tid not in po:
             raise PoNotTotal(f"missing po row for thread {tid!r}")
-    if init_ids:
-        po_rows[INIT_TID] = tuple(init_ids)
 
     for r, w in rf.items():
         if r not in by_id or w not in by_id:
@@ -253,15 +255,10 @@ def build_graph(
         if loc not in writes_by_loc and row:
             raise MoNotTotal(f"mo row for unknown/unwritten location {loc!r}")
 
-    ordered: dict[EventId, Label] = {}
-    for e in init_ids:
-        ordered[e] = by_id[e]
-    for tid in sorted(po_rows):
-        if tid == INIT_TID:
-            continue
-        for e in po_rows[tid]:
-            ordered[e] = by_id[e]
-    return ExecutionGraph(ordered, po_rows, dict(rf), mo_rows)
+    ordered = {e: by_id[e] for e in init_ids}
+    for tid in sorted(by_tid):
+        ordered.update((e, by_id[e]) for e in po[tid])
+    return ExecutionGraph(ordered, dict(rf), mo_rows)
 
 
 # --- queries ----------------------------------------------------------------
@@ -269,8 +266,6 @@ def build_graph(
 
 def thread_word(graph: ExecutionGraph, tid: str) -> list[Label]:
     """The label word thread ``tid`` executed, in program order."""
-    if tid == INIT_TID:
-        raise UnknownThread(f"{INIT_TID!r} has no word")
     if tid not in graph.po:
         raise UnknownThread(tid)
     return [graph.events[e] for e in graph.po[tid]]

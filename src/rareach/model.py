@@ -116,24 +116,21 @@ class Lts:
 
     ``transitions`` is a set of ``(src, label, dst)`` triples; there is no
     determinism requirement.  ``final`` is the single accepting control state
-    used by reachability queries.
+    used by reachability queries.  The control states are read off these:
+    ``init``, ``final`` and every transition endpoint, so an LTS has no
+    isolated states (the text format cannot name one either).
     """
 
     init: str
     final: str
-    states: frozenset[str]
     transitions: frozenset[tuple[str, Label, str]]
     #: memo of :meth:`enabled` / :meth:`step`: state set -> (enabled labels, label -> image)
     _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.init not in self.states:
-            raise ValueError(f"initial state {self.init!r} not in states")
-        if self.final not in self.states:
-            raise ValueError(f"final state {self.final!r} not in states")
-        for src, _, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition endpoint {src!r}->{dst!r} not in states")
+    @cached_property
+    def states(self) -> frozenset[str]:
+        """``init``, ``final`` and every transition endpoint."""
+        return frozenset({self.init, self.final}).union(*((src, dst) for src, _, dst in self.transitions))
 
     @cached_property
     def index(self) -> dict[str, dict[Label, list[str]]]:
@@ -258,14 +255,9 @@ def parse_program(text: str) -> Program:
         if cur_tid is None:
             return
         assert cur_init is not None and cur_final is not None
-        states = {cur_init, cur_final}
-        for src, _, dst in cur_transitions:
-            states.add(src)
-            states.add(dst)
         threads[cur_tid] = Lts(
             init=cur_init,
             final=cur_final,
-            states=frozenset(states),
             transitions=frozenset(cur_transitions),
         )
         cur_tid = None

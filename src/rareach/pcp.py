@@ -233,7 +233,6 @@ def _build_machine(tid: str, init_cfg: tuple, step) -> Lts:
     return Lts(
         init="q0",
         final=names[fin],
-        states=frozenset(names.values()),
         transitions=frozenset(edges),
     )
 

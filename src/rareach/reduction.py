@@ -38,8 +38,9 @@ equal-summary pairs, ``e1`` then ``e2`` in π order; unequal summaries are
 never collapsible, so it returns the π-first pair that testing every pair
 would.  Happens-before is the graph's own closure.  A collapse reads the
 removed range, both ``lw`` tuples and the summary of ``e1`` off the sweep
-that proved the pair, and filters the proven trace's rows, which are in
-constructor form, straight into the trusted constructors.
+that proved the pair, filters the proven trace's events, rf and mo, which
+are in constructor form, straight into the trusted constructors, and reports
+what it did: the reads it rewired and the locations whose mo it transposed.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator
     foreign: set[str] = set()
     states = frozenset({lts.init})
     start = g.po_pos[run.events[0]] if run.events else 0  # the thread's events before the run
-    for n, e in enumerate(g.po[run.tid][: start + len(run.events)]):
+    for n, e in enumerate(g.po.get(run.tid, ())[: start + len(run.events)]):
         ev = g.events[e]
         if not (states := lts.step(states, ev)):
             raise TraceError(f"thread {run.tid!r} of the program cannot take event {e!r} ({ev})")
@@ -166,6 +167,8 @@ class _RunSweep:
 
 #: a collapsible pair as the sweep of its run and its two positions in the run
 _Found = tuple[_RunSweep, int, int]
+#: a read rewired by a collapse: (read, old writer, new writer)
+_Rewire = tuple[EventId, EventId, EventId]
 
 
 def _first_pair(trace: Trace, program: Program, rmw_mode: bool) -> _Found | None:
@@ -216,15 +219,17 @@ def reduce(trace: Trace, program: Program, first: EventId, second: EventId, rmw_
     """Remove the range ``(first, second]``; :class:`NotCollapsible` unless collapsible."""
     if (found := _pair(trace, program, first, second, rmw_mode)) is None:
         raise NotCollapsible(f"({first!r}, {second!r}] is not a collapsible range")
-    return _collapse(*found)
+    return _collapse(*found)[0]
 
 
-def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
+def _collapse(sweep: _RunSweep, i: int, j: int) -> tuple[Trace, list[_Rewire], list[str]]:
     """Remove the run range after position ``i`` up to ``j``, which ``sweep`` proved collapsible.
 
     Surviving reads of removed writes are rewired to the latest write at
     ``i``; modification order is restricted, transposing the two latest
     writes on locations whose local value survives unobserved from outside.
+    Returns the new trace, the rewires, and the locations whose restricted
+    mo row the transposition changed (a removed write may leave it as it was).
     """
     g, rmw_mode, second = sweep.trace.graph, sweep.rmw_mode, sweep.run.events[j]
     removed = set(sweep.run.events[i + 1 : j + 1])
@@ -232,9 +237,9 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
     lw1, lw2 = dict(zip(sweep.locs, sweep.lws[i])), dict(zip(sweep.locs, sweep.lws[j]))
 
     events2 = {eid: ev for eid, ev in g.events.items() if eid not in removed}
-    po2 = {t: tuple(e for e in row if e not in removed) for t, row in g.po.items()}
 
     rf2: dict[EventId, EventId] = {}
+    rewires: list[_Rewire] = []
     for r, w in g.rf.items():
         if r in removed:
             continue
@@ -250,8 +255,10 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
         if rmw_mode and g.events[nw].op is Op.RMW:
             raise InternalValueMismatch(f"rewiring {r!r} onto update event {nw!r}")
         rf2[r] = nw
+        rewires.append((r, w, nw))
 
     mo2: dict[str, tuple[EventId, ...]] = {}
+    swapped: list[str] = []
     for x, row in g.mo.items():
         new_row = list(row)
         if dict(s1.last_write_vals).get(x) is not None and x not in s1.foreign_reads:
@@ -260,21 +267,25 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> Trace:
                 i1, i2 = new_row.index(w1), new_row.index(w2)
                 new_row[i1], new_row[i2] = new_row[i2], new_row[i1]
         mo2[x] = tuple(e for e in new_row if e not in removed)
+        if mo2[x] != tuple(e for e in row if e not in removed):
+            swapped.append(x)
 
     runs2 = tuple(Run(run.tid, tuple(e for e in run.events if e not in removed)) for run in sweep.trace.runs)
-    return Trace(ExecutionGraph(events2, po2, rf2, mo2), runs2)
+    return Trace(ExecutionGraph(events2, rf2, mo2), runs2), rewires, swapped
 
 
 def reduction_steps(
     trace: Trace, program: Program, rmw_mode: bool = False
-) -> Iterator[tuple[CollapsiblePair, Trace]]:
-    """Collapse π-first pairs until none remain, yielding each pair with the trace after it."""
+) -> Iterator[tuple[CollapsiblePair, Trace, tuple[EventId, ...], list[_Rewire], list[str]]]:
+    """Collapse π-first pairs until none remain, yielding per step the pair, the trace
+    after it, the removed range, the rewires and the locations whose mo it transposed."""
     for run in {run.tid: run for run in trace.runs if run.events}.values():  # TraceError unless executable
         deque(_sweep(trace, program, run, rmw_mode), maxlen=0)
     while (found := _first_pair(trace, program, rmw_mode)) is not None:
         sweep, i, j = found
-        trace = _collapse(sweep, i, j)
-        yield CollapsiblePair(sweep.run.events[i], sweep.run.events[j]), trace
+        pair = CollapsiblePair(sweep.run.events[i], sweep.run.events[j])
+        trace, rewires, swapped = _collapse(sweep, i, j)
+        yield pair, trace, sweep.run.events[i + 1 : j + 1], rewires, swapped
 
 
 def reduce_fixpoint(
@@ -282,7 +293,7 @@ def reduce_fixpoint(
 ) -> tuple[Trace, list[CollapsiblePair]]:
     """Collapse π-first pairs until none remain; returns the trace and steps."""
     steps: list[CollapsiblePair] = []
-    for pair, trace in reduction_steps(trace, program, rmw_mode):
+    for pair, trace, *_ in reduction_steps(trace, program, rmw_mode):
         steps.append(pair)
     return trace, steps
 

@@ -140,14 +140,9 @@ def random_program(seed: int, rmw_prob: float = 0.0) -> Program:
             else:
                 lab = read(tid, loc, rng.choice(_VALS))
             transitions.add((src, lab, dst))
-        final = rng.choice(states)
-        # the text format only names states through transitions, so keep
-        # the state set to what serialisation can actually express
-        used = {"q0", final} | {s for src, _, dst in transitions for s in (src, dst)}
         threads[tid] = Lts(
             init="q0",
-            final=final,
-            states=frozenset(used),
+            final=rng.choice(states),
             transitions=frozenset(transitions),
         )
     return Program(

@@ -813,6 +813,37 @@ class TestUnknownThread:
         assert err == "ra-reach: error: thread 't' of the trace is not declared by the program\n"
 
 
+class TestEmptyRun:
+    """A trace may hold an empty run, also of a thread without events."""
+
+    @staticmethod
+    def files(tmp_path, tid):
+        # the empty run comes first, so the pair search sweeps it in every mode
+        data = trace_to_json(corpus.twin_write_trace(2))
+        data["runs"].insert(0, {"tid": tid, "events": []})
+        trace, program = tmp_path / "t.json", tmp_path / "p.txt"
+        trace.write_text(json.dumps(data))
+        program.write_text(corpus.TWIN_WRITE_LOOP + "thread u init p0 final p1\n  p0 p1 w x 0\n")
+        return str(trace), str(program)
+
+    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
+    def test_declared_thread_without_events(self, capsys, tmp_path, flags):
+        trace, program = self.files(tmp_path, "u")
+        assert run(capsys, "trace-validate", trace)[:2] == (0, "valid: 4 events in 2 runs\n")
+        code, out, err = run(capsys, "reduce", trace, "--program", program, "--json", *flags)
+        assert (code, err) == (0, "")
+        bundle = json.loads(out)
+        assert [step["removed"] for step in bundle["steps"]] == [["e2", "e3"]]
+        assert bundle["trace"]["runs"] == [{"tid": "u", "events": []}, {"tid": "t", "events": ["e1", "e4"]}]
+
+    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
+    def test_undeclared_thread_is_a_data_error(self, capsys, tmp_path, flags):
+        trace, program = self.files(tmp_path, "v")
+        code, out, err = run(capsys, "reduce", trace, "--program", program, *flags)
+        assert (code, out) == (65, "")
+        assert err == "ra-reach: error: thread 'v' of the trace is not declared by the program\n"
+
+
 class TestNotExecutable:
     @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
     def test_reduce_names_the_event(self, capsys, tmp_path, twin_prog_file, flags):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from rareach import cli
 from rareach.decider import SearchConfig, bounded_reach
+from rareach.model import parse_program
 from rareach.pcp import PcpInstance, pcp_witness
 from rareach.trace import ContextBudget
 
@@ -29,6 +30,9 @@ EXITS = {0, 1, 2, 64, 65}
 INSTANCE = "pair a : aa\npair ab : b\n"
 #: odd tokens spliced into text inputs next to the input's own tokens
 ODD = ["-1", "0", "99999999999", "", ":", "#", "init", "final", "thread", "w", "r", "rmw", "x", "pair", "{", "]", "null"]
+
+#: a thread over x and 0 that no trace of the corpus runs
+IDLE = "thread idle init p0 final p1\n  p0 p1 w x 0\n"
 
 FUZZ = settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
@@ -95,6 +99,15 @@ def mutated_json(draw, text: str) -> str:
     return json.dumps(doc)
 
 
+@st.composite
+def with_empty_run(draw, text: str, program: str) -> str:
+    """``text``, a trace, with an empty run of a thread of ``program`` put among its runs."""
+    doc = json.loads(text)
+    tid = draw(st.sampled_from(sorted(parse_program(program).threads)))
+    doc["runs"].insert(draw(st.integers(0, len(doc["runs"]))), {"tid": tid, "events": []})
+    return json.dumps(doc)
+
+
 def mutated(text: str, is_json: bool = False):
     return st.one_of(mutated_json(text), mutated_text(text)) if is_json else mutated_text(text)
 
@@ -152,6 +165,25 @@ class TestFuzzVerbs:
         ).flatmap(lambda case: st.tuples(mutated(case[0], is_json=True), st.just(case[1])))
     )
     def test_trace(self, work, case):
+        trace, prog = put(work, "trace.json", case[0]), put(work, "trace-prog.txt", case[1])
+        run_verbs(
+            ["trace-validate", trace, "--json"],
+            ["reduce", trace, "--program", prog, "--fixpoint", "--json"],
+            ["reduce", trace, "--program", prog, "--rmw"],
+        )
+
+    @FUZZ
+    @given(
+        st.sampled_from(
+            [(dump_trace_json(corpus.twin_write_trace(2)), corpus.TWIN_WRITE_LOOP + IDLE), (dump_trace_json(mp_witness()), corpus.MP + IDLE)]
+        ).flatmap(
+            lambda case: st.tuples(
+                with_empty_run(*case).flatmap(lambda t: st.one_of(st.just(t), mutated(t, is_json=True))), st.just(case[1])
+            )
+        )
+    )
+    def test_trace_with_empty_run(self, work, case):
+        """As ``test_trace``, on traces given an empty run of a program thread, which may have no events."""
         trace, prog = put(work, "trace.json", case[0]), put(work, "trace-prog.txt", case[1])
         run_verbs(
             ["trace-validate", trace, "--json"],

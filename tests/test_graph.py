@@ -13,7 +13,7 @@ from rareach.errors import (
     ValueMismatch,
 )
 from rareach.consistency import Axiom, check_ra
-from rareach.decider import enumerate_graphs
+from rareach.decider import SearchConfig, bounded_reach, enumerate_graphs
 from rareach.graph import (
     build_graph,
     graph_from_json,
@@ -23,11 +23,14 @@ from rareach.graph import (
     thread_word,
     to_dot,
 )
-from rareach.model import Label, Op, read, write
+from rareach.model import Label, Op, parse_program, read, write
+from rareach.reduction import reduction_steps
+from rareach.trace import ContextBudget, load_trace_json
 
 from tests import corpus
 from tests.corpus import dump_graph_json
 from tests.oracle import hb_pairs_oracle
+from tests.test_cli import MO_SWAP, PRODUCER_CONSUMER, loop_trace, mo_swap_trace
 from tests.test_pcp import rewired, rf_rewire_candidates
 
 
@@ -210,3 +213,46 @@ class TestJsonAndDot:
         for e in g.events:
             assert f'"{e}"' in dot
         assert "color=green" in dot and "color=orange" in dot
+
+
+def round_trip_programs():
+    return [corpus.mp(), corpus.sb(), *corpus.loopy_rmw_programs(), *(corpus.random_program(s) for s in range(10))]
+
+
+class TestRoundTrip:
+    """Loading a graph's JSON gives the graph back: its event order, po, rf and mo."""
+
+    @staticmethod
+    def assert_round_trips(graph):
+        back = graph_from_json(graph_to_json(graph))
+        assert list(back.events.items()) == list(graph.events.items())
+        assert list(back.po.items()) == list(graph.po.items())
+        assert (back.rf, back.mo) == (graph.rf, graph.mo)
+
+    def test_enumerated_graphs(self):
+        graphs = [g for prog in round_trip_programs() for g in enumerate_graphs(prog, 3)]
+        assert len(graphs) == 153
+        for g in graphs:
+            self.assert_round_trips(g)
+
+    def test_search_witnesses(self):
+        config = SearchConfig(ContextBudget(3, 1), 6, memo=True)
+        witnesses = [bounded_reach(prog, config).witness for prog in round_trip_programs()]
+        assert sum(w is not None for w in witnesses) == 6
+        for w in witnesses:
+            if w is not None:
+                self.assert_round_trips(w.graph)
+
+    def test_reduced_traces(self):
+        cases = [
+            (corpus.twin_write_trace(4), corpus.twin_write_loop()),
+            (load_trace_json(loop_trace(PRODUCER_CONSUMER, ["p", "c"], 6)), parse_program(PRODUCER_CONSUMER)),
+            (load_trace_json(mo_swap_trace()), parse_program(MO_SWAP)),
+        ]
+        reduced = [after for trace, prog in cases for _, after, *_ in reduction_steps(trace, prog)]
+        assert len(reduced) >= len(cases)
+        for trace in reduced:
+            self.assert_round_trips(trace.graph)
+
+    def test_pcp_witness(self, witness):
+        self.assert_round_trips(witness.graph)

@@ -58,14 +58,13 @@ class TestStepStates:
         lab = write("t", "x", "1")
         lts = Lts(
             "q0", "q2",
-            frozenset({"q0", "q1", "q2"}),
             frozenset({("q0", lab, "q1"), ("q0", lab, "q2")}),
         )
         assert step_states(lts, {"q0"}, lab) == {"q1", "q2"}
 
     def test_empty_image(self):
         lab = write("t", "x", "1")
-        lts = Lts("q0", "q0", frozenset({"q0"}), frozenset())
+        lts = Lts("q0", "q0", frozenset())
         assert step_states(lts, {"q0"}, lab) == frozenset()
 
     def test_image_distributes_over_union(self):
