@@ -399,7 +399,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ra-reach: error: {exc}", file=sys.stderr)
         return EX_USAGE if isinstance(exc, _UsageError) else EX_DATAERR
     except Exception as exc:  # failed assertions and anything else unexpected
-        print(f"ra-reach: internal error: {exc}", file=sys.stderr)
+        hint = " (--event-cap and --max-nodes bound a search)" if isinstance(exc, MemoryError) else ""
+        print(f"ra-reach: internal error: {str(exc) or type(exc).__name__}{hint}", file=sys.stderr)
         return EX_SOFTWARE
 
 

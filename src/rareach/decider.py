@@ -52,18 +52,26 @@ full.  By induction from s_k back to s_0, searching a node of s_i at depth
 i finds the hit, or sets the truncation flag if the hit lies past the cap.
 So a search that closes without truncation proves
 ``unreachable-within-bound`` at any cap.  Keys are built only at nodes at
-least two events below the cap.  Keys one level higher would skip more
-(the PCP gadget at cap 4 expands 28,107 nodes instead of 46,503) but change
-pinned counters; that move is left open in ROADMAP.md.  The key assumes
-every placed prefix is consistent, so without pruning the memo stays off.
+least two events below the cap.  Keys one level higher skip more (the PCP
+gadget at cap 4 expands 28,107 nodes instead of 46,503), but their
+``state_key`` calls cost more than the leaves they skip: that search took
+0.22 s against 0.13 s (best of seven, Python 3.11.7, 2-CPU x86-64 host).
+The key assumes every placed prefix is consistent, so without pruning the
+memo stays off.
 
 The search is one loop over a stack of per-node branch iterators, so its
-depth is not bounded by Python's recursion limit.  Once some leaf has cut
-a branch off at the cap, a child on the cap that leaves a thread outside
-its final state can neither hit nor truncate: its parent runs the pruning
-check and counts it in ``visited`` without placing it.  ``max_nodes``
-bounds ``visited`` (and so the memo): the node past it ends the search as
-``INCONCLUSIVE``, even at the small-model bound.
+depth is not bounded by Python's recursion limit.  Once some leaf has cut a
+branch off at the cap, a child on the cap that leaves a thread outside its
+final state can neither hit nor truncate: its parent runs the pruning check
+and counts it in ``visited`` without placing it.  One event below the cap
+with two threads unfinished, that holds for every child (an event moves one
+thread), so the node settles its frame in one pass: children that pass the
+pruning check count into ``visited``, the others into ``prunes``, and no
+branch is built.  A branch shuffle, whose generator must draw as usual, and
+a count that would cross ``max_nodes`` (the search must trip on the same
+child) take the per-branch path.  ``max_nodes`` bounds ``visited`` (and so
+the memo): the node past it ends the search as ``INCONCLUSIVE``, even at
+the small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -136,7 +144,7 @@ class SearchConfig:
 
     ``memo`` skips repeated search states (see :func:`bounded_reach`); off,
     the search walks the full tree of traces, the reference for tests.
-    ``max_nodes`` caps the nodes expanded; ``None`` leaves them unbounded.
+    ``max_nodes`` caps ``SearchStats.visited``; ``None`` leaves it unbounded.
     """
 
     budget: ContextBudget
@@ -227,8 +235,10 @@ def naive_reach(program: Program, max_events: int) -> ReachVerdict:
 class _Branch(NamedTuple):
     tid: str
     label: Label
+    top: int  # mo position of the thread's view on the label's row
     rf_src: EventId | None
     mo_pos: int | None
+    row: list[int]  # the live mo row of the label's location
 
 
 def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) -> ReachVerdict:
@@ -236,7 +246,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     With ``config.memo`` a node whose state key (module docstring) was
     already recorded at the same or a lower depth is skipped, so
-    ``stats.visited`` counts the nodes actually expanded, and a search that
+    ``stats.visited`` counts the nodes expanded or settled, and a search that
     closes without truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any
     cap.  Which of two equal states is expanded depends on branch order, so
     witnesses can differ from the uncached search's.
@@ -291,28 +301,31 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             return trace
         return None
 
-    def branches() -> Iterator[_Branch]:
+    def options() -> Iterator[tuple]:
+        """Per enabled label: thread, label, the view's mo position on the row, the row, sources, insertion points."""
         active = runs[-1][0] if runs else None
+        closed, spent = len(runs) >= budget.contexts, flags["rmws"] >= budget.rmws
         for t in tids:
-            if t != active and len(runs) >= budget.contexts:
+            if closed and t != active:
                 continue
+            head = heads[t]
             for lab in program.threads[t].enabled(subsets[t]):
-                if lab.op is Op.RMW and flags["rmws"] >= budget.rmws:
+                op = lab.op
+                if op is Op.RMW and spent:
                     continue
                 row = mo_rows[lab.loc]
                 # reads pick a same-valued writer, writes an mo insertion point, updates both
-                srcs = sorted(w for w in row if events[w].val_w == lab.val_r) if lab.op.reads else (None,)
-                for w in srcs:
-                    for pos in range(1, len(row) + 1) if lab.op.writes else (None,):
-                        yield _Branch(t, lab, w, pos)
+                srcs = [w for w in row if events[w].val_w == lab.val_r] if op.reads else (None,)
+                yield t, lab, at[head[ix[lab.loc]]], row, srcs, range(1, len(row) + 1) if op.writes else (None,)
 
-    def violates(br: _Branch) -> bool:
+    def branches() -> list[_Branch]:  # sources in id order, as the canonical branch order has them
+        return [_Branch(t, lab, top, w, p, row) for t, lab, top, row, ws, ps in options() for w in sorted(ws) for p in ps]
+
+    def violates(lab: Label, top: int, src: EventId | None, pos: int | None, row: list[int]) -> bool:
+        """The pruning rule; ``top`` is the mo position of the thread's view on ``row``."""
         # a source's own view holds the source on this row, and an update's source sits at pos - 1,
         # so the thread's view alone decides both coherence checks
-        lab, pos = br.label, br.mo_pos
-        row = mo_rows[lab.loc]
-        top = at[heads[br.tid][ix[lab.loc]]]
-        if lab.op.reads and top > at[br.rf_src]:
+        if lab.op.reads and top > at[src]:
             return True  # read coherence: an mo-later write happens before us
         if lab.op.writes:
             assert pos is not None
@@ -323,7 +336,23 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             if pos < len(row) and events[row[pos]].op is Op.RMW:
                 return True  # would wedge between an update and its source
         # an update's own source must be its immediate mo-predecessor
-        return lab.op is Op.RMW and row[pos - 1] != br.rf_src
+        return lab.op is Op.RMW and row[pos - 1] != src
+
+    def settle() -> bool:
+        """Count a frame of capped children that can neither hit nor truncate, unless that crosses ``max_nodes``."""
+        kept = cut = 0
+        for _, lab, top, row, srcs, spots in options():
+            for w in srcs:
+                for pos in spots:
+                    if prune and violates(lab, top, w, pos, row):
+                        cut += 1
+                    else:
+                        kept += 1
+        if stats.visited + kept > limit:
+            return False  # the per-branch path trips on the same child
+        stats.visited += kept
+        stats.prunes += cut
+        return True
 
     def apply(br: _Branch) -> tuple:
         t, lab = br.tid, br.label
@@ -342,7 +371,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             view = tuple(a if at[a] >= at[b] else b for a, b in zip(view, views[br.rf_src]))
         if lab.op.writes:
             assert br.mo_pos is not None
-            row = mo_rows[lab.loc]
+            row = br.row
             row.insert(br.mo_pos, eid)
             for j in range(br.mo_pos, len(row)):
                 at[row[j]] = j
@@ -425,13 +454,14 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             stats.max_events = max(stats.max_events, n)
             if not flags["unfinished"] and (found := hit_trace()) is not None:
                 return ReachVerdict(ReachStatus.REACHABLE, found, stats)
-            if n < cap:
-                out = list(branches())
+            if n >= cap:
+                truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
+            # with two threads unfinished no child hits, and once truncated none matters past its count
+            elif not (n + 1 == cap and truncated and flags["unfinished"] > 1 and rng is None and settle()):
+                out = branches()
                 if rng is not None:
                     rng.shuffle(out)
                 children = iter(out)
-            elif not truncated and next(branches(), None) is not None:
-                truncated = True  # a leaf only needs to know whether it cuts anything off
         stack.append((children, rec, n + 1 == cap))
         rec = None
         while rec is None and stack:
@@ -442,12 +472,10 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 if up is not None:
                     unapply(up)
                 continue
-            if prune and violates(br):
+            if prune and violates(br.label, br.top, br.rf_src, br.mo_pos, br.row):
                 stats.prunes += 1
             elif leaves and truncated and stats.visited < limit and misses(br):
-                # a capped leaf that can neither hit nor truncate: counted, never placed
-                stats.visited += 1
-                stats.max_events = max(stats.max_events, cap)
+                stats.visited += 1  # a capped leaf that can neither hit nor truncate: counted, never placed
             else:
                 rec = apply(br)
         if rec is None:

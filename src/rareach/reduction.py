@@ -279,7 +279,8 @@ def reduction_steps(
 ) -> Iterator[tuple[CollapsiblePair, Trace, tuple[EventId, ...], list[_Rewire], list[str]]]:
     """Collapse π-first pairs until none remain, yielding per step the pair, the trace
     after it, the removed range, the rewires and the locations whose mo it transposed."""
-    for run in {run.tid: run for run in trace.runs if run.events}.values():  # TraceError unless executable
+    # TraceError unless executable, UnknownThread for any run of an undeclared thread, empty runs included
+    for run in {run.tid: run for run in trace.runs if run.events or run.tid not in program.threads}.values():
         deque(_sweep(trace, program, run, rmw_mode), maxlen=0)
     while (found := _first_pair(trace, program, rmw_mode)) is not None:
         sweep, i, j = found

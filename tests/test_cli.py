@@ -736,6 +736,15 @@ class TestInternalError:
         assert err == "ra-reach: internal error: boom\n"
         assert "Traceback" not in err
 
+    def test_memory_error_names_its_type_and_the_bounding_flags(self, capsys, monkeypatch, mp_file):
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_reach", exhausted)
+        code, out, err = run(capsys, "reach", mp_file, "--contexts", "2")
+        assert (code, out) == (70, "")
+        assert err == "ra-reach: internal error: MemoryError (--event-cap and --max-nodes bound a search)\n"
+
 
 class TestMalformedJson:
     """Ill-typed JSON fields are input errors (65) with a one-line message."""
@@ -817,10 +826,10 @@ class TestEmptyRun:
     """A trace may hold an empty run, also of a thread without events."""
 
     @staticmethod
-    def files(tmp_path, tid):
-        # the empty run comes first, so the pair search sweeps it in every mode
+    def files(tmp_path, tid, last=False):
+        # first by default, so the pair search sweeps the empty run in every mode
         data = trace_to_json(corpus.twin_write_trace(2))
-        data["runs"].insert(0, {"tid": tid, "events": []})
+        data["runs"].insert(len(data["runs"]) if last else 0, {"tid": tid, "events": []})
         trace, program = tmp_path / "t.json", tmp_path / "p.txt"
         trace.write_text(json.dumps(data))
         program.write_text(corpus.TWIN_WRITE_LOOP + "thread u init p0 final p1\n  p0 p1 w x 0\n")
@@ -839,6 +848,14 @@ class TestEmptyRun:
     @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
     def test_undeclared_thread_is_a_data_error(self, capsys, tmp_path, flags):
         trace, program = self.files(tmp_path, "v")
+        code, out, err = run(capsys, "reduce", trace, "--program", program, *flags)
+        assert (code, out) == (65, "")
+        assert err == "ra-reach: error: thread 'v' of the trace is not declared by the program\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--fixpoint"]])
+    def test_undeclared_thread_of_a_last_empty_run_is_a_data_error(self, capsys, tmp_path, flags):
+        # a single step stops at the first pair, which lies before the empty run
+        trace, program = self.files(tmp_path, "v", last=True)
         code, out, err = run(capsys, "reduce", trace, "--program", program, *flags)
         assert (code, out) == (65, "")
         assert err == "ra-reach: error: thread 'v' of the trace is not declared by the program\n"

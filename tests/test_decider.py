@@ -483,6 +483,36 @@ class TestNodeBudget:
         assert v.explored.visited == 2000 and v.explored.max_events > 300
 
 
+class TestSettledFrames:
+    """The gadget at cap 4, where most children on the cap are counted in their parent without being placed."""
+
+    gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
+
+    def test_unpruned(self):
+        v = bounded_reach(self.gadget, cfg(12, cap=4), prune=False)
+        assert v.status is ReachStatus.INCONCLUSIVE
+        assert v.explored.to_json() == {"visited": 46523, "prunes": 0, "maxEvents": 4}
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("seed,prunes", [(0, (2, 2, 4, 20)), (7, (0, 0, 12, 20))])
+    def test_node_budget_trips_on_the_same_child(self, seed, prunes, memo):
+        for max_nodes, pruned in zip((500, 1001, 23456, 46502), prunes):
+            v = bounded_reach(self.gadget, cfg(12, cap=4, seed=seed, memo=memo, max_nodes=max_nodes))
+            assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, max_nodes, pruned)
+
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_child_that_finishes_the_last_thread_is_placed(self, memo):
+        # w x 1 first leads to q4, whose loop truncates at the cap; after w x 2 only t is unfinished,
+        # and the child on the cap that finishes it is the hit
+        prog = parse_program(
+            "locs x\nvals 0 1 2\ninit x=0\nthread t init q0 final q2\n"
+            "  q0 q1 w x 1\n  q1 q4 w x 1\n  q4 q4 w x 1\n  q0 q3 w x 2\n  q3 q2 w x 1\n"
+        )
+        v = bounded_reach(prog, cfg(1, cap=2, memo=memo))
+        assert v.status is ReachStatus.REACHABLE
+        assert v.explored.to_json() == {"visited": 5, "prunes": 2, "maxEvents": 2}
+
+
 #: program family -> [(program, max_events)]: random programs with and
 #: without updates, and the update-event loop programs
 TRUSTED_CASES = {
