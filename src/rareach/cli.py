@@ -22,6 +22,7 @@ keys and a fixed indent so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -307,7 +308,9 @@ def _cmd_pcp_audit(args) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; ``fn`` names the verb's handler."""
     parser = _Parser(prog="ra-reach", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
@@ -315,12 +318,12 @@ def build_parser() -> _Parser:
     p.add_argument("graph", help="execution graph JSON file")
     p.add_argument("--json", action="store_true", help="always emit the JSON verdict")
     p.add_argument("--dot", metavar="FILE", help="also render the graph to DOT")
-    p.set_defaults(fn=_cmd_check)
+    p.set_defaults(fn="_cmd_check")
 
     p = sub.add_parser("trace-validate", help="validate a trace file")
     p.add_argument("trace", help="trace JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_trace_validate)
+    p.set_defaults(fn="_cmd_trace_validate")
 
     p = sub.add_parser("reduce", help="collapse a trace")
     p.add_argument("trace", help="trace JSON file")
@@ -330,7 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--json", action="store_true", help="bundle trace and step log as JSON")
     p.add_argument("--dot", metavar="FILE", help="render the reduced graph to DOT")
     p.add_argument("-o", "--output", metavar="FILE", help="write the result here instead of stdout")
-    p.set_defaults(fn=_cmd_reduce)
+    p.set_defaults(fn="_cmd_reduce")
 
     p = sub.add_parser("reach", help="decide reachability under a context budget")
     p.add_argument("program", help="program text file")
@@ -346,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", metavar="FILE", help="key=value presets for budget flags")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="FILE", help="render the witness graph to DOT")
-    p.set_defaults(fn=_cmd_reach)
+    p.set_defaults(fn="_cmd_reach")
 
     p = sub.add_parser("enumerate", help="list all consistent graphs up to an event count")
     p.add_argument("program", help="program text file")
@@ -354,7 +357,7 @@ def build_parser() -> _Parser:
     p.add_argument("--limit", type=int, help="stop after this many graphs (0 lists none)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=_cmd_enumerate)
+    p.set_defaults(fn="_cmd_enumerate")
 
     pcp = sub.add_parser("pcp", help="correspondence-problem gadget tooling")
     pcp_sub = pcp.add_subparsers(dest="pcp_verb", required=True, metavar="verb")
@@ -363,7 +366,7 @@ def build_parser() -> _Parser:
     p.add_argument("instance", help="instance file: 'pair <word> : <word>' per line")
     p.add_argument("--json", action="store_true", help="emit program plus role metadata")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=_cmd_pcp_compile)
+    p.set_defaults(fn="_cmd_pcp_compile")
 
     p = pcp_sub.add_parser("witness", help="build the witness trace for a solution")
     p.add_argument("instance")
@@ -372,12 +375,12 @@ def build_parser() -> _Parser:
                    help="assert consistency and both audits before emitting")
     p.add_argument("--dot", metavar="FILE")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(fn=_cmd_pcp_witness)
+    p.set_defaults(fn="_cmd_pcp_witness")
 
     p = pcp_sub.add_parser("audit", help="run the no-skipping and monotonicity audits")
     p.add_argument("graph", help="execution graph JSON file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_pcp_audit)
+    p.set_defaults(fn="_cmd_pcp_audit")
 
     p = sub.add_parser("bound", help="print the small-model length bound")
     p.add_argument("--program", required=True, metavar="FILE")
@@ -385,16 +388,15 @@ def build_parser() -> _Parser:
     p.add_argument("--rmws", type=int)
     p.add_argument("--config", metavar="FILE")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_bound)
+    p.set_defaults(fn="_cmd_bound")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)  # looked up per call, so a replaced handler takes effect
     except (_UsageError, RaReachError, OSError, ValueError) as exc:
         print(f"ra-reach: error: {exc}", file=sys.stderr)
         return EX_USAGE if isinstance(exc, _UsageError) else EX_DATAERR

@@ -29,18 +29,28 @@ is exact for everything ``branches`` / ``violates`` / ``apply`` and the
 target check read:
 
 * the active thread, the number of runs and the number of updates used;
-* per thread, the control subset and the head, as mo positions
-  (``violates`` compares only those);
-* per location, its mo row as ``(value written, is an update, writer's
-  view)`` entries.
+* per thread its control subset;
+* the heads, as mo positions (``violates`` compares only those), in one
+  flat tuple, thread after thread;
+* per live row (a location that holds a non-init write): the location's
+  index, the tag ``(value written, is an update)`` of each write in mo
+  order, and the views of those writers as mo positions in one flat tuple,
+  write after write.
 
-Views cover only locations that hold a non-init write; the others read
-position 0 in every view.  Writes below every thread's view are dropped,
-the rows renumbered and the views clamped to that cut: every future event
-already sees the cut write, so no future read can take a write below it and
-no future write can go before it.  The key is the state of the RA view
-semantics (Kang et al., POPL 2017; Abdulla, Arora, Atig and Krishna, PLDI
-2019) with messages in mo order.
+Views cover only the live rows; the others read position 0 in every view.
+Writes below every thread's view are dropped, the rows renumbered and the
+views clamped to that cut: every future event already sees the cut write,
+so no future read can take a write below it and no future write can go
+before it.  The key is the state of the RA view semantics (Kang et al.,
+POPL 2017; Abdulla, Arora, Atig and Krishna, PLDI 2019) with messages in mo
+order.  The flat tuples lose nothing.  The key holds one entry per live
+row, every view has one position per live row, and a row has one tag per
+write; so the heads split back into one view per thread, and a row's flat
+tuple into one view per write.  Two states therefore share a key exactly
+when they share the per-thread views and the per-write ``(value, is an
+update, view)`` entries, as with nested tuples.  The flat form is only
+cheaper: CPython caches no tuple hash, so each memo lookup hashes every
+nested tuple again.
 
 A node whose key was already recorded at a depth no greater than its own,
 an ancestor's included, is skipped; keys are recorded on entry, keeping the
@@ -54,8 +64,9 @@ So a search that closes without truncation proves
 ``unreachable-within-bound`` at any cap.  Keys are built only at nodes at
 least two events below the cap.  Keys one level higher skip more (the PCP
 gadget at cap 4 expands 28,107 nodes instead of 46,503), but their
-``state_key`` calls cost more than the leaves they skip: that search took
-0.22 s against 0.13 s (best of seven, Python 3.11.7, 2-CPU x86-64 host).
+``state_key`` calls cost more than the leaves they skip: with the flat key
+that search took 0.11-0.13 s against 0.08-0.09 s (best of seven, three
+alternating rounds, Python 3.11.7, 2-CPU x86-64 host).
 The key assumes every placed prefix is consistent, so without pruning the
 memo stays off.
 
@@ -268,6 +279,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     init_view = tuple(range(n_init))
     views: list[tuple[int, ...]] = [init_view] * n_init
     at = [0] * n_init  # per write its index in its mo row (0 for reads)
+    tags = [(lab.val_w, False) for lab in events]  # per event its key tag: (value written, is an update)
     ix = {x: i for i, x in enumerate(locs)}
     subsets = {t: frozenset({program.threads[t].init}) for t in tids}
     heads = {t: init_view for t in tids}  # per thread the view of its last event
@@ -359,6 +371,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         view = old_head = heads[t]
         eid = len(events)
         events.append(lab)
+        tags.append((lab.val_w, lab.op is Op.RMW))
         at.append(0)
         old_subset = subsets[t]
         subsets[t] = program.threads[t].step(old_subset, lab)
@@ -392,6 +405,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         heads[t] = old_head
         eid = len(events) - 1
         events.pop()
+        tags.pop()
         views.pop()
         subsets[t] = old_subset
         flags["unfinished"] -= moved
@@ -414,20 +428,19 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     memo: dict[tuple, int] = {}  # state key -> least depth it was entered at
 
     def state_key() -> tuple:
-        # locations without a non-init write sit at position 0 in every view
-        live = [(ix[x], row) for x, row in mo_rows.items() if len(row) > 1]
-        cut = [min(at[v[i]] for v in heads.values()) for i, _ in live]
-
-        def clamp(view: tuple[int, ...]) -> tuple[int, ...]:
-            # per live row, the view's position counted from the cut (writes below it read as 0)
-            return tuple(max(at[view[i]] - c, 0) for (i, _), c in zip(live, cut))
-
-        rows = tuple(
-            (i, tuple((events[w].val_w, events[w].op is Op.RMW, clamp(views[w])) for w in row[c:]))
-            for (i, row), c in zip(live, cut)
-        )
+        hs = heads.values()
+        # per live row (mo_rows is in locs order): location index, row, cut (the lowest position a head sees)
+        live = [(i, row, min([at[v[i]] for v in hs])) for i, row in enumerate(mo_rows.values()) if len(row) > 1]
+        ic = [(i, c) for i, _, c in live]
+        # per live row: index, its writes' tags from the cut on, then all their views as positions from the cuts
+        # (0 below a cut) in one flat tuple
+        rows = tuple([
+            (i, tuple([tags[w] for w in row[c:]]), tuple([p - d if (p := at[views[w][j]]) > d else 0 for w in row[c:] for j, d in ic]))
+            for i, row, c in live
+        ])
         active = runs[-1][0] if runs else None
-        return active, len(runs), flags["rmws"], tuple(subsets[t] for t in tids), tuple(map(clamp, heads.values())), rows
+        # the cuts are the heads' lowest positions, so the heads need no floor
+        return active, len(runs), flags["rmws"], tuple(subsets.values()), tuple([at[v[j]] - d for v in hs for j, d in ic]), rows
 
     def misses(br: _Branch) -> bool:
         """Whether placing ``br`` leaves some thread outside its final state."""

@@ -746,6 +746,45 @@ class TestInternalError:
         assert err == "ra-reach: internal error: MemoryError (--event-cap and --max-nodes bound a search)\n"
 
 
+class TestCachedParser:
+    """One parser serves every ``cli.main`` call of a process; no call's flags reach the next."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        cap = capsys.readouterr()
+        return code, cap.out, cap.err
+
+    def test_no_value_carries_over(self, capsys, tmp_path, mp_file):
+        loop = tmp_path / "loop.txt"
+        loop.write_text(MP_LOOP)
+        reach = ["reach", str(loop), "--contexts", "2", "--event-cap", "6"]
+        calls = [
+            reach + ["--seed", "3", "--json"],
+            reach,
+            ["enumerate", mp_file, "--max-events", "2", "--limit", "1"],
+            ["enumerate", mp_file, "--max-events", "2"],
+            ["reach", str(loop), "--contexts", "two"],
+            reach,
+        ]
+        parser = cli.build_parser()
+        in_turn = [self.outcome(capsys, argv) for argv in calls]
+        assert cli.build_parser() is parser
+        assert [code for code, _, _ in in_turn] == [2, 2, 0, 0, 64, 2]
+        # seed 3 gives (111, 74): the seed and --json of the first call are gone
+        assert in_turn[1][1] == in_turn[5][1] == "inconclusive (visited 112, pruned 75, max events 6)\n"
+        assert in_turn[2][1].endswith("\n1 consistent graphs\n") and in_turn[3][1].endswith("\n3 consistent graphs\n")
+        # each call alone on a newly built parser gives the same bytes
+        alone = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            alone.append(self.outcome(capsys, argv))
+        assert alone == in_turn
+
+
 class TestMalformedJson:
     """Ill-typed JSON fields are input errors (65) with a one-line message."""
 

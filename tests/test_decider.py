@@ -375,6 +375,19 @@ class TestPinnedMemoCounters:
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == (2114, 3562)
 
+    # the loop-search bench ops not pinned above: (program, contexts, cap) -> seed-0 counters
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "text,contexts,cap,counters",
+        [(CORR_LOOP, 2, 18, (245, 307)), (MP_LOOP, 3, 10, (751, 1015)), (WRC_LOOP, 3, 16, (1077, 5847))],
+        ids=["corr_loop_2_18", "mp_loop_3_10", "wrc_loop_3_16"],
+    )
+    def test_loop_search_ops(self, text, contexts, cap, counters, seed):
+        v = bounded_reach(parse_program(text), cfg(contexts, cap=cap, seed=seed, memo=True))
+        assert v.status is ReachStatus.INCONCLUSIVE
+        if seed == 0:
+            assert (v.explored.visited, v.explored.prunes) == counters
+
     def test_gadget_cap_4(self):
         # keys are built two or more events below the cap, where the gadget repeats no state
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
