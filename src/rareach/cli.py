@@ -221,10 +221,13 @@ def _cmd_enumerate(args) -> int:
     max_events = _setting(args.max_events, {}, "max-events")
     limit = _setting(args.limit, {}, "limit")
     program = parse_program(_read(args.program))
-    graphs = list(islice(enumerate_graphs(program, max_events), limit))
-    if args.json:
-        _emit(_json_text({"count": len(graphs), "graphs": [graph_to_json(g) for g in graphs]}), args.output)
+    graphs = islice(enumerate_graphs(program, max_events), limit)
+    if args.json:  # dicts as graphs are found, then each one's text at its depth: keeps no graph or document chunk list
+        texts = [_json_text(doc)[:-1].replace("\n", "\n    ") for doc in [graph_to_json(g) for g in graphs]]
+        items = "[" + ",".join(f"\n    {t}" for t in texts) + "\n  ]" if texts else "[]"
+        _emit(f'{{\n  "count": {len(texts)},\n  "graphs": {items}\n}}\n', args.output)
     else:
+        graphs = list(graphs)
         for i, g in enumerate(graphs):
             words = {t: len(g.po[t]) for t in g.tids()}
             print(f"graph {i}: {len(g.non_init_events())} events {words}")
@@ -275,7 +278,7 @@ def _cmd_pcp_witness(args) -> int:
     if args.check:  # explicit raises, not asserts, so that python -O keeps them
         verdict = check_ra(trace.graph)
         if not verdict.consistent:
-            raise AssertionError(f"witness fails {verdict.axiom}")
+            raise AssertionError(f"witness fails {verdict.axiom and verdict.axiom.value} at {verdict.witness}")
         skip = check_no_skipping(trace.graph)
         if not skip.ok:
             raise AssertionError(f"witness skips: {skip.violations[0]}")
@@ -393,6 +396,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: per handler and --naive, the flags that bound what it keeps in memory, named if it runs out
+_MEMORY_BOUNDS = {
+    ("_cmd_reach", False): "--event-cap and --max-nodes bound a search",
+    ("_cmd_reach", True): "--event-cap bounds the enumeration",
+    ("_cmd_enumerate", False): "--max-events bounds the enumeration",
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -401,7 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ra-reach: error: {exc}", file=sys.stderr)
         return EX_USAGE if isinstance(exc, _UsageError) else EX_DATAERR
     except Exception as exc:  # failed assertions and anything else unexpected
-        hint = " (--event-cap and --max-nodes bound a search)" if isinstance(exc, MemoryError) else ""
+        bound = isinstance(exc, MemoryError) and _MEMORY_BOUNDS.get((args.fn, getattr(args, "naive", False)))
+        hint = f" ({bound})" if bound else ""
         print(f"ra-reach: internal error: {str(exc) or type(exc).__name__}{hint}", file=sys.stderr)
         return EX_SOFTWARE
 

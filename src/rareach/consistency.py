@@ -15,7 +15,7 @@ The axioms read happens-before from the graph's successor bitmasks
 (``_succ_masks``, bit positions from ``_index``), never pair by pair:
 
 * ``IRR_HB`` reads the graph's least event on an hb cycle, which never
-  reads mo, so graphs built ``like=`` one base share the answer;
+  reads mo, so :func:`check_ra` answers it once per closure (below);
 * ``WRITE_COHERENCE`` walks each mo row once with a mask of the writes
   mo-before the current one; a successor mask meeting it flags a violation,
   and only then are that write's violating pairs listed;
@@ -24,9 +24,13 @@ The axioms read happens-before from the graph's successor bitmasks
 * ``ATOMICITY`` reads mo positions only.
 
 Checks report the lexicographically least witness (by event id) so results
-are stable across runs.  Every axiom is closed under taking subgraphs whose
-po/rf/mo are restrictions of the original: removing events never introduces
-a violation.
+are stable across runs; one function per axiom finds its least witness, for
+both :func:`check_axiom` and :func:`check_ra`.  Every axiom is closed under
+taking subgraphs whose po/rf/mo are restrictions of the original: removing
+events never introduces a violation.  Verdicts are frozen, so graphs sharing an
+hb closure (built ``like=`` one base) share a table of them, ``_verdicts``: the
+closure's ``IRR_HB`` verdict under ``None``, and one verdict per ``(axiom,
+least witness)`` met.  Compare verdicts by value, not identity.
 """
 
 from __future__ import annotations
@@ -44,14 +48,11 @@ class Axiom(enum.Enum):
     READ_COHERENCE = "read-coherence"
     ATOMICITY = "atomicity"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hashes the name in Python
 
-#: Fixed checking order; check_ra reports the first axiom that fails.
-AXIOM_ORDER = (
-    Axiom.IRR_HB,
-    Axiom.WRITE_COHERENCE,
-    Axiom.READ_COHERENCE,
-    Axiom.ATOMICITY,
-)
+
+#: Fixed checking order, the declaration order; check_ra reports the first axiom that fails.
+AXIOM_ORDER = tuple(Axiom)
 
 
 @dataclass(frozen=True)
@@ -83,52 +84,76 @@ class Verdict:
 _CONSISTENT = Verdict(True)
 
 
-def _witness_key(w: tuple[EventId, ...]) -> tuple:
-    return tuple(id_key(e) for e in w)
+def _least(found: list[tuple[EventId, ...]] | None) -> tuple[EventId, ...] | None:
+    if not found:
+        return None
+    try:
+        return min(found)  # ids of one type compare as their id_key does
+    except TypeError:  # ints mixed with strings
+        return min(found, key=lambda w: tuple(map(id_key, w)))
+
+
+def _irr_hb(graph: ExecutionGraph) -> tuple[EventId, ...] | None:
+    return None if graph._hb_cycle is None else (graph._hb_cycle,)
+
+
+def _write_coherence(graph: ExecutionGraph) -> tuple[EventId, ...] | None:
+    succ, idx = graph._succ_masks, graph._index
+    found = None
+    for row in graph.mo.values():
+        earlier = 0  # the writes mo-before w2
+        for i, w2 in enumerate(row):
+            after = succ[w2]
+            if after & earlier:
+                found = found or []
+                found += [(w, w2) for w in row[:i] if after >> idx[w] & 1]
+            earlier |= 1 << idx[w2]
+    return _least(found)
+
+
+def _read_coherence(graph: ExecutionGraph) -> tuple[EventId, ...] | None:
+    succ, idx, mo_pos = graph._succ_masks, graph._index, graph.mo_pos
+    found = [
+        (w, r, w2)
+        for r, w in graph.rf.items()
+        for w2 in graph.mo[graph.events[w].loc][mo_pos[w] + 1 :]
+        if succ[w2] >> idx[r] & 1
+    ]
+    return _least(found)
+
+
+def _atomicity(graph: ExecutionGraph) -> tuple[EventId, ...] | None:
+    found = []
+    for r, w in graph.rf.items():
+        if graph.events[r].op is Op.RMW:
+            pw, pr = graph.mo_pos[w], graph.mo_pos[r]
+            found += [(w, r, w2) for w2 in graph.mo[graph.events[r].loc][pw + 1 : pr]]
+    return _least(found)
+
+
+_LEAST = dict(zip(AXIOM_ORDER, (_irr_hb, _write_coherence, _read_coherence, _atomicity)))
+_MO_CHECKS = tuple(_LEAST.items())[1:]  # the axioms that read mo
+
+
+def _verdict(graph: ExecutionGraph, axiom: Axiom, witness: tuple[EventId, ...]) -> Verdict:
+    """The violation of ``axiom`` at ``witness``, from the table shared by ``graph``'s closure."""
+    key = (axiom, witness)
+    return graph._verdicts.get(key) or graph._verdicts.setdefault(key, Verdict(False, axiom, witness))
 
 
 def check_axiom(graph: ExecutionGraph, axiom: Axiom) -> Verdict:
     """Check one axiom, reporting the least witness if it fails."""
-    found: list[tuple[EventId, ...]] = []
-    succ, idx = graph._succ_masks, graph._index
-    if axiom is Axiom.IRR_HB:
-        if graph._hb_cycle is not None:
-            found = [(graph._hb_cycle,)]
-    elif axiom is Axiom.WRITE_COHERENCE:
-        for row in graph.mo.values():
-            earlier = 0  # the writes mo-before w2
-            for i, w2 in enumerate(row):
-                after = succ[w2]
-                if after & earlier:
-                    found += [(w, w2) for w in row[:i] if after >> idx[w] & 1]
-                earlier |= 1 << idx[w2]
-    elif axiom is Axiom.READ_COHERENCE:
-        for r, w in graph.rf.items():
-            row = graph.mo[graph.events[w].loc]
-            for w2 in row[graph.mo_pos[w] + 1 :]:
-                if succ[w2] >> idx[r] & 1:
-                    found.append((w, r, w2))
-    elif axiom is Axiom.ATOMICITY:
-        for r, w in graph.rf.items():
-            if graph.events[r].op is not Op.RMW:
-                continue
-            row = graph.mo[graph.events[r].loc]
-            pw, pr = graph.mo_pos[w], graph.mo_pos[r]
-            for w2 in row[pw + 1 : pr] if pw < pr else ():
-                found.append((w, r, w2))
-    if not found:
-        return _CONSISTENT
-    try:
-        least = min(found)  # ids of one type compare as their id_key does
-    except TypeError:  # ints mixed with strings
-        least = min(found, key=_witness_key)
-    return Verdict(False, axiom, least)
+    witness = _LEAST[axiom](graph)
+    return _CONSISTENT if witness is None else _verdict(graph, axiom, witness)
 
 
 def check_ra(graph: ExecutionGraph) -> Verdict:
-    """Check all four axioms in order; first failure wins."""
-    for axiom in AXIOM_ORDER:
-        verdict = check_axiom(graph, axiom)
-        if not verdict.consistent:
-            return verdict
-    return _CONSISTENT
+    """Check all four axioms in order; first failure wins.  ``IRR_HB`` is one
+    lookup in the closure's verdict table after the closure's first check."""
+    verdict = graph._verdicts.get(None) or graph._verdicts.setdefault(None, check_axiom(graph, Axiom.IRR_HB))
+    if verdict.consistent:
+        for axiom, least in _MO_CHECKS:
+            witness = least(graph)
+            if witness is not None:
+                return _verdict(graph, axiom, witness)
+    return verdict

@@ -187,7 +187,8 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     is pruned: every candidate is built and goes through :func:`check_ra`
     once.  Candidates are built by ``build_graph(..., like=)`` from rows
     prepared once per word combination, so all mos of one reads-from choice
-    share its po, its hb closure and its ``IRR_HB`` answer.
+    share its po, its hb closure and its verdict table: one ``IRR_HB`` answer,
+    and one ``Verdict`` object per ``(axiom, least witness)`` met.
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)

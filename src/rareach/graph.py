@@ -19,9 +19,10 @@ on an hb cycle.
 witness assembly); producers whose rows are valid by construction, the naive
 enumerator and reduction steps, call the :class:`ExecutionGraph` constructor
 or the trusted ``build_graph(..., like=graph)`` for graphs differing only in
-mo.  A graph built ``like=`` another shares its po, event index, hb masks
-and least cycle event, the facts that never read mo; whatever reads mo, such
-as ``mo_pos`` and every coherence verdict, is the new graph's own.
+mo.  A graph built ``like=`` another shares the facts that never read mo: its
+events, rf, po, event index, hb masks, least cycle event and verdict table
+(:mod:`.consistency`).  Whatever reads mo, such as ``mo_pos`` and the
+coherence checks, is the new graph's own.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class ExecutionGraph:
         self.events = events
         self.rf = rf
         self.mo = mo
+        self._verdicts: dict = {}  # check_ra's, shared by every graph built like= this one
 
     # -- basic lookups ------------------------------------------------------
 
@@ -104,11 +106,16 @@ class ExecutionGraph:
         return {e: i for row in self.mo.values() for i, e in enumerate(row)}
 
     def _with_mo(self, mo: dict[str, tuple[EventId, ...]]) -> ExecutionGraph:
-        """This graph with another mo, sharing the facts that never read mo: po,
-        the event index, the hb closure and the least event on an hb cycle."""
-        graph = ExecutionGraph(self.events, self.rf, mo)
-        graph.__dict__.update(po=self.po, _index=self._index, _succ_masks=self._succ_masks, _hb_cycle=self._hb_cycle)
+        """This graph with another mo: a copy of :attr:`_like_facts` with ``mo`` set."""
+        graph = ExecutionGraph.__new__(ExecutionGraph)
+        graph.__dict__.update(self._like_facts)
+        graph.mo = mo
         return graph
+
+    @cached_property
+    def _like_facts(self) -> dict:
+        """The facts that never read mo, shared by every graph built ``like=`` this one."""
+        return {n: getattr(self, n) for n in ("events", "rf", "po", "_index", "_succ_masks", "_hb_cycle", "_verdicts")}
 
     # -- happens-before -----------------------------------------------------
 

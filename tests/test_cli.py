@@ -13,9 +13,9 @@ import pytest
 
 import rareach
 from rareach import cli
-from rareach.consistency import Verdict
+from rareach.consistency import Axiom, Verdict
 from rareach.decider import enumerate_graphs
-from rareach.graph import build_graph
+from rareach.graph import build_graph, graph_to_json
 from rareach.model import parse_program, read, serialize_program, write
 from rareach.reduction import small_model_bound
 from rareach.trace import ContextBudget, Run, load_trace_json, make_trace, trace_to_json
@@ -405,6 +405,40 @@ class TestPinnedOutput:
         assert self.digest(code, out) == want
 
 
+#: per program of criterion 4's corpus: the event count the naive-enum benchmark
+#: enumerates it at, and the digest of ``enumerate --json`` and ``reach --naive --json``
+NAIVE_PINS = [
+    (5, "95e87905456baebe"),
+    (4, "096421f5191a960a"),
+    (5, "ef358aee994e48de"),
+    (5, "bd359704c2a0f851"),
+    (5, "5e8f705a3686220b"),
+    (5, "a017bead2138925d"),
+    (4, "013e357873138b05"),
+    (5, "de820ed243e05bff"),
+    (5, "fb5820383cb59684"),
+    (5, "606ca6600b3ba36b"),
+    (5, "08fc80964e683219"),
+    (5, "ed735cd692bace80"),
+]
+
+
+class TestPinnedNaiveEnum:
+    """The naive enumerator's output bytes on criterion 4's corpus, unrenamed, pinned by sha256."""
+
+    @pytest.mark.parametrize("i", range(len(NAIVE_PINS)))
+    def test_enumerate_and_naive_reach_json(self, capsys, tmp_path, i):
+        from tests.test_acceptance import rmw_corpus
+
+        events, want = NAIVE_PINS[i]
+        prog = tmp_path / "p.txt"
+        prog.write_text(serialize_program(rmw_corpus()[i]))
+        cap = str(min(events, 4))
+        enum = run(capsys, "enumerate", str(prog), "--max-events", str(events), "--json")
+        naive = run(capsys, "reach", str(prog), "--naive", "--contexts", cap, "--event-cap", cap, "--json")
+        assert TestPinnedOutput.digest(enum[0], enum[1], str(naive[0]), naive[1]) == want
+
+
 class TestReach:
     def test_reachable(self, capsys, mp_file):
         code, out, _ = run(capsys, "reach", mp_file, "--contexts", "2")
@@ -540,6 +574,17 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", mp_file, "--max-events", "4", "--limit", "0", "--json")
         assert code == 0 and json.loads(out) == {"count": 0, "graphs": []}
 
+    @pytest.mark.parametrize("limit", [[], ["--limit", "0"], ["--limit", "1"], ["--limit", "3"]])
+    def test_json_is_the_whole_document_dumped_at_once(self, capsys, tmp_path, limit):
+        # the graphs' texts are set into the document one by one; the bytes are json.dumps' of the whole
+        for i, text in enumerate([corpus.MP, *corpus.LOOPY_RMW]):
+            prog = tmp_path / f"p{i}.txt"
+            prog.write_text(text)
+            code, out, _ = run(capsys, "enumerate", str(prog), "--max-events", "4", "--json", *limit)
+            graphs = list(islice(enumerate_graphs(parse_program(text), 4), int(limit[1]) if limit else None))
+            doc = {"count": len(graphs), "graphs": [graph_to_json(g) for g in graphs]}
+            assert (code, out) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
     def test_max_events_required(self, capsys, mp_file):
         with pytest.raises(SystemExit) as ei:
             cli.main(["enumerate", mp_file])
@@ -615,6 +660,12 @@ class TestPcp:
         monkeypatch.setattr(cli, "check_ra", lambda g: broken)
         code, _, err = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check")
         assert code == 70 and "internal error" in err
+
+    def test_witness_check_failure_names_the_axiom_and_witness(self, capsys, inst_file, monkeypatch):
+        monkeypatch.setattr(cli, "check_ra", lambda g: Verdict(False, Axiom.IRR_HB, (3,)))
+        code, out, err = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check")
+        assert (code, out) == (70, "")
+        assert err == "ra-reach: internal error: witness fails irr-hb at (3,)\n"
 
     def test_witness_check_survives_python_O(self, tmp_path, inst_file):
         out = tmp_path / "w.json"
@@ -744,6 +795,24 @@ class TestInternalError:
         code, out, err = run(capsys, "reach", mp_file, "--contexts", "2")
         assert (code, out) == (70, "")
         assert err == "ra-reach: internal error: MemoryError (--event-cap and --max-nodes bound a search)\n"
+
+    @pytest.mark.parametrize(
+        "handler,argv,hint",
+        [
+            ("_cmd_reach", ["reach", "--naive", "--event-cap", "3"], " (--event-cap bounds the enumeration)"),
+            ("_cmd_enumerate", ["enumerate", "--max-events", "3"], " (--max-events bounds the enumeration)"),
+            ("_cmd_check", ["check"], ""),
+        ],
+        ids=["reach-naive", "enumerate", "check"],
+    )
+    def test_memory_error_names_the_flags_of_the_verb_that_ran(self, capsys, monkeypatch, mp_file, handler, argv, hint):
+        def exhausted(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, handler, exhausted)
+        code, out, err = run(capsys, argv[0], mp_file, *argv[1:])
+        assert (code, out) == (70, "")
+        assert err == f"ra-reach: internal error: MemoryError{hint}\n"
 
 
 class TestCachedParser:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from itertools import permutations, product
 
-from rareach.consistency import AXIOM_ORDER, Axiom, check_axiom, check_ra
+from rareach.consistency import AXIOM_ORDER, Axiom, Verdict, check_axiom, check_ra
 from rareach.graph import build_graph
 from rareach.model import read, rmw, write
 
@@ -257,3 +257,21 @@ class TestSharedClosure:
             assert verdicts[good].consistent
             assert verdicts[bad].axiom is axiom
             assert [check_axiom(g, axiom).consistent for g in graphs] == [row == good for row in rows]
+
+    def test_one_witness_two_axioms(self):
+        # t writes 1 and then updates 0 to 2: mo [0, 1, 2] fails read coherence and atomicity with one triple
+        events = [(0, write("init", "x", "0")), (1, write("t", "x", "1")), (2, rmw("t", "x", "0", "2"))]
+        g = build_graph(events, {"t": [1, 2]}, {2: 0}, {"x": [0, 1, 2]})
+        assert check_ra(g) == Verdict(False, Axiom.READ_COHERENCE, (0, 2, 1))
+        assert check_axiom(g, Axiom.ATOMICITY) == Verdict(False, Axiom.ATOMICITY, (0, 2, 1))
+
+    def test_siblings_share_verdicts(self):
+        # built like= one base, candidates failing the same way get one Verdict object; another base's are its own
+        base = hb_cycle_graph()
+        siblings = [build_graph(base.events, base.po, base.rf, dict(base.mo), like=base) for _ in range(2)]
+        assert check_ra(siblings[0]) is check_ra(siblings[1]) is check_ra(base)
+        bad = write_coherence_graph()
+        pair = [build_graph(bad.events, bad.po, bad.rf, {"x": (0, 3, 1)}, like=bad) for _ in range(2)]
+        assert check_ra(pair[0]) is check_ra(pair[1])
+        other = check_ra(write_coherence_graph())
+        assert check_ra(pair[0]) == other and check_ra(pair[0]) is not other

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from rareach import decider
-from rareach.consistency import check_ra
+from rareach.consistency import _CONSISTENT, AXIOM_ORDER, Axiom, check_axiom, check_ra
 from rareach.decider import (
     ReachStatus,
     SearchConfig,
@@ -611,6 +611,27 @@ class TestTrustedConstruction:
         for prog, n in cases:
             sum(1 for _ in enumerate_graphs(prog, n))
         assert axioms == {None, "irr-hb", "write-coherence", "read-coherence", "atomicity"}
+
+    @pytest.mark.parametrize(
+        "cases", [*TRUSTED_CASES.values(), [(prog, 4) for prog in rmw_corpus()]], ids=[*TRUSTED_CASES, "criterion-4"]
+    )
+    def test_check_ra_agrees_with_check_axiom(self, monkeypatch, cases):
+        # verdicts are shared between candidates, so they are compared by value
+        check, seen = decider.check_ra, set()
+
+        def compared(graph):
+            v = check(graph)
+            each = [check_axiom(graph, a) for a in AXIOM_ORDER]
+            assert all(u.consistent or u.axiom is a for u, a in zip(each, AXIOM_ORDER))
+            first = next((u for u in each if not u.consistent), _CONSISTENT)
+            assert (v.consistent, v.axiom, v.witness) == (first.consistent, first.axiom, first.witness)
+            seen.add(v.axiom)
+            return v
+
+        monkeypatch.setattr(decider, "check_ra", compared)
+        for prog, n in cases:
+            sum(1 for _ in enumerate_graphs(prog, n))
+        assert {None, Axiom.IRR_HB, Axiom.WRITE_COHERENCE} <= seen
 
     def test_like_requires_the_same_rows(self):
         g = next(enumerate_graphs(corpus.loopy_rmw_programs()[1], 2))
