@@ -65,8 +65,9 @@ So a search that closes without truncation proves
 least two events below the cap.  Keys one level higher skip more (the PCP
 gadget at cap 4 expands 28,107 nodes instead of 46,503), but their
 ``state_key`` calls cost more than the leaves they skip: with the flat key
-that search took 0.11-0.13 s against 0.08-0.09 s (best of seven, three
-alternating rounds, Python 3.11.7, 2-CPU x86-64 host).
+and the settled frames below, that search took 0.058-0.059 s against
+0.031-0.033 s (best of seven, three alternating rounds, Python 3.11.7,
+2-CPU x86-64 host, October 2026).
 The key assumes every placed prefix is consistent, so without pruning the
 memo stays off.
 
@@ -78,11 +79,23 @@ and counts it in ``visited`` without placing it.  One event below the cap
 with two threads unfinished, that holds for every child (an event moves one
 thread), so the node settles its frame in one pass: children that pass the
 pruning check count into ``visited``, the others into ``prunes``, and no
-branch is built.  A branch shuffle, whose generator must draw as usual, and
-a count that would cross ``max_nodes`` (the search must trip on the same
-child) take the per-branch path.  ``max_nodes`` bounds ``visited`` (and so
-the memo): the node past it ends the search as ``INCONCLUSIVE``, even at
-the small-model bound.
+branch is built.  The count sums one share per thread that may move, and a
+thread's share reads only its control subset and head, the rows of its
+enabled labels' locations and whether the update budget is spent.  So the
+node's one event since its parent, of thread t0 on location x, leaves
+another thread's share as at the parent unless the event is an update
+(which may spend the budget) or writes x while that thread has an enabled
+label on x.  Shares are stored per thread for the node two events below
+the cap, emptied when the loop enters such a node (in a depth-first walk,
+the nodes one below the cap entered until the next emptying are its
+children): a child recounts t0 and the touched threads and takes each other
+share from the store, counting and storing it if missing.  The context
+budget, which decides who may move, applies per child, when summing.  A
+branch shuffle, whose generator must draw as usual, and a count that would
+cross ``max_nodes`` (the search must trip on the same child) take the
+per-branch path.  ``max_nodes`` bounds ``visited`` (and so the memo): the
+node past it ends the search as ``INCONCLUSIVE``, even at the small-model
+bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -314,25 +327,24 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             return trace
         return None
 
-    def options() -> Iterator[tuple]:
-        """Per enabled label: thread, label, the view's mo position on the row, the row, sources, insertion points."""
-        active = runs[-1][0] if runs else None
-        closed, spent = len(runs) >= budget.contexts, flags["rmws"] >= budget.rmws
-        for t in tids:
-            if closed and t != active:
+    def movers() -> list[str]:
+        """The threads that may place the next event: all while a run can open, else the active one."""
+        return tids if len(runs) < budget.contexts else [runs[-1][0]]
+
+    def options(t: str) -> Iterator[tuple]:
+        """Per enabled label of ``t``: label, the view's mo position on the row, the row, sources, insertion points."""
+        head, spent = heads[t], flags["rmws"] >= budget.rmws
+        for lab in program.threads[t].enabled(subsets[t]):
+            op = lab.op
+            if op is Op.RMW and spent:
                 continue
-            head = heads[t]
-            for lab in program.threads[t].enabled(subsets[t]):
-                op = lab.op
-                if op is Op.RMW and spent:
-                    continue
-                row = mo_rows[lab.loc]
-                # reads pick a same-valued writer, writes an mo insertion point, updates both
-                srcs = [w for w in row if events[w].val_w == lab.val_r] if op.reads else (None,)
-                yield t, lab, at[head[ix[lab.loc]]], row, srcs, range(1, len(row) + 1) if op.writes else (None,)
+            row = mo_rows[lab.loc]
+            # reads pick a same-valued writer, writes an mo insertion point, updates both
+            srcs = [w for w in row if events[w].val_w == lab.val_r] if op.reads else (None,)
+            yield lab, at[head[ix[lab.loc]]], row, srcs, range(1, len(row) + 1) if op.writes else (None,)
 
     def branches() -> list[_Branch]:  # sources in id order, as the canonical branch order has them
-        return [_Branch(t, lab, top, w, p, row) for t, lab, top, row, ws, ps in options() for w in sorted(ws) for p in ps]
+        return [_Branch(t, lab, top, w, p, row) for t in movers() for lab, top, row, ws, ps in options(t) for w in sorted(ws) for p in ps]
 
     def violates(lab: Label, top: int, src: EventId | None, pos: int | None, row: list[int]) -> bool:
         """The pruning rule; ``top`` is the mo position of the thread's view on ``row``."""
@@ -351,16 +363,45 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         # an update's own source must be its immediate mo-predecessor
         return lab.op is Op.RMW and row[pos - 1] != src
 
-    def settle() -> bool:
-        """Count a frame of capped children that can neither hit nor truncate, unless that crosses ``max_nodes``."""
+    def count(t: str) -> tuple[int, int]:
+        """The children of ``t`` that pass the pruning check, and those it cuts."""
         kept = cut = 0
-        for _, lab, top, row, srcs, spots in options():
+        for lab, top, row, srcs, spots in options(t):
             for w in srcs:
                 for pos in spots:
                     if prune and violates(lab, top, w, pos, row):
                         cut += 1
                     else:
                         kept += 1
+        return kept, cut
+
+    # per thread and control subset, the locations of its enabled labels
+    locs_of: dict[str, dict[frozenset[str], set[str]]] = {t: {} for t in tids}
+
+    def touches(t: str, x: str) -> bool:
+        """Whether some enabled label of ``t`` is on location ``x``."""
+        seen = locs_of[t]
+        if (found := seen.get(s := subsets[t])) is None:
+            found = seen[s] = {lab.loc for lab in program.threads[t].enabled(s)}
+        return x in found
+
+    # per thread its count at the node two events below the cap, stored by children that leave it untouched
+    counts: dict[str, tuple[int, int]] = {}
+
+    def settle() -> bool:
+        """Count a frame of capped children that can neither hit nor truncate, unless that crosses ``max_nodes``."""
+        lab = events[-1]
+        t0, spends, wrote = runs[-1][0], lab.op is Op.RMW, lab.op.writes
+        kept = cut = 0
+        for t in movers():
+            if t == t0 or spends or (wrote and touches(t, lab.loc)):
+                k, c = count(t)
+            elif (kc := counts.get(t)) is None:
+                k, c = counts[t] = count(t)
+            else:
+                k, c = kc
+            kept += k
+            cut += c
         if stats.visited + kept > limit:
             return False  # the per-branch path trips on the same child
         stats.visited += kept
@@ -455,6 +496,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     rec: tuple | None = None  # undoes the node just placed; None at the root
     while True:
         n = len(events) - n_init
+        if n == cap - 2:
+            counts.clear()
         # keys only two or more events below the cap (see the module docstring)
         key = state_key() if keyed and n <= cap - 2 else None
         children: Iterator[_Branch] = iter(())

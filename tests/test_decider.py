@@ -496,8 +496,30 @@ class TestNodeBudget:
         assert v.explored.visited == 2000 and v.explored.max_events > 300
 
 
+#: with one update allowed, either thread's update spends it, which takes the
+#: other thread's update out of a frame's count one event below the cap
+SPENDS_THE_BUDGET = """
+locs x y z
+vals 0 1
+init x=0 y=0 z=0
+thread a init a0 final a3
+  a0 a1 w z 1
+  a1 a1 w z 1
+  a1 a2 rmw x 0 1
+  a2 a3 w z 0
+thread b init b0 final b3
+  b0 b1 rmw y 0 1
+  b0 b0 w y 1
+  b1 b2 w y 0
+  b2 b3 w y 1
+"""
+
+
 class TestSettledFrames:
-    """The gadget at cap 4, where most children on the cap are counted in their parent without being placed."""
+    """The gadget at cap 4, where most children on the cap are counted in their parent without being placed.
+
+    A frame takes each thread's count from a sibling where the node's own event leaves it untouched.
+    """
 
     gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
 
@@ -505,6 +527,39 @@ class TestSettledFrames:
         v = bounded_reach(self.gadget, cfg(12, cap=4), prune=False)
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46523, "prunes": 0, "maxEvents": 4}
+
+    def test_settled_and_unsettled_paths_agree(self):
+        # without the memo and without a hit the counters do not depend on branch order, and a shuffled
+        # search (explore_order 7) never settles a frame
+        progs = [corpus.random_program(seed) for seed in range(80)]
+        progs += [corpus.random_program(seed, rmw_prob=0.4) for seed in range(80)]
+        progs += [parse_program(text) for text in (MP_LOOP, CORR_LOOP, WRC_LOOP)] + corpus.loopy_rmw_programs()
+        checked = 0
+        for prog in progs:
+            for contexts, rmws, cap in MEMO_BUDGETS:
+                settled = bounded_reach(prog, cfg(contexts, rmws, cap))
+                if settled.reachable:
+                    continue
+                shuffled = bounded_reach(prog, cfg(contexts, rmws, cap, seed=7))
+                assert (shuffled.status, shuffled.explored) == (settled.status, settled.explored), (prog, contexts, rmws, cap)
+                checked += 1
+        assert checked == 422
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize(
+        "contexts,cap,counters",
+        [(3, 3, (32, 27)), (2, 4, (49, 52)), (3, 4, (72, 89)), (2, 5, (77, 105)), (3, 5, (136, 223))],
+    )
+    def test_update_that_spends_the_last_budget(self, contexts, cap, counters, memo):
+        v = bounded_reach(parse_program(SPENDS_THE_BUDGET), cfg(contexts, 1, cap, memo=memo))
+        assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, *counters)
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("contexts,counters", [(2, (1055, 16)), (3, (11801, 20))])
+    def test_closing_context_budget(self, contexts, counters, memo):
+        # a child on the frame's level often opens the last run, so fewer threads may move than at its parent
+        v = bounded_reach(self.gadget, cfg(contexts, cap=4, memo=memo))
+        assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, *counters)
 
     @pytest.mark.parametrize("memo", [False, True])
     @pytest.mark.parametrize("seed,prunes", [(0, (2, 2, 4, 20)), (7, (0, 0, 12, 20))])
