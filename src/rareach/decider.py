@@ -198,10 +198,11 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     words, reads-from choices and modification orders all differ between
     yields, and any of them distinguishes two graphs structurally).  Nothing
     is pruned: every candidate is built and goes through :func:`check_ra`
-    once.  Candidates are built by ``build_graph(..., like=)`` from rows
-    prepared once per word combination, so all mos of one reads-from choice
-    share its po, its hb closure and its verdict table: one ``IRR_HB`` answer,
-    and one ``Verdict`` object per ``(axiom, least witness)`` met.
+    once.  Candidates are built by ``build_graph(..., like=)`` from one event
+    list per word combination, whose order gives po, so all mos of one
+    reads-from choice share its po, its hb closure and its verdict table: one
+    ``IRR_HB`` answer, and one ``Verdict`` object per ``(axiom, least
+    witness)`` met.
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)
@@ -237,7 +238,7 @@ def _graphs_for_words(
         for choice in product(*mo_rows):
             mo = dict(zip(locs, choice))
             like = like or ExecutionGraph(events, rf, mo)
-            graph = build_graph(events, like.po, rf, mo, like=like)
+            graph = build_graph(events, rf, mo, like=like)
             if check_ra(graph).consistent:
                 yield graph
 
@@ -305,15 +306,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     flags = {"rmws": 0, "unfinished": sum(finals[t] not in subsets[t] for t in tids)}
 
     def hit_trace() -> Trace | None:
-        po: dict[str, list[int]] = {t: [] for t in tids}
-        for t, es in runs:  # each run is a stretch of its thread's po
-            po[t] += es
-        graph = build_graph(
-            list(enumerate(events)),
-            po,
-            dict(rf),
-            {x: list(r) for x, r in mo_rows.items()},
-        )
+        # events sit in π order, so each thread's events are in po order
+        graph = build_graph(list(enumerate(events)), dict(rf), {x: list(r) for x, r in mo_rows.items()})
         trace = make_trace(graph, tuple(Run(t, tuple(es)) for t, es in runs))
         if prune:  # explicit raises, not asserts, so that python -O keeps them
             if not check_ra(graph).consistent:

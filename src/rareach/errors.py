@@ -36,10 +36,6 @@ class DuplicateId(GraphError):
     """Two events share one id."""
 
 
-class PoNotTotal(GraphError):
-    """A thread's program-order row is not a permutation of its events."""
-
-
 class MoNotTotal(GraphError):
     """A location's modification-order row is not a total order over its writes."""
 

@@ -16,11 +16,12 @@ built) as successor bitmasks that every layer reads, next to the least event
 on an hb cycle.
 
 :func:`build_graph` validates where data enters (JSON, search hits, the PCP
-witness assembly); producers whose rows are valid by construction, the naive
-enumerator and reduction steps, call the :class:`ExecutionGraph` constructor
-or the trusted ``build_graph(..., like=graph)`` for graphs differing only in
-mo.  A graph built ``like=`` another shares the facts that never read mo: its
-events, rf, po, event index, hb masks, least cycle event and verdict table
+witness assembly) and, like JSON, reads po off the order of its event list.
+Producers whose rows are valid by construction, the naive enumerator and
+reduction steps, call the :class:`ExecutionGraph` constructor or the trusted
+``build_graph(..., like=graph)`` for graphs differing only in mo.  A graph
+built ``like=`` another shares the facts that never read mo: its events, rf,
+po, event index, hb masks, least cycle event and verdict table
 (:mod:`.consistency`).  Whatever reads mo, such as ``mo_pos`` and the
 coherence checks, is the new graph's own.
 """
@@ -37,11 +38,10 @@ from .errors import (
     MissingWriter,
     MoNotTotal,
     ParseError,
-    PoNotTotal,
     UnknownThread,
     ValueMismatch,
 )
-from .model import INIT_TID, Label, Op, Program, StateVector, word_reaches
+from .model import Label, Op, Program, StateVector, word_reaches
 
 EventId = int | str
 
@@ -167,7 +167,6 @@ class ExecutionGraph:
 
 def build_graph(
     events: Iterable[tuple[EventId, Label]],
-    po: Mapping[str, Sequence[EventId]],
     rf: Mapping[EventId, EventId],
     mo: Mapping[str, Sequence[EventId]],
     *,
@@ -175,21 +174,19 @@ def build_graph(
 ) -> ExecutionGraph:
     """Validate and assemble an execution graph.
 
-    ``events`` lists each event as an ``(id, label)`` pair.  ``po`` maps each
-    thread to its event ids in program order; the row for the reserved init
-    thread may be omitted (if given, it must list init events).  ``po`` is
-    input only: it is validated and orders the stored events, and the graph
-    reads its po back off that order.  ``rf`` maps read ids to write ids,
-    ``mo`` maps each written location to a total row over its writes with
-    the init write (if any) first.
+    ``events`` lists each event as an ``(id, label)`` pair; each thread's
+    program order is the order of its events in that list.  Threads may
+    interleave there, and init events may sit anywhere.  ``rf`` maps read
+    ids to write ids, ``mo`` maps each written location to a total row over
+    its writes with the init write (if any) first.
 
-    ``like`` is the trusted path for graphs differing only in mo: ``events``,
-    ``po`` and ``rf`` must be ``like``'s own rows and ``mo`` in the
-    constructor's form; nothing is validated and ``like``'s hb closure is shared.
+    ``like`` is the trusted path for graphs differing only in mo: ``events``
+    and ``rf`` must be ``like``'s own rows and ``mo`` in the constructor's
+    form; nothing is validated and ``like``'s hb closure is shared.
     """
     if like is not None:
-        if events is not like.events or po is not like.po or rf is not like.rf:
-            raise GraphError("a graph built like another must share its events, po and rf")
+        if events is not like.events or rf is not like.rf:
+            raise GraphError("a graph built like another must share its events and rf")
         return like._with_mo(mo)  # type: ignore[arg-type]
     by_id: dict[EventId, Label] = {}
     for eid, lab in events:
@@ -213,19 +210,6 @@ def build_graph(
     for e, ev in by_id.items():
         if not ev.is_init:
             by_tid.setdefault(ev.tid, []).append(e)
-
-    for tid, row in po.items():
-        if tid == INIT_TID:
-            if sorted(row, key=id_key) != sorted(init_ids, key=id_key):
-                raise PoNotTotal(f"init row does not list the init events")
-        elif tid not in by_tid:
-            if row:
-                raise PoNotTotal(f"po row for {tid!r} lists unknown events")
-        elif sorted(row, key=id_key) != sorted(by_tid[tid], key=id_key):
-            raise PoNotTotal(f"po row for {tid!r} is not a permutation of its events")
-    for tid in by_tid:
-        if tid not in po:
-            raise PoNotTotal(f"missing po row for thread {tid!r}")
 
     for r, w in rf.items():
         if r not in by_id or w not in by_id:
@@ -264,7 +248,7 @@ def build_graph(
 
     ordered = {e: by_id[e] for e in init_ids}
     for tid in sorted(by_tid):
-        ordered.update((e, by_id[e]) for e in po[tid])
+        ordered.update((e, by_id[e]) for e in by_tid[tid])
     return ExecutionGraph(ordered, dict(rf), mo_rows)
 
 
@@ -318,7 +302,6 @@ def json_field(value, *types: type):
 def graph_from_json(data: dict) -> ExecutionGraph:
     try:
         events = []
-        po: dict[str, list[EventId]] = {}
         for item in data["events"]:
             lab = Label(
                 Op(item["op"]),
@@ -329,12 +312,11 @@ def graph_from_json(data: dict) -> ExecutionGraph:
             )
             eid = json_field(item["id"], int, str)
             events.append((eid, lab))
-            po.setdefault(lab.tid, []).append(eid)
         rf = {json_field(r, int, str): json_field(w, int, str) for r, w in data["rf"]}
         mo = {json_field(x, str): [json_field(e, int, str) for e in row] for x, row in data["mo"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from exc
-    return build_graph(events, po, rf, mo)
+    return build_graph(events, rf, mo)
 
 
 def _json_data(text: str):

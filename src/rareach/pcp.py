@@ -498,23 +498,19 @@ def pcp_witness(inst: PcpInstance, js: Sequence[int]) -> Trace:
 
 def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
     events: list[tuple[EventId, Label]] = [(f"init.{x}", write("init", x, "0")) for x in LOCS]
-    po: dict[str, list[EventId]] = {}
     writes_of: dict[tuple[str, str], list[EventId]] = {}
     reads_of: dict[EventId, tuple[str, str, int]] = {}
     read_counters: dict[tuple[str, str], int] = {}
     for tid in sorted(words):
-        row: list[EventId] = []
         for n, lab in enumerate(words[tid], start=1):
             eid = f"{tid}.{n}"
             events.append((eid, lab))
-            row.append(eid)
             if lab.op.writes:
                 writes_of.setdefault((tid, lab.loc), []).append(eid)
             else:
                 c = read_counters.get((tid, lab.loc), 0) + 1
                 read_counters[(tid, lab.loc)] = c
                 reads_of[eid] = (tid, lab.loc, c)
-        po[tid] = row
 
     rf = {eid: writes_of[(RF_WRITER[(tid, x)], x)][i - 1] for eid, (tid, x, i) in reads_of.items()}
 
@@ -524,7 +520,7 @@ def _assemble(words: dict[str, list[Label]]) -> ExecutionGraph:
     for x in LOCS:
         streams = zip_longest(*(writes_of[key] for key in order if key[1] == x))
         mo[x] = [f"init.{x}"] + [e for group in streams for e in group if e is not None]
-    return build_graph(events, po, rf, mo)
+    return build_graph(events, rf, mo)
 
 
 # --- audits ---------------------------------------------------------------------

@@ -110,7 +110,7 @@ def twin_write_trace(rounds: int = 2) -> Trace:
         rf[r] = w
         mo.append(w)
         row.extend((w, r))
-    graph = build_graph(events, {"t": row}, rf, {"x": mo})
+    graph = build_graph(events, rf, {"x": mo})
     return make_trace(graph, [Run("t", tuple(row))])
 
 

@@ -236,6 +236,5 @@ def collapse_oracle(trace, program, first: EventId, second: EventId, rmw_mode: b
             row[i1], row[i2] = row[i2], row[i1]
         mo2[x] = [e for e in row if e not in removed]
     events2 = [(e, lab) for e, lab in g.events.items() if e not in removed]
-    po2 = {t: [e for e in row if e not in removed] for t, row in g.po.items() if t != INIT_TID}
     runs2 = [Run(r.tid, tuple(e for e in r.events if e not in removed)) for r in trace.runs]
-    return make_trace(build_graph(events2, po2, rf2, mo2), runs2)
+    return make_trace(build_graph(events2, rf2, mo2), runs2)

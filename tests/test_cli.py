@@ -70,7 +70,7 @@ def cycle_graph():
         (3, write("u", "x", "1")),
     ]
     return build_graph(
-        events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
+        events, {0: 3, 2: 1}, {"x": [3], "y": [1]}
     )
 
 
@@ -982,7 +982,7 @@ class TestNotExecutable:
             events += [{"w": write, "r": read}[op[0]]("t", op[2], op[4]) for op in ops]
             ids = tuple(range(2, len(events)))
             mo = {x: [e for e, lab in enumerate(events) if lab.loc == x and lab.op.writes] for x in "xy"}
-            g = build_graph(list(enumerate(events)), {"t": list(ids)}, rf, mo)
+            g = build_graph(list(enumerate(events)), rf, mo)
             trace = tmp_path / "bad.json"
             trace.write_text(json.dumps(trace_to_json(make_trace(g, [Run("t", ids)]))))
             code, out, err = run(capsys, "reduce", str(trace), "--program", twin_prog_file, *flags)

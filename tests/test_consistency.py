@@ -20,7 +20,7 @@ def hb_cycle_graph():
         (3, write("u", "x", "1")),
     ]
     return build_graph(
-        events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
+        events, {0: 3, 2: 1}, {"x": [3], "y": [1]}
     )
 
 
@@ -33,7 +33,7 @@ def write_coherence_graph():
         (3, write("u", "x", "2")),
     ]
     return build_graph(
-        events, {"t": [1], "u": [2, 3]}, {2: 1}, {"x": [0, 3, 1]}
+        events, {2: 1}, {"x": [0, 3, 1]}
     )
 
 
@@ -46,7 +46,7 @@ def read_coherence_graph():
         (3, read("u", "x", "0")),
     ]
     return build_graph(
-        events, {"t": [1], "u": [2, 3]}, {2: 1, 3: 0}, {"x": [0, 1]}
+        events, {2: 1, 3: 0}, {"x": [0, 1]}
     )
 
 
@@ -60,7 +60,7 @@ def two_writers_read_graph():
         (4, read("v", "x", "1")),
     ]
     return build_graph(
-        events, {"t": [1], "u": [2], "v": [3, 4]}, {3: 2, 4: 1}, {"x": [0, 1, 2]}
+        events, {3: 2, 4: 1}, {"x": [0, 1, 2]}
     )
 
 
@@ -70,7 +70,7 @@ def mixed_id_cycle_graph():
     events = [(new, g.events[old]) for old, new in zip(range(4), ("b", 9, "a", 5))]
     events.append((1, write("v", "z", "1")))
     return build_graph(
-        events, {"t": ["b", 9], "u": ["a", 5], "v": [1]}, {"b": 5, "a": 9}, {"x": [5], "y": [9], "z": [1]}
+        events, {"b": 5, "a": 9}, {"x": [5], "y": [9], "z": [1]}
     )
 
 
@@ -81,7 +81,7 @@ def atomicity_graph():
         (1, rmw("t", "x", "0", "2")),
         (2, write("u", "x", "1")),
     ]
-    return build_graph(events, {"t": [1], "u": [2]}, {1: 0}, {"x": [0, 2, 1]})
+    return build_graph(events, {1: 0}, {"x": [0, 2, 1]})
 
 
 class TestAxioms:
@@ -95,7 +95,7 @@ class TestAxioms:
             (5, read("r", "x", "1")),
         ]
         g = build_graph(
-            events, {"w": [2, 3], "r": [4, 5]}, {4: 3, 5: 2}, {"x": [0, 2], "y": [1, 3]}
+            events, {4: 3, 5: 2}, {"x": [0, 2], "y": [1, 3]}
         )
         v = check_ra(g)
         assert v.consistent and v.axiom is None and v.witness is None
@@ -116,7 +116,7 @@ class TestAxioms:
         g = hb_cycle_graph()
         a, b, c, d = ids
         events = [(new, g.events[old]) for old, new in zip(range(4), ids)]
-        g = build_graph(events, {"t": [a, b], "u": [c, d]}, {a: d, c: b}, {"x": [d], "y": [b]})
+        g = build_graph(events, {a: d, c: b}, {"x": [d], "y": [b]})
         assert check_ra(g).witness == (least,)
 
     def test_least_cycle_event_among_mixed_ids(self):
@@ -186,7 +186,6 @@ class TestAgainstOracle:
         events = [(0, write("init", "x", "0")), (1, write("init", "y", "0"))]
         locs_present = {"x", "y"}
         nid = 2
-        po = {}
         for tid, lts in sorted(prog.threads.items()):
             word = []
             states = {lts.init}
@@ -200,10 +199,8 @@ class TestAgainstOracle:
                 lab = rng.choice(opts)
                 word.append(lab)
                 states = {d for (s, l, d) in lts.transitions if s in states and l == lab}
-            po[tid] = []
             for lab in word:
                 events.append((nid, lab))
-                po[tid].append(nid)
                 nid += 1
         writes = {}
         for e, lab in events:
@@ -231,7 +228,7 @@ class TestAgainstOracle:
                     x: [i] + list(row)
                     for (i, x), row in zip(enumerate(sorted(locs_present)), mo_pick)
                 }
-                g = build_graph(events, po, rf, mo)
+                g = build_graph(events, rf, mo)
                 assert check_ra(g).consistent == consistent_oracle(g)
                 checked += 1
                 if checked >= 8:
@@ -252,7 +249,7 @@ class TestSharedClosure:
     def test_each_mo_gets_its_own_verdict(self, make, bad, good, axiom):
         base = make()
         for rows in ((bad, good), (good, bad)):  # a verdict kept on the closure answers the second with the first's
-            graphs = [build_graph(base.events, base.po, base.rf, {"x": row}, like=base) for row in rows]
+            graphs = [build_graph(base.events, base.rf, {"x": row}, like=base) for row in rows]
             verdicts = {row: check_ra(g) for row, g in zip(rows, graphs)}
             assert verdicts[good].consistent
             assert verdicts[bad].axiom is axiom
@@ -261,17 +258,17 @@ class TestSharedClosure:
     def test_one_witness_two_axioms(self):
         # t writes 1 and then updates 0 to 2: mo [0, 1, 2] fails read coherence and atomicity with one triple
         events = [(0, write("init", "x", "0")), (1, write("t", "x", "1")), (2, rmw("t", "x", "0", "2"))]
-        g = build_graph(events, {"t": [1, 2]}, {2: 0}, {"x": [0, 1, 2]})
+        g = build_graph(events, {2: 0}, {"x": [0, 1, 2]})
         assert check_ra(g) == Verdict(False, Axiom.READ_COHERENCE, (0, 2, 1))
         assert check_axiom(g, Axiom.ATOMICITY) == Verdict(False, Axiom.ATOMICITY, (0, 2, 1))
 
     def test_siblings_share_verdicts(self):
         # built like= one base, candidates failing the same way get one Verdict object; another base's are its own
         base = hb_cycle_graph()
-        siblings = [build_graph(base.events, base.po, base.rf, dict(base.mo), like=base) for _ in range(2)]
+        siblings = [build_graph(base.events, base.rf, dict(base.mo), like=base) for _ in range(2)]
         assert check_ra(siblings[0]) is check_ra(siblings[1]) is check_ra(base)
         bad = write_coherence_graph()
-        pair = [build_graph(bad.events, bad.po, bad.rf, {"x": (0, 3, 1)}, like=bad) for _ in range(2)]
+        pair = [build_graph(bad.events, bad.rf, {"x": (0, 3, 1)}, like=bad) for _ in range(2)]
         assert check_ra(pair[0]) is check_ra(pair[1])
         other = check_ra(write_coherence_graph())
         assert check_ra(pair[0]) == other and check_ra(pair[0]) is not other

@@ -597,7 +597,7 @@ class TestTrustedConstruction:
     def test_equals_build_graph_on_own_rows(self, family):
         for prog, n in TRUSTED_CASES[family]:
             for g in enumerate_graphs(prog, n):
-                rebuilt = build_graph(list(g.events.items()), g.po, g.rf, g.mo)
+                rebuilt = build_graph(list(g.events.items()), g.rf, g.mo)
                 assert dump_graph_json(g) == dump_graph_json(rebuilt)
                 assert list(g.events.items()) == list(rebuilt.events.items())
                 assert list(g.po.items()) == list(rebuilt.po.items())
@@ -690,8 +690,8 @@ class TestTrustedConstruction:
 
     def test_like_requires_the_same_rows(self):
         g = next(enumerate_graphs(corpus.loopy_rmw_programs()[1], 2))
-        assert dump_graph_json(build_graph(g.events, g.po, g.rf, g.mo, like=g)) == dump_graph_json(g)
+        assert dump_graph_json(build_graph(g.events, g.rf, g.mo, like=g)) == dump_graph_json(g)
         with pytest.raises(GraphError):
-            build_graph(dict(g.events), g.po, g.rf, g.mo, like=g)
+            build_graph(dict(g.events), g.rf, g.mo, like=g)
         with pytest.raises(GraphError):
-            build_graph(g.events, g.po, dict(g.rf), g.mo, like=g)
+            build_graph(g.events, dict(g.rf), g.mo, like=g)

@@ -8,7 +8,6 @@ from rareach.errors import (
     GraphError,
     MissingWriter,
     MoNotTotal,
-    PoNotTotal,
     UnknownThread,
     ValueMismatch,
 )
@@ -44,10 +43,25 @@ def mp_graph():
         (4, read("r", "y", "1")),
         (5, read("r", "x", "1")),
     ]
-    po = {"w": [2, 3], "r": [4, 5]}
     rf = {4: 3, 5: 2}
     mo = {"x": [0, 2], "y": [1, 3]}
-    return build_graph(events, po, rf, mo)
+    return build_graph(events, rf, mo)
+
+
+def any_rf_rows(data):
+    """``build_graph``'s rows for up to three threads of up to four events,
+    listed init events first, then thread after thread, whose reads observe any
+    other same-location write."""
+    rows = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(list(Op)), st.sampled_from("xy")),
+                                       min_size=1, max_size=4), min_size=1, max_size=3))
+    ops = {f"{t}{k}": (t, op, x) for t, row in zip("abc", rows) for k, (op, x) in enumerate(row)}
+    writers = {x: [f"init.{x}"] + [e for e, (_, op, y) in ops.items() if op.writes and y == x] for x in "xy"}
+    rf = {e: data.draw(st.sampled_from([w for w in writers[x] if w != e]))
+          for e, (_, op, x) in ops.items() if op.reads}
+    events = [(f"init.{x}", write("init", x, f"init.{x}")) for x in "xy"]
+    events += [(e, Label(op, t, x, val_r=rf.get(e), val_w=e if op.writes else None))
+               for e, (t, op, x) in ops.items()]
+    return events, rf, writers
 
 
 class TestBuild:
@@ -60,55 +74,37 @@ class TestBuild:
     def test_duplicate_id(self):
         events = [(0, write("t", "x", "1")), (0, write("t", "x", "0"))]
         with pytest.raises(DuplicateId):
-            build_graph(events, {"t": [0]}, {}, {"x": [0]})
-
-    def test_po_not_permutation(self):
-        events = [(0, write("t", "x", "1")), (1, write("t", "x", "0"))]
-        with pytest.raises(PoNotTotal):
-            build_graph(events, {"t": [0]}, {}, {"x": [0, 1]})
-
-    def test_po_row_missing(self):
-        with pytest.raises(PoNotTotal):
-            build_graph([(0, write("t", "x", "1"))], {}, {}, {"x": [0]})
+            build_graph(events, {}, {"x": [0]})
 
     def test_read_without_writer(self):
         events = [(0, read("t", "x", "0"))]
         with pytest.raises(MissingWriter):
-            build_graph(events, {"t": [0]}, {}, {})
+            build_graph(events, {}, {})
 
     def test_rf_value_mismatch(self):
         events = [(0, write("t", "x", "1")), (1, read("u", "x", "0"))]
         with pytest.raises(ValueMismatch):
-            build_graph(events, {"t": [0], "u": [1]}, {1: 0}, {"x": [0]})
+            build_graph(events, {1: 0}, {"x": [0]})
 
     def test_rf_cross_location(self):
         events = [(0, write("t", "y", "0")), (1, read("u", "x", "0"))]
         with pytest.raises(GraphError):
-            build_graph(events, {"t": [0], "u": [1]}, {1: 0}, {"y": [0]})
+            build_graph(events, {1: 0}, {"y": [0]})
 
     def test_mo_not_total(self):
         events = [(0, write("t", "x", "1")), (1, write("u", "x", "0"))]
         with pytest.raises(MoNotTotal):
-            build_graph(events, {"t": [0], "u": [1]}, {}, {"x": [0]})
+            build_graph(events, {}, {"x": [0]})
 
     def test_mo_init_must_come_first(self):
         events = [(0, write("init", "x", "0")), (1, write("t", "x", "1"))]
         with pytest.raises(MoNotTotal):
-            build_graph(events, {"t": [1]}, {}, {"x": [1, 0]})
+            build_graph(events, {}, {"x": [1, 0]})
 
     def test_two_init_writes_same_location(self):
         events = [(0, write("init", "x", "0")), (1, write("init", "x", "1"))]
         with pytest.raises(GraphError):
-            build_graph(events, {}, {}, {"x": [0, 1]})
-
-    def test_init_row_must_list_the_init_events(self):
-        events = [(0, write("init", "x", "0")), (1, write("t", "x", "1"))]
-        with pytest.raises(PoNotTotal, match="init row"):
-            build_graph(events, {"init": [], "t": [1]}, {}, {"x": [0, 1]})
-
-    def test_po_row_of_a_thread_without_events(self):
-        with pytest.raises(PoNotTotal, match="unknown events"):
-            build_graph([(0, write("t", "x", "1"))], {"t": [0], "u": [0]}, {}, {"x": [0]})
+            build_graph(events, {}, {"x": [0, 1]})
 
     def test_bool_event_id_rejected(self):
         with pytest.raises(GraphError):
@@ -149,16 +145,7 @@ class TestHappensBefore:
     def test_matches_oracle_with_any_rf(self, data):
         # reads observe any other same-location write, so hb cycles and rf
         # edges pointing backwards in event order are common
-        rows = data.draw(st.lists(st.lists(st.tuples(st.sampled_from(list(Op)), st.sampled_from("xy")),
-                                           min_size=1, max_size=4), min_size=1, max_size=3))
-        ops = {f"{t}{k}": (t, op, x) for t, row in zip("abc", rows) for k, (op, x) in enumerate(row)}
-        writers = {x: [f"init.{x}"] + [e for e, (_, op, y) in ops.items() if op.writes and y == x] for x in "xy"}
-        rf = {e: data.draw(st.sampled_from([w for w in writers[x] if w != e]))
-              for e, (_, op, x) in ops.items() if op.reads}
-        events = [(f"init.{x}", write("init", x, f"init.{x}")) for x in "xy"]
-        events += [(e, Label(op, t, x, val_r=rf.get(e), val_w=e if op.writes else None))
-                   for e, (t, op, x) in ops.items()]
-        g = build_graph(events, {t: [e for e in ops if ops[e][0] == t] for t in "abc"[: len(rows)]}, rf, writers)
+        g = build_graph(*any_rf_rows(data))
         assert {(a, b) for a in g.events for b in g.events if g.hb(a, b)} == hb_pairs_oracle(g)
 
     def test_matches_oracle_on_gadget_cycles(self, long_witness):
@@ -180,9 +167,32 @@ class TestHappensBefore:
             (3, write("u", "x", "1")),
         ]
         g = build_graph(
-            events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
+            events, {0: 3, 2: 1}, {"x": [3], "y": [1]}
         )
         assert g.hb(0, 0) and g.hb(3, 3)
+
+
+class TestEventOrderIsPo:
+    """build_graph reads each thread's program order off the order of its events."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_any_interleaving_gives_the_grouped_graph(self, data):
+        events, rf, mo = any_rf_rows(data)
+        # shuffle the listing, then refill each thread's slots with its events
+        # in order: the threads interleave, the init events land anywhere
+        rows = {}
+        for e, lab in events:
+            if not lab.is_init:
+                rows.setdefault(lab.tid, []).append((e, lab))
+        runs = {t: iter(row) for t, row in rows.items()}
+        mixed = [ev if ev[1].is_init else next(runs[ev[1].tid]) for ev in data.draw(st.permutations(events))]
+        grouped, g = build_graph(events, rf, mo), build_graph(mixed, rf, mo)
+        assert {t: [e for e, _ in row] for t, row in rows.items()} == {t: list(row) for t, row in g.po.items()}
+        assert list(g.events.items()) == list(grouped.events.items())
+        assert (g.po, g.rf, g.mo) == (grouped.po, grouped.rf, grouped.mo)
+        assert dump_graph_json(g) == dump_graph_json(grouped)
+        TestRoundTrip.assert_round_trips(g)
 
 
 class TestEqualityAndWords:

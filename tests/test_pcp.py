@@ -70,8 +70,7 @@ def solved_instances(draw):
 def rewired(graph, r, w):
     rf = dict(graph.rf)
     rf[r] = w
-    po = {t: list(row) for t, row in graph.po.items() if t != INIT_TID}
-    return build_graph(list(graph.events.items()), po, rf, graph.mo)
+    return build_graph(list(graph.events.items()), rf, graph.mo)
 
 
 class TestParse:
@@ -279,7 +278,6 @@ class TestIndexing:
                 ("c1", read("check_w", "aw", "v")),
                 ("c2", write("check_w", "aw", "v")),
             ],
-            {"guess_aw": ["g1"], "check_w": ["c1", "c2"]},
             {"c1": "g1"},
             {"aw": ["init.aw", "g1", "c2"]},
         )
@@ -312,7 +310,6 @@ class TestAudits:
                 ("c1", read("check_w", "aw", "v")),
                 ("c2", write("check_w", "aw", "v")),
             ],
-            {"guess_aw": ["g1"], "check_w": ["c1", "c2"]},
             {"c1": "g1"},
             {"aw": ["init.aw", "g1", "c2"]},
         )
@@ -324,7 +321,6 @@ class TestAudits:
     def test_foreign_graphs_rejected(self):
         alien_tid = build_graph(
             [("a", write("writer", "aw", "1"))],
-            {"writer": ["a"]},
             {},
             {"aw": ["a"]},
         )
@@ -332,7 +328,6 @@ class TestAudits:
             check_no_skipping(alien_tid)
         alien_loc = build_graph(
             [("a", write("guess_aw", "x", "1"))],
-            {"guess_aw": ["a"]},
             {},
             {"x": ["a"]},
         )
@@ -343,7 +338,6 @@ class TestAudits:
                 ("init.aw", write(INIT_TID, "aw", "0")),
                 ("u", rmw("check_w", "aw", "0", "1")),
             ],
-            {"check_w": ["u"]},
             {"u": "init.aw"},
             {"aw": ["init.aw", "u"]},
         )

@@ -66,7 +66,6 @@ def spy_trace(spied_write):
     ]
     g = build_graph(
         events,
-        {"t": ["e1", "e2", "e3", "e4"], "u": ["f1"]},
         {"e2": "e1", "e4": "e3", "f1": spied_write},
         {"x": ["init.x", "e1", "e3"]},
     )
@@ -83,7 +82,6 @@ def rmw_loop_trace():
     ]
     g = build_graph(
         events,
-        {"t": ["e1", "e2", "e3", "e4"]},
         {"e1": "init.x", "e2": "e1", "e4": "e3"},
         {"x": ["init.x", "e1", "e3"]},
     )
@@ -121,7 +119,6 @@ class TestSummary:
         ]
         g = build_graph(
             events,
-            {"w": ["a1"], "t": ["b1", "b2"]},
             {"b2": "a1"},
             {"x": ["init.x", "b1", "a1"]},
         )
@@ -260,7 +257,6 @@ class TestCollapsibleOracle:
                 ("c", write("t", "x", "1")),
                 ("f", read("u", "z", "1")),
             ],
-            {"t": ["a", "b", "c"], "u": ["f"]},
             {"f": "b"},
             {"x": ["init.x", "a", "c"], "z": ["init.z", "b"]},
         )
@@ -291,7 +287,6 @@ class TestCollapsibleOracle:
                 ("b", read("t", "x", "0")),
                 ("c", write("t", "x", "1")),
             ],
-            {"t": ["a", "b", "c"], "u": ["g"]},
             {"b": "g"},
             {"x": ["init.x", "a", "g", "c"]},
         )
@@ -345,7 +340,6 @@ class TestReduce:
         ]
         g = build_graph(
             events,
-            {"t": ["e1", "e2", "e3", "e4"], "u": ["u1"]},
             {"e2": "e1", "e4": "e3"},
             {"x": ["init.x", "e1", "u1", "e3"]},
         )
@@ -383,7 +377,7 @@ class TestReduce:
 def assert_trusted(trace):
     """A collapse's rows are the ones build_graph makes from them, and make_trace accepts its runs."""
     g = trace.graph
-    rebuilt = build_graph(list(g.events.items()), g.po, g.rf, g.mo)
+    rebuilt = build_graph(list(g.events.items()), g.rf, g.mo)
     assert dump_graph_json(g) == dump_graph_json(rebuilt)
     for rows in ("events", "po", "rf", "mo"):
         assert list(getattr(g, rows).items()) == list(getattr(rebuilt, rows).items()), rows
@@ -455,7 +449,6 @@ class TestCollapseOracle:
                 ("c", write("t", "x", "1")),
                 ("d", read("t", "x", "0")),
             ],
-            {"t": ["a", "b", "c", "d"], "u": ["y"], "v": ["g"], "w": ["h"]},
             {"b": "g", "d": "h"},
             {"x": ["init.x", "a", "y", "g", "c", "h"]},
         )

@@ -43,7 +43,7 @@ def mp_g():
         (5, read("r", "x", "1")),
     ]
     return build_graph(
-        events, {"w": [2, 3], "r": [4, 5]}, {4: 3, 5: 2}, {"x": [0, 2], "y": [1, 3]}
+        events, {4: 3, 5: 2}, {"x": [0, 2], "y": [1, 3]}
     )
 
 
@@ -128,7 +128,7 @@ class TestCanonical:
             (3, write("u", "x", "1")),
         ]
         g = build_graph(
-            events, {"t": [0, 1], "u": [2, 3]}, {0: 3, 2: 1}, {"x": [3], "y": [1]}
+            events, {0: 3, 2: 1}, {"x": [3], "y": [1]}
         )
         with pytest.raises(NotHbExtension):
             canonical_trace(g)
