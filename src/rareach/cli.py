@@ -34,7 +34,7 @@ from .errors import ParseError, RaReachError
 from .graph import graph_to_json, load_graph_json, to_dot
 from .model import parse_program, program_to_json, serialize_program
 from .pcp import BRIDGE_LOCS, LOC_ROLE, ROLE_MAP, check_monotonicity, check_no_skipping, compile_pcp, parse_pcp, pcp_witness
-from .reduction import reduction_steps, small_model_bound
+from .reduction import bound_recurrence, reduction_steps, small_model_bound, summary_space
 from .trace import ContextBudget, load_trace_json, trace_to_json
 
 EX_USAGE = 64
@@ -235,11 +235,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+#: ``bound`` refuses a bound with more digits: str() takes time quadratic in the digits (0.1 s at this many)
+BOUND_MAX_DIGITS = 100_000
+
+
 def _cmd_bound(args) -> int:
     _, contexts, rmws = _budget(args)
     contexts = _required("contexts", contexts)
     program = parse_program(_read(args.program))
-    value = small_model_bound(program, contexts, rmws)
+    s = summary_space(program)
+    a, _ = bound_recurrence(s, len(program.locs), rmws)
+    # the bound is at least s·a^(contexts-1) >= 2^low_bits, and 2^(4·N) > 10^N: far past the ceiling nothing is computed
+    low_bits = s.bit_length() - 1 + (contexts - 1) * (a.bit_length() - 1)
+    if low_bits > 4 * BOUND_MAX_DIGITS or (value := small_model_bound(program, contexts, rmws)) >= 10**BOUND_MAX_DIGITS:
+        raise ValueError(f"the bound at {contexts} contexts has more than {BOUND_MAX_DIGITS:,} digits")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # the exact bound may have more digits than str() allows by default
     try:

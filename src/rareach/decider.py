@@ -23,12 +23,12 @@ Two engines answer "can this program reach its final state vector":
   its mo row of writes with their views, and the runs, whose per-thread
   stretches give po.
 
-With ``SearchConfig.memo`` (and pruning on) the search skips repeated
-states.  A node's future depends only on an abstract state, the key, which
-is exact for everything ``branches`` / ``violates`` / ``apply`` and the
-target check read:
+With ``SearchConfig.memo`` (and pruning on) the search skips a node that
+an earlier node covers.  A node's future depends only on its budget part
+(the active thread, the number of runs and the number of updates used),
+its depth, and an abstract state, the key, which is exact for everything
+else ``branches`` / ``violates`` / ``apply`` and the target check read:
 
-* the active thread, the number of runs and the number of updates used;
 * per thread its control subset;
 * the heads, as mo positions (``violates`` compares only those), in one
   flat tuple, thread after thread;
@@ -52,22 +52,45 @@ update, view)`` entries, as with nested tuples.  The flat form is only
 cheaper: CPython caches no tuple hash, so each memo lookup hashes every
 nested tuple again.
 
-A node whose key was already recorded at a depth no greater than its own,
-an ancestor's included, is skipped; keys are recorded on entry, keeping the
-least depth.  This is sound.  Let s_0 ... s_k be the states along a shortest
-path to a hit, so s_i lies at distance i.  A node of s_i at depth i is
-skipped only for a record at depth i, made by another node of s_i that is
-not an ancestor (ancestors are shallower) and so was already searched in
-full.  By induction from s_k back to s_0, searching a node of s_i at depth
-i finds the hit, or sets the truncation flag if the hit lies past the cap.
-So a search that closes without truncation proves
-``unreachable-within-bound`` at any cap.  Keys are built only at nodes at
-least two events below the cap.  Keys one level higher skip more (the PCP
-gadget at cap 4 expands 28,107 nodes instead of 46,503), but their
-``state_key`` calls cost more than the leaves they skip: with the flat key
-and the settled frames below, that search took 0.058-0.059 s against
-0.031-0.033 s (best of seven, three alternating rounds, Python 3.11.7,
-2-CPU x86-64 host, October 2026).
+The memo maps each key to records ``(active thread, runs, updates,
+depth)``, one per node entered with it that nothing covered.  A record
+``(a1, r1, u1, d1)`` covers a node ``(a2, r2, u2, d2)`` of the same key when
+``d1 <= d2``, ``u1 <= u2`` and ``r1 + (a1 != a2) <= r2``: no more events
+and updates, and no more runs, one fewer if the active threads differ (the
+root's active thread is none, unlike every thread's).  This is the
+covering check of well-structured search (Abdulla, Čerāns, Jonsson and
+Tsay, LICS 1996), applied to the budget part only; the key must still
+match exactly.  A covered node is skipped; any other node is recorded on
+entry, and the records it covers are dropped, which loses nothing because
+covering is transitive.  So each key keeps an antichain.
+
+Covering is sound because the covering node can replay the covered node's
+continuation event by event.  Each event is enabled and pruned alike, since
+the key is exact and the update budget has no less left, and the replay
+places as many events and updates.  It opens at most one run more: only
+the first event can open a run in one node and not in the other (when it
+belongs to ``a2 != a1``), and after it both active threads agree.  So the
+covering node reaches whatever the covered one reaches within the budget
+and the cap, in as many events.  Now suppose a hit lies within the cap but
+the search closes without one.  Among
+the expanded nodes that reach a hit within the cap, take one, N, with the
+fewest events h to such a hit; h > 0, or N is that hit.  The continuation's
+first event is a branch of N that is not pruned (the extension is
+consistent), and its child reaches the hit in h - 1 events within the cap.
+That child is not counted without being placed (only a capped child that
+misses the target is), so it is expanded, or it is covered by an expanded
+node that reaches a hit within the cap in at most h - 1 events: either way
+N was not the fewest.  The same argument without the cap shows that if any
+hit is reachable, the search finds one or sets the truncation flag: a
+node at the cap with a branch sets it, and the capped children are counted
+without being placed only once it is set.  So a search that closes
+without truncation proves ``unreachable-within-bound`` at any cap.  Keys
+are built only at nodes at least two events below the cap.  Keys one level
+higher skip more (the PCP gadget at cap 4 expands 24,979 nodes instead of
+46,503), but their ``state_key`` calls cost more than the leaves they
+skip: with the flat key, the covering check and the settled frames below,
+that search took 0.058 s against 0.032 s (best of seven, three rounds,
+Python 3.11.7, 2-CPU x86-64 host, October 2026).
 The key assumes every placed prefix is consistent, so without pruning the
 memo stays off.
 
@@ -166,7 +189,7 @@ class ReachVerdict:
 class SearchConfig:
     """Budget plus an optional event cap and branch-order seed.
 
-    ``memo`` skips repeated search states (see :func:`bounded_reach`); off,
+    ``memo`` skips search states already covered (see :func:`bounded_reach`); off,
     the search walks the full tree of traces, the reference for tests.
     ``max_nodes`` caps ``SearchStats.visited``; ``None`` leaves it unbounded.
     """
@@ -267,14 +290,30 @@ class _Branch(NamedTuple):
     row: list[int]  # the live mo row of the label's location
 
 
+def _covered(memo: dict[tuple, tuple[tuple, ...]], key: tuple, rec: tuple) -> bool:
+    """Whether a record of ``key`` covers ``rec``, (active thread, runs, updates, depth); if none does, records it.
+
+    A record covers a node that has at least its depth, updates and runs, one run more if their active
+    threads differ (module docstring); the records ``rec`` covers are dropped, so each key keeps an antichain.
+    """
+    a, r, u, n = rec
+    recs = memo.get(key, ())
+    for a1, r1, u1, d1 in recs:
+        if d1 <= n and u1 <= u and r1 + (a1 != a) <= r:
+            return True
+    memo[key] = (*[old for old in recs if not (n <= old[3] and u <= old[2] and r + (a != old[0]) <= old[1])], rec)
+    return False
+
+
 def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) -> ReachVerdict:
     """Search traces within the context budget; see module docstring.
 
-    With ``config.memo`` a node whose state key (module docstring) was
-    already recorded at the same or a lower depth is skipped, so
+    With ``config.memo`` a node is skipped when a node entered earlier with
+    the same state key covers it (module docstring): it had no more events,
+    updates and runs, one run fewer if their active threads differ.  So
     ``stats.visited`` counts the nodes expanded or settled, and a search that
     closes without truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any
-    cap.  Which of two equal states is expanded depends on branch order, so
+    cap.  Which of two such nodes is expanded depends on branch order, so
     witnesses can differ from the uncached search's.
 
     ``prune`` disables the incremental axiom checks when False (complete
@@ -461,7 +500,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     # the key assumes every placed prefix is consistent, which only pruning keeps
     keyed = config.memo and prune
-    memo: dict[tuple, int] = {}  # state key -> least depth it was entered at
+    # state key -> the antichain of (active thread, runs, updates, depth) it was entered with
+    memo: dict[tuple, tuple[tuple, ...]] = {}
 
     def state_key() -> tuple:
         hs = heads.values()
@@ -474,9 +514,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             (i, tuple([tags[w] for w in row[c:]]), tuple([p - d if (p := at[views[w][j]]) > d else 0 for w in row[c:] for j, d in ic]))
             for i, row, c in live
         ])
-        active = runs[-1][0] if runs else None
         # the cuts are the heads' lowest positions, so the heads need no floor
-        return active, len(runs), flags["rmws"], tuple(subsets.values()), tuple([at[v[j]] - d for v in hs for j, d in ic]), rows
+        return tuple(subsets.values()), tuple([at[v[j]] - d for v in hs for j, d in ic]), rows
 
     def misses(br: _Branch) -> bool:
         """Whether placing ``br`` leaves some thread outside its final state."""
@@ -493,14 +532,12 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         if n == cap - 2:
             counts.clear()
         # keys only two or more events below the cap (see the module docstring)
-        key = state_key() if keyed and n <= cap - 2 else None
+        skip = keyed and n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n))
         children: Iterator[_Branch] = iter(())
-        if key is None or memo.get(key, n + 1) > n:
+        if not skip:
             if stats.visited >= limit:
                 tripped = True
                 break
-            if key is not None:
-                memo[key] = n
             stats.visited += 1
             stats.max_events = max(stats.max_events, n)
             if not flags["unfinished"] and (found := hit_trace()) is not None:

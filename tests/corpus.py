@@ -229,10 +229,13 @@ thread b init b0 final b1
 
 
 #: Part of the search memo -> (program, contexts, rmws).  Every witness
-#: within the budget and 6 events passes through a state that the memo
-#: without that part would skip: a key component would merge it with a
-#: state that the search meets first, at the same depth, and that reaches
-#: nothing; without the depth check a deeper first meeting would hide it.
+#: within the budget and 6 events passes through a node that the memo
+#: without that part would skip: a key component would merge its state with
+#: one that the search meets first, at the same depth, and that reaches
+#: nothing; without a condition of the covering check a first meeting that
+#: spent more would cover it: one run more ("runs"), the same runs with
+#: another thread active ("active thread"), more updates ("updates used")
+#: or more events ("depth", "depth through a read loop").
 MEMO_PARTS = {
     # t's two choices differ only in the value written
     "value written": ("""
@@ -348,6 +351,21 @@ thread t init a0 final a7
   a5 a6 w x 1
   a6 a7 w x 1
 """, 1, 0),
+    # the reader's loop on x=1 comes first and reaches r1 one event deeper than reading y=1 alone,
+    # which already gives the reader the view of x=1; from r1 three writes reach the cap
+    "depth through a read loop": ("""
+locs x y z
+vals 0 1
+thread reader init r0 final r4
+  r0 r0 r x 1
+  r0 r1 r y 1
+  r1 r2 w z 1
+  r2 r3 w z 1
+  r3 r4 w z 1
+thread writer init w0 final w2
+  w0 w1 w x 1
+  w1 w2 w y 1
+""", 2, 0),
 }
 
 

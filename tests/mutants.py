@@ -1,0 +1,129 @@
+"""Mutation check of the search's rules: each mutant is one text edit, run against Tier-1 on its own copy.
+
+A mutant is killed when some Tier-1 test fails on a copy of the repository
+with its edit applied; a survivor means no test tells the rule from its
+mutant.  Run from the repository root (under a minute for the list)::
+
+    python -m tests.mutants                   # every mutant
+    python -m tests.mutants cover-deeper ...  # only the named ones
+
+It prints one line per mutant, with the first failing test of each killed
+one, and exits 1 if any mutant survived.  This file is not part of Tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+DECIDER = "src/rareach/decider.py"
+#: seconds one Tier-1 run may take before the mutant counts as killed by the time limit
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    old: str  # text that occurs exactly once in the file
+    new: str
+    what: str
+
+
+MUTANTS = {
+    # the memo's covering relation (decider.bounded_reach's covered())
+    "cover-other-thread": Mutant(
+        DECIDER,
+        "r1 + (a1 != a) <= r",
+        "r1 <= r",
+        "a record covers a node of another active thread without the run that thread may still have to open",
+    ),
+    "cover-more-updates": Mutant(DECIDER, "d1 <= n and u1 <= u and", "d1 <= n and", "a record covers a node that spent fewer updates"),
+    "cover-deeper": Mutant(DECIDER, "if d1 <= n and u1 <= u", "if u1 <= u", "a record covers a node that lies higher above the cap"),
+    # the pruning rule (violates)
+    "read-coherence": Mutant(
+        DECIDER,
+        "if lab.op.reads and top > at[src]:",
+        "if lab.op.reads and (top > at[src] or top == at[src] > 0):",
+        "a read may not take the non-init write its thread's view already holds",
+    ),
+    "wedge-after-update": Mutant(
+        DECIDER,
+        "if pos < len(row) and events[row[pos]].op is Op.RMW:",
+        "if pos < len(row) and (events[row[pos]].op is Op.RMW or events[row[pos - 1]].op is Op.RMW):",
+        "an insertion right after an update, not at the row's end, counts as a wedge too",
+    ),
+    # settled frames (settle / touches)
+    "settle-ignore-location": Mutant(
+        DECIDER,
+        "if t == t0 or spends or (wrote and touches(t, lab.loc)):",
+        "if t == t0 or spends:",
+        "a count is reused across a write whatever location it writes",
+    ),
+    "settle-ignore-spending": Mutant(
+        DECIDER,
+        "if t == t0 or spends or (wrote and touches(t, lab.loc)):",
+        "if t == t0 or (wrote and touches(t, lab.loc)):",
+        "a count is reused across an update that may spend the update budget",
+    ),
+    "settle-every-thread": Mutant(
+        DECIDER,
+        "for t in movers():\n            if t == t0",
+        "for t in tids:\n            if t == t0",
+        "a frame sums every thread, not only those the context budget lets move",
+    ),
+    "settle-never-reset": Mutant(DECIDER, "counts.clear()", "pass", "the stored counts are never emptied"),
+}
+
+
+def mutate(root: Path, mutant: Mutant) -> None:
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.path}: the mutated text must occur exactly once:\n{mutant.old}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tier1(root: Path) -> tuple[bool, str]:
+    """Whether Tier-1 passes on ``root``, and the first failing test (or why it did not run)."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    try:
+        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"Tier-1 ran past {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, ""
+    failed = [line.split(" - ")[0] for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return False, failed[0] if failed else f"pytest exited {done.returncode}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", metavar="NAME", help=f"mutants to run (default: all): {', '.join(MUTANTS)}")
+    names = parser.parse_args().names or list(MUTANTS)
+    if unknown := set(names) - MUTANTS.keys():
+        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
+    survivors = []
+    for name in names:
+        with tempfile.TemporaryDirectory(prefix="rareach-mutant-") as tmp:
+            root = Path(tmp) / "repo"
+            shutil.copytree(ROOT, root, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_*"))
+            mutate(root, MUTANTS[name])
+            passed, first = run_tier1(root)
+        if passed:
+            survivors.append(name)
+            print(f"SURVIVED {name}: {MUTANTS[name].what}", flush=True)
+        else:
+            print(f"killed   {name}: {first}", flush=True)
+    print(f"{len(names) - len(survivors)} killed, {len(survivors)} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

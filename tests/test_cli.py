@@ -476,7 +476,7 @@ class TestReach:
         prog.write_text(MP_LOOP)
         code, out, _ = run(capsys, "reach", str(prog), "--contexts", "2", "--event-cap", "13", "--json")
         assert code == 2
-        assert json.loads(out)["stats"] == {"visited": 777, "prunes": 938, "maxEvents": 13}
+        assert json.loads(out)["stats"] == {"visited": 519, "prunes": 701, "maxEvents": 13}
 
     def test_emit_witness(self, capsys, tmp_path, mp_file):
         dst = tmp_path / "w.json"
@@ -625,6 +625,17 @@ class TestBound:
             assert as_json[0] == 0 and json.loads(as_json[1]) == {"bound": value, "contexts": 3000, "rmws": 0}
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_past_the_digit_ceiling_exits_65(self, capsys, mp_file):
+        # refused before anything quadratic in the digits runs
+        code, out, err = run(capsys, "bound", "--program", mp_file, "--contexts", "1000000")
+        assert (code, out, err) == (65, "", "ra-reach: error: the bound at 1000000 contexts has more than 100,000 digits\n")
+
+    def test_digit_ceiling_is_exact(self, capsys, monkeypatch, mp_file):
+        monkeypatch.setattr(cli, "BOUND_MAX_DIGITS", 6)  # the bound at 2 contexts, 250272, has 6 digits
+        assert run(capsys, "bound", "--program", mp_file, "--contexts", "2")[:2] == (0, "250272\n")
+        monkeypatch.setattr(cli, "BOUND_MAX_DIGITS", 5)
+        assert run(capsys, "bound", "--program", mp_file, "--contexts", "2")[0] == 65
 
 
 class TestPcp:
@@ -843,8 +854,8 @@ class TestCachedParser:
         in_turn = [self.outcome(capsys, argv) for argv in calls]
         assert cli.build_parser() is parser
         assert [code for code, _, _ in in_turn] == [2, 2, 0, 0, 64, 2]
-        # seed 3 gives (111, 74): the seed and --json of the first call are gone
-        assert in_turn[1][1] == in_turn[5][1] == "inconclusive (visited 112, pruned 75, max events 6)\n"
+        # seed 3 gives (73, 52): the seed and --json of the first call are gone
+        assert in_turn[1][1] == in_turn[5][1] == "inconclusive (visited 71, pruned 47, max events 6)\n"
         assert in_turn[2][1].endswith("\n1 consistent graphs\n") and in_turn[3][1].endswith("\n3 consistent graphs\n")
         # each call alone on a newly built parser gives the same bytes
         alone = []

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -515,6 +515,10 @@ class TestBounds:
         stopped = small_model_bound_formula(s, n_locs, contexts, rmws, cap)
         assert (cap < stopped) == (cap < exact)
         assert stopped == exact or cap < stopped <= exact
+
+    def test_closed_form_matches_oracle(self):
+        for s, n_locs, rmws, contexts in product((1, 5, 128, 250), (1, 2, 3), (0, 1, 4), range(1, 30)):
+            assert small_model_bound_formula(s, n_locs, contexts, rmws) == bound_oracle(s, n_locs, contexts, rmws)
 
     def test_stop_above_ends_early(self):
         # the exact bound at a million contexts has millions of digits
