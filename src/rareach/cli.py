@@ -34,7 +34,7 @@ from .errors import ParseError, RaReachError
 from .graph import graph_to_json, load_graph_json, to_dot
 from .model import parse_program, program_to_json, serialize_program
 from .pcp import BRIDGE_LOCS, LOC_ROLE, ROLE_MAP, check_monotonicity, check_no_skipping, compile_pcp, parse_pcp, pcp_witness
-from .reduction import bound_recurrence, reduction_steps, small_model_bound, summary_space
+from .reduction import reduction_steps, small_model_bound
 from .trace import ContextBudget, load_trace_json, trace_to_json
 
 EX_USAGE = 64
@@ -242,12 +242,8 @@ BOUND_MAX_DIGITS = 100_000
 def _cmd_bound(args) -> int:
     _, contexts, rmws = _budget(args)
     contexts = _required("contexts", contexts)
-    program = parse_program(_read(args.program))
-    s = summary_space(program)
-    a, _ = bound_recurrence(s, len(program.locs), rmws)
-    # the bound is at least s·a^(contexts-1) >= 2^low_bits, and 2^(4·N) > 10^N: far past the ceiling nothing is computed
-    low_bits = s.bit_length() - 1 + (contexts - 1) * (a.bit_length() - 1)
-    if low_bits > 4 * BOUND_MAX_DIGITS or (value := small_model_bound(program, contexts, rmws)) >= 10**BOUND_MAX_DIGITS:
+    ceiling = 10**BOUND_MAX_DIGITS
+    if (value := small_model_bound(parse_program(_read(args.program)), contexts, rmws, ceiling - 1)) >= ceiling:
         raise ValueError(f"the bound at {contexts} contexts has more than {BOUND_MAX_DIGITS:,} digits")
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # the exact bound may have more digits than str() allows by default

@@ -17,11 +17,12 @@ Two engines answer "can this program reach its final state vector":
   update checks.  Since the axioms only ever forbid patterns that persist in
   extensions, pruning loses no witnesses.  Leaving the event cap at ``None``
   uses the small-model bound, making exhaustion a proof of unreachability
-  within the budget; the bound is summed only until it passes a ceiling no
-  search reaches.  The search state holds each fact once: per thread its
-  control subset and its head (the view of its last event), per location
-  its mo row of writes with their views, and the runs, whose per-thread
-  stretches give po.
+  within the budget.  The bound is computed once per search, in closed
+  form, and exactly only up to a ceiling no search reaches; a truncated
+  search whose bound passes it stays inconclusive.  The search state holds
+  each fact once: per thread its control subset and its head (the view of
+  its last event), per location its mo row of writes with their views, and
+  the runs, whose per-thread stretches give po.
 
 With ``SearchConfig.memo`` (and pruning on) the search skips a node that
 an earlier node covers.  A node's future depends only on its budget part
@@ -150,7 +151,7 @@ from .reduction import small_model_bound
 from .trace import ContextBudget, Run, Trace, canonical_trace, make_trace
 
 
-#: Where an uncapped search stops summing the small-model bound: no search places this many events.
+#: ``stop_above`` of every search's small-model bound, exact up to here: no search places this many events.
 _BOUND_CEILING = sys.maxsize
 
 
@@ -321,7 +322,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     testing of pruning soundness.
     """
     budget = config.budget
-    cap = small_model_bound(program, budget.contexts, budget.rmws, _BOUND_CEILING) if config.event_cap is None else config.event_cap
+    bound = small_model_bound(program, budget.contexts, budget.rmws, _BOUND_CEILING)
+    cap = bound if config.event_cap is None else config.event_cap
     tids = sorted(program.threads)
     locs = sorted(program.locs)
     finals = final_vector(program)
@@ -568,11 +570,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 rec = apply(br)
         if rec is None:
             break
-    # a truncated search decides only at the small-model bound; the bound stops counting past the cap,
-    # and an uncapped search's cap is the bound unless the bound passed the ceiling
-    if tripped or (
-        truncated
-        and (cap > _BOUND_CEILING if config.event_cap is None else cap < small_model_bound(program, budget.contexts, budget.rmws, cap))
-    ):
+    # a truncated search decides only at the small-model bound, which is exact up to the ceiling
+    if tripped or (truncated and (cap < bound or bound > _BOUND_CEILING)):
         return ReachVerdict(ReachStatus.INCONCLUSIVE, None, stats)
     return ReachVerdict(ReachStatus.UNREACHABLE_WITHIN_BOUND, None, stats)

@@ -264,9 +264,6 @@ def thread_word(graph: ExecutionGraph, tid: str) -> list[Label]:
 
 def reaches(graph: ExecutionGraph, program: Program, target: StateVector) -> bool:
     """Whether this graph's per-thread words can end in ``target``."""
-    for tid in graph.tids():
-        if tid not in program.threads:
-            raise UnknownThread(f"graph thread {tid!r} not in program")
     words = {tid: thread_word(graph, tid) for tid in graph.tids()}
     return word_reaches(program, words, target)
 

@@ -251,25 +251,25 @@ def _walk(tid: str, cfg: tuple, step, choices: Sequence[int]) -> list[Label]:
 
 def _guess_w_machine(fam: _Family, cross: str, ell: str, words: dict[int, str]) -> _Spec:
     tid = fam.guess
+    # the closing block is one more block: the pseudo-pair BOT, whose word is the single letter BOT
+    letters: dict[int | str, Sequence[str]] = {**words, BOT: (BOT,)}
 
-    def advance(m4: int, i4: int, p: int, pos: int) -> tuple:
-        if pos + 1 < len(words[p]):
+    def advance(m4: int, i4: int, p: int | str, pos: int) -> tuple:
+        if pos + 1 < len(letters[p]):
             return ("emit", m4, i4, False, p, pos + 1)
-        return ("link", m4, i4, p)
+        return ("link", m4, None if p == BOT else i4, p)
 
     def step(cfg: tuple):
         kind = cfg[0]
         if kind == "top":  # about to open a block: write the bridge counter
             _, m4, i4, first = cfg
-            dsts = [("emit", m4, i4, first, p, 0) for p in sorted(words)]
-            if not first:
-                dsts.append(("bot_emit", m4, i4))
-            return [("w", cross, _zv(m4), d) for d in dsts]
+            blocks = sorted(words) if first else [*sorted(words), BOT]
+            return [("w", cross, _zv(m4), ("emit", m4, i4, first, p, 0)) for p in blocks]
         if kind == "emit":
             _, m4, i4, first, p, pos = cfg
             i4n = (i4 + 1) % 4
             return [
-                ("w", fam.st, _sv(tid, first, words[p][pos]),
+                ("w", fam.st, _sv(tid, first, letters[p][pos]),
                  ("hand", m4, i4n, first, p, pos))
             ]
         if kind == "hand":
@@ -281,20 +281,8 @@ def _guess_w_machine(fam: _Family, cross: str, ell: str, words: dict[int, str]) 
             return [("r", fam.z, _zv(i4n - 1), advance(m4, i4n, p, pos))]
         if kind == "link":
             _, m4, i4, p = cfg
-            return [("r", ell, _lv(m4, str(p)), ("top", (m4 + 1) % 4, i4, False))]
-        if kind == "bot_emit":
-            _, m4, i4 = cfg
-            i4n = (i4 + 1) % 4
-            return [("w", fam.st, _sv(tid, False, BOT), ("bot_hand", m4, i4n))]
-        if kind == "bot_hand":
-            _, m4, i4n = cfg
-            return [("w", fam.z_p, _zv(i4n), ("bot_read_z", m4, i4n))]
-        if kind == "bot_read_z":
-            _, m4, i4n = cfg
-            return [("r", fam.z, _zv(i4n - 1), ("bot_link", m4))]
-        if kind == "bot_link":
-            _, m4 = cfg
-            return [("r", ell, _lv(m4, BOT), ("fin",))]
+            dst = ("fin",) if p == BOT else ("top", (m4 + 1) % 4, i4, False)
+            return [("r", ell, _lv(m4, str(p)), dst)]
         return []
 
     return tid, ("top", 1, 0, True), step

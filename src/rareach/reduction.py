@@ -313,34 +313,28 @@ def summary_space(program: Program) -> int:
     return summary_space_formula(n_states, len(program.vals), len(program.locs))
 
 
-def bound_recurrence(s: int, n_locs: int, rmws: int) -> tuple[int, int]:
-    """``(a, b)`` with ``T(c + 1) = a · T(c) + b``, where ``T(c)`` is the bound over ``c`` contexts and ``T(1) = s``."""
-    return 1 + (s + 1) * (n_locs + 1), s + (s + 1) * rmws
-
-
 def small_model_bound_formula(s: int, n_locs: int, contexts: int, rmws: int, stop_above: int | None = None) -> int:
     """Per-run length bound summed over runs.
 
     The last run needs at most ``s`` events; each earlier run additionally
     pays for every later event that may observe it: ``g(c) = s + (s+1) ·
     ((n_locs+1) · Σ_{j>c} g(j) + rmws)``.  Adding a run in front multiplies
-    the total by ``a`` and adds ``b`` (:func:`bound_recurrence`), so the
-    bound is ``s·a^(c-1) + b·(a^(c-1) − 1)/(a − 1)``.  With ``stop_above``
-    the sum stops at the first partial total above it; partial totals only
-    grow, so the result exceeds ``stop_above`` exactly when the bound does.
+    the total by ``a = 1 + (s+1)·(n_locs+1)`` and adds ``b = s + (s+1)·rmws``,
+    so the bound is ``s·a^(c-1) + b·(a^(c-1) − 1)/(a − 1)``.  With
+    ``stop_above``, once ``k = (bitlen(s) − 1) + (c − 1)·(bitlen(a) − 1)``
+    reaches ``bitlen(stop_above)`` the result is ``stop_above + 1`` and no
+    power is computed; this is sound because then ``stop_above <
+    2^bitlen(stop_above) <= 2^k <= s·a^(c-1) <= bound``.  Otherwise the
+    result is the bound, so it exceeds ``stop_above`` exactly when the
+    bound does.
     """
     if contexts < 1:
         raise ValueError("need at least one context")
-    a, b = bound_recurrence(s, n_locs, rmws)
-    if stop_above is None:
-        p = a ** (contexts - 1)
-        return s * p + b * (p - 1) // (a - 1)
-    total = s  # the total over the last run, then over the last two, ...
-    for _ in range(contexts - 1):
-        if total > stop_above:
-            break
-        total = a * total + b
-    return total
+    a, b = 1 + (s + 1) * (n_locs + 1), s + (s + 1) * rmws
+    if stop_above is not None and s.bit_length() - 1 + (contexts - 1) * (a.bit_length() - 1) >= stop_above.bit_length():
+        return stop_above + 1
+    p = a ** (contexts - 1)
+    return s * p + b * (p - 1) // (a - 1)
 
 
 def small_model_bound(program: Program, contexts: int, rmws: int, stop_above: int | None = None) -> int:

@@ -1,8 +1,8 @@
-"""Mutation check of the search's rules: each mutant is one text edit, run against Tier-1 on its own copy.
+"""Mutation check of the search's rules and bound: each mutant is one text edit, run against Tier-1 on its own copy.
 
 A mutant is killed when some Tier-1 test fails on a copy of the repository
 with its edit applied; a survivor means no test tells the rule from its
-mutant.  Run from the repository root (under a minute for the list)::
+mutant.  Run from the repository root (one Tier-1 run per mutant)::
 
     python -m tests.mutants                   # every mutant
     python -m tests.mutants cover-deeper ...  # only the named ones
@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DECIDER = "src/rareach/decider.py"
+REDUCTION = "src/rareach/reduction.py"
 #: seconds one Tier-1 run may take before the mutant counts as killed by the time limit
 TIMEOUT_S = 900
 
@@ -78,6 +79,32 @@ MUTANTS = {
         "a frame sums every thread, not only those the context budget lets move",
     ),
     "settle-never-reset": Mutant(DECIDER, "counts.clear()", "pass", "the stored counts are never emptied"),
+    # the small-model bound: bounded_reach's truncation test and small_model_bound_formula's stop_above;
+    # not listed: ``>`` for the guard's ``>=`` only stops later, so it stays sound and no test can kill it
+    "truncated-at-bound": Mutant(
+        DECIDER, "(cap < bound or", "(cap <= bound or", "a search truncated at the bound itself is inconclusive"
+    ),
+    "truncated-past-ceiling": Mutant(
+        DECIDER,
+        "(cap < bound or bound > _BOUND_CEILING)",
+        "(cap < bound)",
+        "a search truncated at a bound past the ceiling, which stands for a larger one, decides",
+    ),
+    "stop-one-bit-early": Mutant(
+        REDUCTION,
+        ">= stop_above.bit_length():",
+        ">= stop_above.bit_length() - 1:",
+        "stop_above + 1 stands for a bound that may not exceed stop_above",
+    ),
+    "stop-on-an-overestimate": Mutant(
+        REDUCTION,
+        "s.bit_length() - 1 + (contexts - 1)",
+        "s.bit_length() + (contexts - 1)",
+        "the guard's power of two may exceed s·a^(c-1), so stop_above + 1 may stand for a smaller bound",
+    ),
+    "stop-at-stop-above": Mutant(
+        REDUCTION, "return stop_above + 1", "return stop_above", "a bound past stop_above is reported as stop_above"
+    ),
 }
 
 

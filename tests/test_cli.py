@@ -934,6 +934,33 @@ class TestMalformedJson:
         assert code == 1 and out.startswith("invalid: bad JSON")
 
 
+class TestMalformedProgram:
+    """Each parser branch that rejects a program text exits 65 with its one-line message."""
+
+    HEAD = "locs x\nvals 0 1\n"
+    THREAD = "thread t init q0 final q1\n  q0 q1 w x 1\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("locs x\nvals 0 1\nvals 0 1\n" + THREAD, "line 3: duplicate vals line"),
+            (HEAD + "init x=0\ninit x=1\n" + THREAD, "line 4: duplicate init line"),
+            (HEAD + "init x\n" + THREAD, "line 3: init entries look like loc=val"),
+            (HEAD + "init x=0 x=1\n" + THREAD, "line 3: duplicate init value for 'x'"),
+            (HEAD + "init x=\n" + THREAD, "line 3: bad value token ''"),
+            (HEAD + THREAD + THREAD, "line 5: duplicate thread 't'"),
+            (HEAD + "thread t init q0 final q1\n  q0 q1 w\n", "line 4: expected 'src dst kind loc val(s)'"),
+            ("locs x\n" + THREAD, "missing vals line"),
+            (HEAD + "init y=0\n" + THREAD, "init assigns undeclared location 'y'"),
+            (HEAD + "init x=5\n" + THREAD, "initial value '5' of 'x' not declared"),
+        ],
+    )
+    def test_reach_exits_65(self, capsys, tmp_path, text, message):
+        prog = tmp_path / "prog.txt"
+        prog.write_text(text)
+        assert run(capsys, "reach", str(prog), "--contexts", "1") == (65, "", f"ra-reach: error: {message}\n")
+
+
 class TestUnknownThread:
     def test_reduce_names_the_thread(self, capsys, twin_trace_file, mp_file):
         code, out, err = run(capsys, "reduce", twin_trace_file, "--program", mp_file)

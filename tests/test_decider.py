@@ -98,13 +98,13 @@ class TestBounded:
         v = bounded_reach(mp_program, cfg(2, cap=1))
         assert v.status is ReachStatus.INCONCLUSIVE
 
-    def test_bound_only_when_the_cap_truncates(self, mp_program, monkeypatch):
+    def test_bound_once_per_search(self, mp_program, monkeypatch):
         calls = []
         monkeypatch.setattr(decider, "small_model_bound", lambda *a: calls.append(a) or 10**9)
         assert bounded_reach(mp_program, cfg(4000, cap=4)).reachable
-        assert calls == []
-        assert bounded_reach(mp_program, cfg(2, cap=1)).status is ReachStatus.INCONCLUSIVE
         assert len(calls) == 1
+        assert bounded_reach(mp_program, cfg(2, cap=1)).status is ReachStatus.INCONCLUSIVE
+        assert len(calls) == 2
 
     def test_bound_once_without_a_cap(self, monkeypatch):
         # the cap is the bound, so a truncated search never asks for it again

@@ -38,6 +38,8 @@ FUZZ = settings(deadline=None, max_examples=40, suppress_health_check=[HealthChe
 
 
 def mp_witness():
+    """MP's witness.  Inputs the engine builds go in st.deferred, built when a test draws them: in a
+    @given argument they would be built at collection, where an engine fault fails the whole module."""
     return bounded_reach(corpus.mp(), SearchConfig(ContextBudget(2, 0))).witness
 
 
@@ -153,16 +155,16 @@ class TestFuzzVerbs:
         )
 
     @FUZZ
-    @given(st.sampled_from([dump_graph_json(mp_witness().graph)]).flatmap(lambda t: mutated(t, is_json=True)))
+    @given(st.deferred(lambda: mutated(dump_graph_json(mp_witness().graph), is_json=True)))
     def test_graph(self, work, text):
         graph = put(work, "graph.json", text)
         run_verbs(["check", graph, "--json"], ["pcp", "audit", graph, "--json"])
 
     @FUZZ
     @given(
-        st.sampled_from(
+        st.deferred(lambda: st.sampled_from(
             [(dump_trace_json(corpus.twin_write_trace(2)), corpus.TWIN_WRITE_LOOP), (dump_trace_json(mp_witness()), corpus.MP)]
-        ).flatmap(lambda case: st.tuples(mutated(case[0], is_json=True), st.just(case[1])))
+        )).flatmap(lambda case: st.tuples(mutated(case[0], is_json=True), st.just(case[1])))
     )
     def test_trace(self, work, case):
         trace, prog = put(work, "trace.json", case[0]), put(work, "trace-prog.txt", case[1])
@@ -174,9 +176,9 @@ class TestFuzzVerbs:
 
     @FUZZ
     @given(
-        st.sampled_from(
+        st.deferred(lambda: st.sampled_from(
             [(dump_trace_json(corpus.twin_write_trace(2)), corpus.TWIN_WRITE_LOOP + IDLE), (dump_trace_json(mp_witness()), corpus.MP + IDLE)]
-        ).flatmap(
+        )).flatmap(
             lambda case: st.tuples(
                 with_empty_run(*case).flatmap(lambda t: st.one_of(st.just(t), mutated(t, is_json=True))), st.just(case[1])
             )
@@ -202,6 +204,6 @@ class TestFuzzVerbs:
         )
 
     @FUZZ
-    @given(mutated(dump_graph_json(pcp_witness(PcpInstance((("a", "aa"), ("ab", "b"))), (1, 2)).graph), is_json=True))
+    @given(st.deferred(lambda: mutated(dump_graph_json(pcp_witness(PcpInstance((("a", "aa"), ("ab", "b"))), (1, 2)).graph), is_json=True)))
     def test_gadget_graph(self, work, text):
         run_verbs(["pcp", "audit", put(work, "witness.json", text)])

@@ -19,10 +19,11 @@ from rareach.graph import (
     graph_to_json,
     id_key,
     load_graph_json,
+    reaches,
     thread_word,
     to_dot,
 )
-from rareach.model import Label, Op, parse_program, read, write
+from rareach.model import Label, Op, final_vector, parse_program, read, write
 from rareach.reduction import reduction_steps
 from rareach.trace import ContextBudget, load_trace_json
 
@@ -203,6 +204,12 @@ class TestEqualityAndWords:
             thread_word(g, "init")
         with pytest.raises(UnknownThread):
             thread_word(g, "nope")
+
+    def test_reaches_rejects_an_undeclared_thread(self):
+        # mp_graph's threads are w and r, the program's writer and reader
+        prog = corpus.mp()
+        with pytest.raises(UnknownThread):
+            reaches(mp_graph(), prog, final_vector(prog))
 
 
 class TestJsonAndDot:

@@ -516,13 +516,21 @@ class TestBounds:
         assert (cap < stopped) == (cap < exact)
         assert stopped == exact or cap < stopped <= exact
 
+    def test_stop_above_at_small_caps(self):
+        # the property above on a fixed grid: every cap below 64, and the caps next to the bound
+        for s, n_locs, contexts, rmws in product(range(1, 7), range(4), range(1, 7), range(4)):
+            exact = small_model_bound_formula(s, n_locs, contexts, rmws)
+            for cap in (*range(64), exact - 1, exact):
+                stopped = small_model_bound_formula(s, n_locs, contexts, rmws, cap)
+                assert stopped == exact or cap < stopped <= exact, (s, n_locs, contexts, rmws, cap)
+
     def test_closed_form_matches_oracle(self):
         for s, n_locs, rmws, contexts in product((1, 5, 128, 250), (1, 2, 3), (0, 1, 4), range(1, 30)):
             assert small_model_bound_formula(s, n_locs, contexts, rmws) == bound_oracle(s, n_locs, contexts, rmws)
 
     def test_stop_above_ends_early(self):
         # the exact bound at a million contexts has millions of digits
-        assert small_model_bound_formula(288, 2, 10**6, 0, 3) == 288
+        assert small_model_bound_formula(288, 2, 10**6, 0, 3) == 4
 
     def test_whole_program_bound(self, mp_program):
         assert small_model_bound(mp_program, 2, 0) == 250272
