@@ -30,7 +30,11 @@ taking subgraphs whose po/rf/mo are restrictions of the original: removing
 events never introduces a violation.  Verdicts are frozen, so graphs sharing an
 hb closure (built ``like=`` one base) share a table of them, ``_verdicts``: the
 closure's ``IRR_HB`` verdict under ``None``, and one verdict per ``(axiom,
-least witness)`` met.  Compare verdicts by value, not identity.
+least witness)`` met.  Compare verdicts by value, not identity.  The table
+pays for itself: without it each failing candidate allocates its own frozen
+``Verdict``, and the naive-enum bench's ``verdict_s`` went 0.234–0.239 s to
+0.273–0.277 s, about 16% slower (three alternating pairs, Python 3.11.7,
+2-CPU x86-64 host, October 2026).
 """
 
 from __future__ import annotations

@@ -68,58 +68,59 @@ covering is transitive.  So each key keeps an antichain.
 Covering is sound because the covering node can replay the covered node's
 continuation event by event.  Each event is enabled and pruned alike, since
 the key is exact and the update budget has no less left, and the replay
-places as many events and updates.  It opens at most one run more: only
-the first event can open a run in one node and not in the other (when it
+places as many events and updates.  It opens at most one run more: only the
+first event can open a run in one node and not in the other (when it
 belongs to ``a2 != a1``), and after it both active threads agree.  So the
 covering node reaches whatever the covered one reaches within the budget
 and the cap, in as many events.  Now suppose a hit lies within the cap but
-the search closes without one.  Among
-the expanded nodes that reach a hit within the cap, take one, N, with the
-fewest events h to such a hit; h > 0, or N is that hit.  The continuation's
-first event is a branch of N that is not pruned (the extension is
-consistent), and its child reaches the hit in h - 1 events within the cap.
-That child is not counted without being placed (only a capped child that
-misses the target is), so it is expanded, or it is covered by an expanded
-node that reaches a hit within the cap in at most h - 1 events: either way
-N was not the fewest.  The same argument without the cap shows that if any
-hit is reachable, the search finds one or sets the truncation flag: a
-node at the cap with a branch sets it, and the capped children are counted
-without being placed only once it is set.  So a search that closes
-without truncation proves ``unreachable-within-bound`` at any cap.  Keys
-are built only at nodes at least two events below the cap.  Keys one level
-higher skip more (the PCP gadget at cap 4 expands 24,979 nodes instead of
-46,503), but their ``state_key`` calls cost more than the leaves they
-skip: with the flat key, the covering check and the settled frames below,
-that search took 0.058 s against 0.032 s (best of seven, three rounds,
-Python 3.11.7, 2-CPU x86-64 host, October 2026).
-The key assumes every placed prefix is consistent, so without pruning the
-memo stays off.
+the search closes without one.  Among the expanded nodes that reach a hit
+within the cap, take one, N, with the fewest events h to such a hit; h > 0,
+or N is that hit.  The continuation's first event is a branch of N that is
+not pruned (the extension is consistent), and its child reaches the hit in
+h - 1 events within the cap.  That child is not counted without being
+placed (only the children of a settled frame are, and none of them can
+hit), so it is expanded, or it is covered by an expanded node that reaches
+a hit within the cap in at most h - 1 events: either way N was not the
+fewest.  The same argument without the cap shows that if any hit is
+reachable, the search finds one or sets the truncation flag: a node at the
+cap with a branch sets it, and the capped children are counted without
+being placed only once it is set.  So a search that closes without
+truncation proves ``unreachable-within-bound`` at any cap.  Keys are built
+only at nodes at least two events below the cap.  Keys one level higher
+skip more (the PCP gadget at cap 4 expands 24,979 nodes instead of 46,503),
+but their ``state_key`` calls cost more than the leaves they skip: with the
+flat key, the covering check and the settled frames below, that search took
+0.058 s against 0.032 s (best of seven, three rounds, Python 3.11.7, 2-CPU
+x86-64 host, October 2026).  The key assumes every placed prefix is
+consistent, so without pruning the memo stays off.
 
 The search is one loop over a stack of per-node branch iterators, so its
-depth is not bounded by Python's recursion limit.  Once some leaf has cut a
-branch off at the cap, a child on the cap that leaves a thread outside its
-final state can neither hit nor truncate: its parent runs the pruning check
-and counts it in ``visited`` without placing it.  One event below the cap
-with two threads unfinished, that holds for every child (an event moves one
-thread), so the node settles its frame in one pass: children that pass the
-pruning check count into ``visited``, the others into ``prunes``, and no
-branch is built.  The count sums one share per thread that may move, and a
-thread's share reads only its control subset and head, the rows of its
-enabled labels' locations and whether the update budget is spent.  So the
-node's one event since its parent, of thread t0 on location x, leaves
-another thread's share as at the parent unless the event is an update
-(which may spend the budget) or writes x while that thread has an enabled
-label on x.  Shares are stored per thread for the node two events below
-the cap, emptied when the loop enters such a node (in a depth-first walk,
-the nodes one below the cap entered until the next emptying are its
+depth is not bounded by Python's recursion limit.  Children on the cap
+follow one rule: once some leaf has cut a branch off at the cap, a frame
+none of whose children can hit is settled, and any other child is placed.
+A child of a settled frame cannot truncate either (the flag is set), so it
+matters only by its count: the node one event below the cap counts its
+frame in one pass, children that pass the pruning check into ``visited``
+and the others into ``prunes``, and builds no branch.  No child can hit with two threads unfinished (an event
+moves one thread), nor with one whose enabled labels never step it into its
+final state; that check ignores sources, insertion points and the update
+budget, so it may refuse a frame without a hit, whose children are then
+placed and counted alike.  The count sums one share per thread that may
+move, and a thread's share reads only its control subset and head, the rows
+of its enabled labels' locations and whether the update budget is spent.
+So the node's one event since its parent, of thread t0 on location x,
+leaves another thread's share as at the parent unless the event is an
+update (which may spend the budget) or writes x while that thread has an
+enabled label on x.  Shares are stored per thread for the node two events
+below the cap, emptied when the loop enters such a node (in a depth-first
+walk, the nodes one below the cap entered until the next emptying are its
 children): a child recounts t0 and the touched threads and takes each other
 share from the store, counting and storing it if missing.  The context
 budget, which decides who may move, applies per child, when summing.  A
 branch shuffle, whose generator must draw as usual, and a count that would
-cross ``max_nodes`` (the search must trip on the same child) take the
-per-branch path.  ``max_nodes`` bounds ``visited`` (and so the memo): the
-node past it ends the search as ``INCONCLUSIVE``, even at the small-model
-bound.
+cross ``max_nodes`` (the search must trip on the same child) place the
+children too.  ``max_nodes`` bounds ``visited`` (and so the memo): the node
+past it ends the search as ``INCONCLUSIVE``, even at the small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -424,7 +425,12 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     counts: dict[str, tuple[int, int]] = {}
 
     def settle() -> bool:
-        """Count a frame of capped children that can neither hit nor truncate, unless that crosses ``max_nodes``."""
+        """Count a frame of capped children, unless one may hit or the count would cross ``max_nodes``."""
+        if flags["unfinished"] == 1:  # a hit needs the one unfinished thread to step into its final state
+            u = next(t for t in tids if finals[t] not in subsets[t])
+            lts = program.threads[u]
+            if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):
+                return False  # the frame may hold a hit: its children are placed
         lab = events[-1]
         t0, spends, wrote = runs[-1][0], lab.op is Op.RMW, lab.op.writes
         kept = cut = 0
@@ -519,15 +525,10 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         # the cuts are the heads' lowest positions, so the heads need no floor
         return tuple(subsets.values()), tuple([at[v[j]] - d for v in hs for j, d in ic]), rows
 
-    def misses(br: _Branch) -> bool:
-        """Whether placing ``br`` leaves some thread outside its final state."""
-        t, old = br.tid, subsets[br.tid]
-        return flags["unfinished"] > (finals[t] not in old) or finals[t] not in program.threads[t].step(old, br.label)
-
     limit = math.inf if config.max_nodes is None else config.max_nodes
     truncated = tripped = False
-    # frames: (the node's unexplored branches, the record that undoes it, whether its children sit at the cap)
-    stack: list[tuple[Iterator[_Branch], tuple | None, bool]] = []
+    # frames: (the node's unexplored branches, the record that undoes it)
+    stack: list[tuple[Iterator[_Branch], tuple | None]] = []
     rec: tuple | None = None  # undoes the node just placed; None at the root
     while True:
         n = len(events) - n_init
@@ -546,16 +547,16 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 return ReachVerdict(ReachStatus.REACHABLE, found, stats)
             if n >= cap:
                 truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
-            # with two threads unfinished no child hits, and once truncated none matters past its count
-            elif not (n + 1 == cap and truncated and flags["unfinished"] > 1 and rng is None and settle()):
+            # once truncated, a capped child that cannot hit matters only by its count
+            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle()):
                 out = branches()
                 if rng is not None:
                     rng.shuffle(out)
                 children = iter(out)
-        stack.append((children, rec, n + 1 == cap))
+        stack.append((children, rec))
         rec = None
         while rec is None and stack:
-            children, up, leaves = stack[-1]
+            children, up = stack[-1]
             br = next(children, None)
             if br is None:
                 stack.pop()
@@ -564,8 +565,6 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 continue
             if prune and violates(br.label, br.top, br.rf_src, br.mo_pos, br.row):
                 stats.prunes += 1
-            elif leaves and truncated and stats.visited < limit and misses(br):
-                stats.visited += 1  # a capped leaf that can neither hit nor truncate: counted, never placed
             else:
                 rec = apply(br)
         if rec is None:

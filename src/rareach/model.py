@@ -250,7 +250,7 @@ def parse_program(text: str) -> Program:
     cur_final: str | None = None
     cur_transitions: list[tuple[str, Label, str]] = []
 
-    def close_thread(lineno: int) -> None:
+    def close_thread() -> None:
         nonlocal cur_tid
         if cur_tid is None:
             return
@@ -293,7 +293,7 @@ def parse_program(text: str) -> Program:
                     raise ParseError(f"line {lineno}: duplicate init value for {loc!r}")
                 init_vals[_check_atom(loc, "location", lineno)] = _check_atom(v, "value", lineno)
         elif head == "thread":
-            close_thread(lineno)
+            close_thread()
             if len(toks) != 6 or toks[2] != "init" or toks[4] != "final":
                 raise ParseError(f"line {lineno}: expected 'thread <id> init <q> final <q>'")
             tid = _check_atom(toks[1], "thread id", lineno)
@@ -332,7 +332,7 @@ def parse_program(text: str) -> Program:
             if trans in cur_transitions:
                 raise ParseError(f"line {lineno}: duplicate transition")
             cur_transitions.append(trans)
-    close_thread(0)
+    close_thread()
 
     if locs is None:
         raise ParseError("missing locs line")

@@ -189,10 +189,7 @@ def parse_pcp(text: str) -> PcpInstance:
         pairs.append((toks[1], toks[3]))
     if not pairs:
         raise ParseError("no pairs in instance")
-    try:
-        return PcpInstance(tuple(pairs))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return PcpInstance(tuple(pairs))
 
 
 def verify_solution(inst: PcpInstance, js: Sequence[int]) -> bool:

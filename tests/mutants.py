@@ -79,6 +79,12 @@ MUTANTS = {
         "a frame sums every thread, not only those the context budget lets move",
     ),
     "settle-never-reset": Mutant(DECIDER, "counts.clear()", "pass", "the stored counts are never emptied"),
+    "settle-may-hit": Mutant(
+        DECIDER,
+        "if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):",
+        "if False:",
+        "a frame whose one unfinished thread can step into its final state is settled, so its hit is counted, not found",
+    ),
     # the small-model bound: bounded_reach's truncation test and small_model_bound_formula's stop_above;
     # not listed: ``>`` for the guard's ``>=`` only stops later, so it stays sound and no test can kill it
     "truncated-at-bound": Mutant(

@@ -15,13 +15,14 @@ import rareach
 from rareach import cli
 from rareach.consistency import Axiom, Verdict
 from rareach.decider import enumerate_graphs
-from rareach.graph import build_graph, graph_to_json
-from rareach.model import parse_program, read, serialize_program, write
+from rareach.graph import build_graph, graph_to_json, to_dot
+from rareach.model import INIT_TID, parse_program, read, serialize_program, write
 from rareach.reduction import small_model_bound
 from rareach.trace import ContextBudget, Run, load_trace_json, make_trace, trace_to_json
 
 from tests import corpus
 from tests.corpus import dump_graph_json, dump_trace_json
+from tests.test_consistency import mixed_id_read_coherence_graph
 from tests.test_decider import MP_LOOP
 from tests.test_reduction import random_runs
 
@@ -102,6 +103,14 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(g), "--dot", str(dot))
         assert code == 0
         assert '"e1"' in dot.read_text()
+
+    def test_least_witness_among_mixed_ids(self, capsys, tmp_path):
+        # ints order before strings
+        g = tmp_path / "g.json"
+        g.write_text(dump_graph_json(mixed_id_read_coherence_graph()))
+        code, out, _ = run(capsys, "check", str(g))
+        assert code == 1
+        assert json.loads(out) == {"status": "violation", "axiom": "read-coherence", "witness": [0, "b", "a"]}
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
@@ -215,6 +224,12 @@ class TestReduce:
         assert code == 0
         assert "collapsed" in out and "{" not in out
         assert load_trace_json(dst.read_text()).pi == ("e1", "e4")
+
+    def test_dot_output(self, capsys, tmp_path, twin_trace_file, twin_prog_file):
+        dot = tmp_path / "r.dot"
+        code, out, _ = run(capsys, "reduce", twin_trace_file, "--program", twin_prog_file, "--dot", str(dot))
+        assert code == 0
+        assert dot.read_text() == to_dot(load_trace_json(out.partition("\n")[2]).graph)
 
     def test_program_flag_required(self, capsys, twin_trace_file):
         with pytest.raises(SystemExit) as ei:
@@ -656,6 +671,12 @@ class TestPcp:
         assert code == 0
         assert len(load_trace_json(out).graph.events) == 202
 
+    def test_witness_dot_output(self, capsys, tmp_path, inst_file):
+        dot = tmp_path / "w.dot"
+        code, out, _ = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--dot", str(dot))
+        assert code == 0
+        assert dot.read_text() == to_dot(load_trace_json(out).graph)
+
     def test_witness_check_passes(self, capsys, inst_file):
         assert run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check")[0] == 0
 
@@ -710,6 +731,25 @@ class TestPcp:
             "monotonicity": {"ok": True, "violations": []},
             "noSkipping": {"ok": True, "violations": []},
         }
+
+    def test_audit_text_lists_violations(self, capsys, tmp_path):
+        # the verifier writes back a stream cell it has already read
+        g = tmp_path / "g.json"
+        events = [
+            ("init.aw", write(INIT_TID, "aw", "0")),
+            ("g1", write("guess_aw", "aw", "v")),
+            ("c1", read("check_w", "aw", "v")),
+            ("c2", write("check_w", "aw", "v")),
+        ]
+        g.write_text(dump_graph_json(build_graph(events, {"c1": "g1"}, {"aw": ["init.aw", "g1", "c2"]})))
+        code, out, _ = run(capsys, "pcp", "audit", str(g))
+        assert (code, out) == (
+            1,
+            "no-skipping: ok\n"
+            "monotonicity: 2 violations\n"
+            "  po: read c1 idx 1 before write c2 idx 1\n"
+            "  hb: writes g1,c2 on aw do not increase\n",
+        )
 
     def test_audit_flags_foreign_graph(self, capsys, tmp_path):
         g = tmp_path / "mp.json"
@@ -953,6 +993,7 @@ class TestMalformedProgram:
             ("locs x\n" + THREAD, "missing vals line"),
             (HEAD + "init y=0\n" + THREAD, "init assigns undeclared location 'y'"),
             (HEAD + "init x=5\n" + THREAD, "initial value '5' of 'x' not declared"),
+            (HEAD + "thread t init q0 final q1\n  q0 q1 rmw x 1\n", "line 4: rmw lines take 2 value(s)"),
         ],
     )
     def test_reach_exits_65(self, capsys, tmp_path, text, message):

@@ -74,6 +74,18 @@ def mixed_id_cycle_graph():
     )
 
 
+def mixed_id_read_coherence_graph():
+    # (0, "b", "a") and ("a", "d", "c") both violate read coherence; tuples mixing int and str ids do not compare
+    events = [
+        (0, write("init", "x", "0")),
+        ("a", write("t", "x", "1")),
+        ("b", read("t", "x", "0")),
+        ("c", write("t", "x", "2")),
+        ("d", read("t", "x", "1")),
+    ]
+    return build_graph(events, {"b": 0, "d": "a"}, {"x": [0, "a", "c"]})
+
+
 def atomicity_graph():
     # a write squeezes between an update and the write it read
     events = [
@@ -160,6 +172,7 @@ FIXED_GRAPHS = [
     read_coherence_graph,
     two_writers_read_graph,
     mixed_id_cycle_graph,
+    mixed_id_read_coherence_graph,
     atomicity_graph,
 ]
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rareach.consistency import check_ra
 from rareach.decider import enumerate_graphs
-from rareach.errors import NotCollapsible, UnknownThread
+from rareach.errors import NotCollapsible, UnknownEvent, UnknownThread
 from rareach.graph import build_graph
 from rareach.model import INIT_TID, parse_program, read, rmw, write
 from rareach.reduction import (
@@ -149,6 +149,13 @@ class TestCollapsible:
         assert not collapsible(tr, prog, "e3", "e1")
         assert not collapsible(tr, prog, "e1", "e1")
         assert not collapsible(tr, prog, "e1", "e2")  # summaries differ
+
+    @pytest.mark.parametrize("eid", ["init.x", "e9"])
+    def test_event_in_no_run_raises(self, eid):
+        # the init write is in the graph but in no run; e9 is in neither
+        tr = corpus.twin_write_trace(2)
+        with pytest.raises(UnknownEvent, match=f"event '{eid}' is not in any run"):
+            collapsible(tr, corpus.twin_write_loop(), "e1", eid)
 
     def test_split_runs_block_pairs(self):
         g = corpus.twin_write_trace(2).graph
