@@ -89,8 +89,12 @@ class Label:
         return self.tid == INIT_TID
 
     def __str__(self) -> str:
-        vals = [v for v in (self.val_r, self.val_w) if v is not None]
-        return f"{self.tid}: {self.op.value} {self.loc} {' '.join(vals)}"
+        return f"{self.tid}: {self.op.value} {self.loc} {_vals_text(self)}"
+
+
+def _vals_text(lab: Label) -> str:
+    """The value read, then the value written, as the text format writes them."""
+    return lab.val_w if lab.val_r is None else lab.val_r if lab.val_w is None else f"{lab.val_r} {lab.val_w}"
 
 
 def read(tid: str, loc: str, val: str) -> Label:
@@ -108,6 +112,12 @@ def rmw(tid: str, loc: str, val_r: str, val_w: str) -> Label:
 def label_key(lab: Label) -> tuple[str, str, str, str]:
     """Deterministic sort key for labels."""
     return (lab.op.value, lab.loc, lab.val_r or "", lab.val_w or "")
+
+
+def _row_key(row: tuple[str, Label, str]) -> tuple[str, str, tuple[str, str, str, str]]:
+    """Row order of the text format: source, target, then :func:`label_key`."""
+    src, lab, dst = row
+    return (src, dst, label_key(lab))
 
 
 @dataclass(frozen=True)
@@ -173,19 +183,26 @@ class Program:
         if INIT_TID in self.threads:
             raise ValueError(f"thread id {INIT_TID!r} is reserved")
         for tid, lts in self.threads.items():
-            for _, lab, _ in lts.transitions:
-                if lab.tid != tid:
-                    raise ValueError(f"label {lab} declared under thread {tid!r}")
-                if lab.loc not in self.locs:
-                    raise ValueError(f"unknown location {lab.loc!r} in thread {tid!r}")
-                for v in (lab.val_r, lab.val_w):
-                    if v is not None and v not in self.vals:
-                        raise ValueError(f"unknown value {v!r} in thread {tid!r}")
+            if self._misfit(tid, lts.transitions):
+                # a set's order follows the hash seed: name the first offender in row order
+                raise ValueError(self._misfit(tid, sorted(lts.transitions, key=_row_key)))
         if set(self.init_vals) != set(self.locs):
             raise ValueError("init_vals must assign exactly the declared locations")
         for loc, v in self.init_vals.items():
             if v not in self.vals:
                 raise ValueError(f"initial value {v!r} of {loc!r} not declared")
+
+    def _misfit(self, tid: str, rows: Iterable[tuple[str, Label, str]]) -> str | None:
+        """Why the first misfit of ``rows`` cannot be a transition of thread ``tid``, or ``None``."""
+        for _, lab, _ in rows:
+            if lab.tid != tid:
+                return f"label {lab} declared under thread {tid!r}"
+            if lab.loc not in self.locs:
+                return f"unknown location {lab.loc!r} in thread {tid!r}"
+            for v in (lab.val_r, lab.val_w):
+                if v is not None and v not in self.vals:
+                    return f"unknown value {v!r} in thread {tid!r}"
+        return None
 
 
 #: A control state per thread.
@@ -228,116 +245,71 @@ def word_reaches(
 
 # --- text format -----------------------------------------------------------
 
-_KINDS = {"r": Op.READ, "w": Op.WRITE, "rmw": Op.RMW}
+_KINDS = {op.value: op for op in Op}
 
 
 def _check_atom(tok: str, what: str, lineno: int) -> str:
-    if not tok or "#" in tok:
+    if not tok:
         raise ParseError(f"line {lineno}: bad {what} token {tok!r}")
     return tok
 
 
 def parse_program(text: str) -> Program:
     """Parse the text format described in the module docstring."""
-    locs: list[str] | None = None
-    vals: list[str] | None = None
+    decl: dict[str, list[str]] = {}  # arguments of the locs, vals and init lines seen so far
     init_vals: dict[str, str] = {}
-    saw_init_line = False
-    threads: dict[str, Lts] = {}
-    # accumulating state for the current thread block
-    cur_tid: str | None = None
-    cur_init: str | None = None
-    cur_final: str | None = None
-    cur_transitions: list[tuple[str, Label, str]] = []
-
-    def close_thread() -> None:
-        nonlocal cur_tid
-        if cur_tid is None:
-            return
-        assert cur_init is not None and cur_final is not None
-        threads[cur_tid] = Lts(
-            init=cur_init,
-            final=cur_final,
-            transitions=frozenset(cur_transitions),
-        )
-        cur_tid = None
-        cur_transitions.clear()
-
+    threads: dict[str, tuple[str, str, set[tuple[str, Label, str]]]] = {}  # tid -> init, final, transitions
+    rows = None  # the transitions of the last thread line
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
             continue
-        toks = line.split()
-        head = toks[0]
-        if head == "locs":
-            if locs is not None:
-                raise ParseError(f"line {lineno}: duplicate locs line")
-            locs = [_check_atom(t, "location", lineno) for t in toks[1:]]
-            if not locs or len(set(locs)) != len(locs):
-                raise ParseError(f"line {lineno}: locs must list distinct locations")
-        elif head == "vals":
-            if vals is not None:
-                raise ParseError(f"line {lineno}: duplicate vals line")
-            vals = [_check_atom(t, "value", lineno) for t in toks[1:]]
-            if not vals or len(set(vals)) != len(vals):
-                raise ParseError(f"line {lineno}: vals must list distinct values")
-        elif head == "init":
-            if saw_init_line:
-                raise ParseError(f"line {lineno}: duplicate init line")
-            saw_init_line = True
-            for item in toks[1:]:
-                if "=" not in item:
-                    raise ParseError(f"line {lineno}: init entries look like loc=val")
-                loc, _, v = item.partition("=")
-                if loc in init_vals:
-                    raise ParseError(f"line {lineno}: duplicate init value for {loc!r}")
-                init_vals[_check_atom(loc, "location", lineno)] = _check_atom(v, "value", lineno)
+        head, *args = toks
+        if head in ("locs", "vals", "init"):
+            if head in decl:
+                raise ParseError(f"line {lineno}: duplicate {head} line")
+            decl[head] = args
+            if head == "init":
+                for item in args:
+                    loc, eq, v = item.partition("=")
+                    if not eq:
+                        raise ParseError(f"line {lineno}: init entries look like loc=val")
+                    if loc in init_vals:
+                        raise ParseError(f"line {lineno}: duplicate init value for {loc!r}")
+                    init_vals[_check_atom(loc, "location", lineno)] = _check_atom(v, "value", lineno)
+            elif not args or len(set(args)) != len(args):
+                what = "locations" if head == "locs" else "values"
+                raise ParseError(f"line {lineno}: {head} must list distinct {what}")
         elif head == "thread":
-            close_thread()
-            if len(toks) != 6 or toks[2] != "init" or toks[4] != "final":
+            if len(args) != 5 or args[1] != "init" or args[3] != "final":
                 raise ParseError(f"line {lineno}: expected 'thread <id> init <q> final <q>'")
-            tid = _check_atom(toks[1], "thread id", lineno)
+            tid = args[0]
             if tid == INIT_TID:
                 raise ParseError(f"line {lineno}: thread id {INIT_TID!r} is reserved")
             if tid in threads:
                 raise ParseError(f"line {lineno}: duplicate thread {tid!r}")
-            cur_tid = tid
-            cur_init = _check_atom(toks[3], "state", lineno)
-            cur_final = _check_atom(toks[5], "state", lineno)
+            rows = set()
+            threads[tid] = (args[2], args[4], rows)
+        elif rows is None:
+            raise ParseError(f"line {lineno}: transition outside a thread block")
+        elif len(toks) < 5:
+            raise ParseError(f"line {lineno}: expected 'src dst kind loc val(s)'")
         else:
-            if cur_tid is None:
-                raise ParseError(f"line {lineno}: transition outside a thread block")
-            if len(toks) < 5:
-                raise ParseError(f"line {lineno}: expected 'src dst kind loc val(s)'")
-            src, dst, kind = toks[0], toks[1], toks[2]
-            if kind not in _KINDS:
+            src, dst, kind, loc, *vs = toks
+            op = _KINDS.get(kind)
+            if op is None:
                 raise ParseError(f"line {lineno}: unknown action kind {kind!r}")
-            op = _KINDS[kind]
-            want = 6 if op is Op.RMW else 5
-            if len(toks) != want:
-                raise ParseError(f"line {lineno}: {kind} lines take {want - 4} value(s)")
-            loc = _check_atom(toks[3], "location", lineno)
-            if op is Op.READ:
-                lab = read(cur_tid, loc, _check_atom(toks[4], "value", lineno))
-            elif op is Op.WRITE:
-                lab = write(cur_tid, loc, _check_atom(toks[4], "value", lineno))
-            else:
-                lab = rmw(
-                    cur_tid,
-                    loc,
-                    _check_atom(toks[4], "value", lineno),
-                    _check_atom(toks[5], "value", lineno),
-                )
-            trans = (_check_atom(src, "state", lineno), lab, _check_atom(dst, "state", lineno))
-            if trans in cur_transitions:
+            if len(vs) != (want := op.reads + op.writes):
+                raise ParseError(f"line {lineno}: {kind} lines take {want} value(s)")
+            row = (src, Label(op, tid, loc, vs[0] if op.reads else None, vs[-1] if op.writes else None), dst)
+            if row in rows:
                 raise ParseError(f"line {lineno}: duplicate transition")
-            cur_transitions.append(trans)
-    close_thread()
+            rows.add(row)
 
-    if locs is None:
-        raise ParseError("missing locs line")
-    if vals is None:
-        raise ParseError("missing vals line")
+    for head in ("locs", "vals"):
+        if head not in decl:
+            raise ParseError(f"missing {head} line")
+    locs, vals = decl["locs"], decl["vals"]
     for loc in init_vals:
         if loc not in locs:
             raise ParseError(f"init assigns undeclared location {loc!r}")
@@ -348,7 +320,7 @@ def parse_program(text: str) -> Program:
             init_vals[loc] = "0"
     try:
         return Program(
-            threads=threads,
+            threads={tid: Lts(init, final, frozenset(rows)) for tid, (init, final, rows) in threads.items()},
             locs=frozenset(locs),
             vals=frozenset(vals),
             init_vals=init_vals,
@@ -359,21 +331,15 @@ def parse_program(text: str) -> Program:
 
 def serialize_program(program: Program) -> str:
     """Canonical text for a program; ``parse_program`` inverts this."""
-    out: list[str] = []
-    out.append("locs " + " ".join(sorted(program.locs)))
-    out.append("vals " + " ".join(sorted(program.vals)))
-    out.append("init " + " ".join(f"{loc}={program.init_vals[loc]}" for loc in sorted(program.locs)))
-    for tid in sorted(program.threads):
-        lts = program.threads[tid]
+    out = [
+        "locs " + " ".join(sorted(program.locs)),
+        "vals " + " ".join(sorted(program.vals)),
+        "init " + " ".join(f"{loc}={program.init_vals[loc]}" for loc in sorted(program.locs)),
+    ]
+    for tid, lts in sorted(program.threads.items()):
         out.append(f"thread {tid} init {lts.init} final {lts.final}")
-        rows = sorted(lts.transitions, key=lambda t: (t[0], t[2], label_key(t[1])))
-        for src, lab, dst in rows:
-            if lab.op is Op.RMW:
-                out.append(f"  {src} {dst} rmw {lab.loc} {lab.val_r} {lab.val_w}")
-            elif lab.op is Op.READ:
-                out.append(f"  {src} {dst} r {lab.loc} {lab.val_r}")
-            else:
-                out.append(f"  {src} {dst} w {lab.loc} {lab.val_w}")
+        for src, lab, dst in sorted(lts.transitions, key=_row_key):
+            out.append(f"  {src} {dst} {lab.op.value} {lab.loc} {_vals_text(lab)}")
     return "\n".join(out) + "\n"
 
 
@@ -383,18 +349,15 @@ def serialize_program(program: Program) -> str:
 def program_to_json(program: Program) -> dict:
     """A canonical JSON-serialisable form (keys and rows sorted)."""
     threads = {}
-    for tid in sorted(program.threads):
-        lts = program.threads[tid]
-        rows = []
-        for src, lab, dst in sorted(
-            lts.transitions, key=lambda t: (t[0], t[2], label_key(t[1]))
-        ):
-            rows.append([src, dst, lab.op.value, lab.loc, lab.val_r, lab.val_w])
+    for tid, lts in sorted(program.threads.items()):
         threads[tid] = {
             "init": lts.init,
             "final": lts.final,
             "states": sorted(lts.states),
-            "transitions": rows,
+            "transitions": [
+                [src, dst, lab.op.value, lab.loc, lab.val_r, lab.val_w]
+                for src, lab, dst in sorted(lts.transitions, key=_row_key)
+            ],
         }
     return {
         "locs": sorted(program.locs),

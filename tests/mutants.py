@@ -1,4 +1,4 @@
-"""Mutation check of the search's rules and bound: each mutant is one text edit, run against Tier-1 on its own copy.
+"""Mutation check of the search's rules, its bound and the program parser: each mutant is one text edit, run against Tier-1 on its own copy.
 
 A mutant is killed when some Tier-1 test fails on a copy of the repository
 with its edit applied; a survivor means no test tells the rule from its
@@ -25,6 +25,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 DECIDER = "src/rareach/decider.py"
 REDUCTION = "src/rareach/reduction.py"
+MODEL = "src/rareach/model.py"
 #: seconds one Tier-1 run may take before the mutant counts as killed by the time limit
 TIMEOUT_S = 900
 
@@ -110,6 +111,22 @@ MUTANTS = {
     ),
     "stop-at-stop-above": Mutant(
         REDUCTION, "return stop_above + 1", "return stop_above", "a bound past stop_above is reported as stop_above"
+    ),
+    # the program parser (model.parse_program)
+    "parse-keeps-duplicates": Mutant(
+        MODEL, "if row in rows:", "if False:", "a transition listed twice in one thread is accepted"
+    ),
+    "parse-extra-values": Mutant(
+        MODEL,
+        "if len(vs) != (want := op.reads + op.writes):",
+        "if len(vs) < (want := op.reads + op.writes):",
+        "a transition line with more values than its kind takes is accepted (the count test is >=, not ==)",
+    ),
+    "parse-undeclared-zero": Mutant(
+        MODEL,
+        "if \"0\" not in vals:",
+        "if False:",
+        "a location left out of init defaults to 0 even when 0 is not a declared value",
     ),
 }
 

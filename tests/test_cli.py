@@ -751,6 +751,38 @@ class TestPcp:
             "  hb: writes g1,c2 on aw do not increase\n",
         )
 
+    AW0 = ("init.aw", write(INIT_TID, "aw", "0"))
+    GUESSES = [("g1", write("guess_aw", "aw", "a")), ("g2", write("guess_aw", "aw", "b"))]
+
+    @pytest.mark.parametrize(
+        "events,rf,mo,report",
+        [
+            # no-skipping: the guesser never reads its own stream
+            ([AW0, ("g1", read("guess_aw", "aw", "0"))], {"g1": "init.aw"}, {"aw": ["init.aw"]},
+             "no-skipping: 1 violations\n  g1: no family covers reads of aw by guess_aw\nmonotonicity: ok\n"),
+            ([AW0, ("c1", read("check_w", "aw", "0"))], {"c1": "init.aw"}, {"aw": ["init.aw"]},
+             "no-skipping: 1 violations\n  c1: reads the initial value instead of guess_aw\nmonotonicity: ok\n"),
+            ([AW0, ("c1", write("check_w", "aw", "a")), ("c2", read("check_w", "aw", "a"))], {"c2": "c1"},
+             {"aw": ["init.aw", "c1"]},
+             "no-skipping: 1 violations\n  c2: reads from check_w instead of guess_aw\nmonotonicity: ok\n"),
+            # monotonicity: po from a write into a later write, po between reads, mo
+            ([AW0, *GUESSES, ("g3", write("guess_aw", "z_aw_p", "1"))], {},
+             {"aw": ["init.aw", "g1", "g2"], "z_aw_p": ["g3"]},
+             "no-skipping: ok\nmonotonicity: 1 violations\n  po: write g2 idx 2 before write g3 idx 1\n"),
+            ([AW0, ("init.bw", write(INIT_TID, "bw", "0")), *GUESSES, ("h1", write("guess_bw", "bw", "a")),
+              ("c1", read("check_w", "aw", "a")), ("c2", read("check_w", "aw", "b")), ("c3", read("check_w", "bw", "a"))],
+             {"c1": "g1", "c2": "g2", "c3": "h1"}, {"aw": ["init.aw", "g1", "g2"], "bw": ["init.bw", "h1"]},
+             "no-skipping: ok\nmonotonicity: 1 violations\n  po: reads c2,c3 decrease 2->1 outside the allowed step\n"),
+            ([AW0, *GUESSES], {}, {"aw": ["init.aw", "g2", "g1"]},
+             "no-skipping: ok\nmonotonicity: 1 violations\n  mo[aw]: g2 idx 2 before g1 idx 1\n"),
+        ],
+        ids=["uncovered-read", "initial-value", "foreign-writer", "po-write-write", "po-read-read", "mo"],
+    )
+    def test_audit_text_names_each_violation(self, capsys, tmp_path, events, rf, mo, report):
+        g = tmp_path / "g.json"
+        g.write_text(dump_graph_json(build_graph(events, rf, mo)))
+        assert run(capsys, "pcp", "audit", str(g)) == (1, report, "")
+
     def test_audit_flags_foreign_graph(self, capsys, tmp_path):
         g = tmp_path / "mp.json"
         g.write_text(dump_graph_json(corpus.twin_write_trace(2).graph))
@@ -994,12 +1026,41 @@ class TestMalformedProgram:
             (HEAD + "init y=0\n" + THREAD, "init assigns undeclared location 'y'"),
             (HEAD + "init x=5\n" + THREAD, "initial value '5' of 'x' not declared"),
             (HEAD + "thread t init q0 final q1\n  q0 q1 rmw x 1\n", "line 4: rmw lines take 2 value(s)"),
+            ("locs x\nvals 0 0\n" + THREAD, "line 2: vals must list distinct values"),
+            (HEAD + "thread t init q0\n  q0 q1 w x 1\n", "line 3: expected 'thread <id> init <q> final <q>'"),
+            ("vals 0 1\n" + THREAD, "missing locs line"),
+            (HEAD + "init =0\n" + THREAD, "line 3: bad location token ''"),
+            (HEAD + "init =\n" + THREAD, "line 3: bad value token ''"),
+            ("locs x x\nvals 0 1\n" + THREAD, "line 1: locs must list distinct locations"),
+            ("locs x\nvals 0 1\nlocs y\n" + THREAD, "line 3: duplicate locs line"),
+            (HEAD + "  q0 q1 w x 1\n" + THREAD, "line 3: transition outside a thread block"),
+            (HEAD + "thread init init q0 final q1\n", "line 3: thread id 'init' is reserved"),
+            (HEAD + "thread t init q0 final q1\n  q0 q1 u x 1\n", "line 4: unknown action kind 'u'"),
+            (HEAD + "thread t init q0 final q1\n  q0 q1 r x 1 0\n", "line 4: r lines take 1 value(s)"),
+            (HEAD + THREAD + "  q0 q1 w x 1\n", "line 5: duplicate transition"),
+            ("locs x\nvals 1 2\n" + THREAD, "no initial value for 'x' and '0' is not a declared value"),
+            (HEAD + "thread t init q0 final q1\n  q0 q1 w y 1\n", "unknown location 'y' in thread 't'"),
         ],
     )
     def test_reach_exits_65(self, capsys, tmp_path, text, message):
         prog = tmp_path / "prog.txt"
         prog.write_text(text)
         assert run(capsys, "reach", str(prog), "--contexts", "1") == (65, "", f"ra-reach: error: {message}\n")
+
+    def test_alphabet_error_is_the_same_in_every_process(self, tmp_path):
+        # several offenders: the first in row order (src, dst, label) is named, whatever the hash seed
+        prog = tmp_path / "prog.txt"
+        prog.write_text(self.HEAD + "thread t init q0 final q1\n  q0 q1 w x 5\n  q1 q0 w x 7\n  q0 q0 r x 9\n")
+        script = "import sys\nfrom rareach import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        seen = set()
+        for seed in range(1, 7):
+            env = {**os.environ, "PYTHONPATH": str(Path(rareach.__file__).parents[1]), "PYTHONHASHSEED": str(seed)}
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "reach", str(prog), "--contexts", "1"],
+                env=env, capture_output=True, text=True,
+            )
+            seen.add((proc.returncode, proc.stdout, proc.stderr))
+        assert seen == {(65, "", "ra-reach: error: unknown value '9' in thread 't'\n")}
 
 
 class TestUnknownThread:

@@ -8,6 +8,7 @@ from rareach.model import (
     Label,
     Lts,
     Op,
+    Program,
     final_vector,
     label_key,
     parse_program,
@@ -168,6 +169,33 @@ class TestParse:
         )
         (lab,) = [l for _, l, _ in prog.threads["t"].transitions]
         assert (lab.val_r, lab.val_w) == ("0", "1")
+
+
+class TestProgramChecks:
+    """``Program`` checks that parsed text never reaches, for callers that build one directly."""
+
+    @staticmethod
+    def build(threads, init_vals=None):
+        return Program(
+            threads=threads,
+            locs=frozenset({"x"}),
+            vals=frozenset({"0", "1"}),
+            init_vals={"x": "0"} if init_vals is None else init_vals,
+        )
+
+    def test_reserved_thread(self):
+        with pytest.raises(ValueError, match="^thread id 'init' is reserved$"):
+            self.build({"init": Lts("q0", "q0", frozenset())})
+
+    def test_label_of_another_thread(self):
+        lts = Lts("q0", "q1", frozenset({("q0", write("u", "x", "1"), "q1")}))
+        with pytest.raises(ValueError, match="^label u: w x 1 declared under thread 't'$"):
+            self.build({"t": lts})
+
+    @pytest.mark.parametrize("init_vals", [{}, {"x": "0", "y": "0"}])
+    def test_init_vals_must_cover_locs(self, init_vals):
+        with pytest.raises(ValueError, match="^init_vals must assign exactly the declared locations$"):
+            self.build({}, init_vals)
 
 
 class TestRoundTrip:
