@@ -193,7 +193,7 @@ class Program:
                 raise ValueError(f"initial value {v!r} of {loc!r} not declared")
 
     def _misfit(self, tid: str, rows: Iterable[tuple[str, Label, str]]) -> str | None:
-        """Why the first misfit of ``rows`` cannot be a transition of thread ``tid``, or ``None``."""
+        """Why the first label in ``rows`` that misfits thread ``tid`` or the alphabets is refused, or ``None``."""
         for _, lab, _ in rows:
             if lab.tid != tid:
                 return f"label {lab} declared under thread {tid!r}"
