@@ -307,7 +307,8 @@ def _cmd_pcp_audit(args) -> int:
             if report.ok:
                 print(f"{name}: ok")
             else:
-                print(f"{name}: {len(report.violations)} violations")
+                k = len(report.violations)
+                print(f"{name}: {k} violation{'s' * (k != 1)}")
                 for v in report.violations:
                     print(f"  {v}")
     return 0 if skip.ok and mono.ok else 1

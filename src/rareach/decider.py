@@ -101,26 +101,33 @@ none of whose children can hit is settled, and any other child is placed.
 A child of a settled frame cannot truncate either (the flag is set), so it
 matters only by its count: the node one event below the cap counts its
 frame in one pass, children that pass the pruning check into ``visited``
-and the others into ``prunes``, and builds no branch.  No child can hit with two threads unfinished (an event
-moves one thread), nor with one whose enabled labels never step it into its
-final state; that check ignores sources, insertion points and the update
-budget, so it may refuse a frame without a hit, whose children are then
-placed and counted alike.  The count sums one share per thread that may
-move, and a thread's share reads only its control subset and head, the rows
-of its enabled labels' locations and whether the update budget is spent.
-So the node's one event since its parent, of thread t0 on location x,
-leaves another thread's share as at the parent unless the event is an
+and the others into ``prunes``, and builds no branch.  No child can hit
+with two threads unfinished (an event moves one thread), nor with one whose
+enabled labels never step it into its final state; that check ignores
+sources, insertion points and the update budget, so it may refuse a frame
+without a hit, whose children are then placed and counted alike.
+
+The count sums one share per thread that may move, and a thread's share
+reads only its control subset and head, the rows of its enabled labels'
+locations and whether the update budget is spent.  The node's one event
+since its parent, of thread t0 on location x, changes only t0's subset and
+head, x's row if it writes, and the update count if it is an update.  So
+it leaves another thread's share as at the parent unless the event is an
 update (which may spend the budget) or writes x while that thread has an
-enabled label on x.  Shares are stored per thread for the node two events
-below the cap, emptied when the loop enters such a node (in a depth-first
-walk, the nodes one below the cap entered until the next emptying are its
-children): a child recounts t0 and the touched threads and takes each other
-share from the store, counting and storing it if missing.  The context
-budget, which decides who may move, applies per child, when summing.  A
-branch shuffle, whose generator must draw as usual, and a count that would
-cross ``max_nodes`` (the search must trip on the same child) place the
-children too.  ``max_nodes`` bounds ``visited`` (and so the memo): the node
-past it ends the search as ``INCONCLUSIVE``, even at the small-model bound.
+enabled label on x.  A node two events below the cap therefore builds a
+table on entry when a run is left to open (none otherwise): each thread's
+share, their total, and per location the threads with an enabled label on
+it.  A child one below the cap that still leaves a run to open was entered
+since its parent built the table (the walk is depth-first).  It starts from
+the total and, for t0 and each thread its event touches (every thread
+after an update), adds the share now less the share in the table.  After a
+write, the threads listed on x include t0, which took such a label there.
+A child with no run left lets only t0 move, so its count is t0's share
+alone.  A branch shuffle, whose generator must draw as usual, and a count
+that would cross ``max_nodes`` (the search must trip on the same child)
+place the children too.  ``max_nodes`` bounds ``visited`` (and so the
+memo): the node past it ends the search as ``INCONCLUSIVE``, even at the
+small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -414,35 +421,38 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     # per thread and control subset, the locations of its enabled labels
     locs_of: dict[str, dict[frozenset[str], set[str]]] = {t: {} for t in tids}
 
-    def touches(t: str, x: str) -> bool:
-        """Whether some enabled label of ``t`` is on location ``x``."""
-        seen = locs_of[t]
-        if (found := seen.get(s := subsets[t])) is None:
-            found = seen[s] = {lab.loc for lab in program.threads[t].enabled(s)}
-        return x in found
+    def tabulate() -> tuple:
+        """Per thread its count, their sum, and per location the threads with an enabled label on it."""
+        per = {t: count(t) for t in tids}
+        on: dict[str, list[str]] = {}
+        for t in tids:
+            seen = locs_of[t]
+            if (found := seen.get(s := subsets[t])) is None:
+                found = seen[s] = {lab.loc for lab in program.threads[t].enabled(s)}
+            for x in found:
+                on.setdefault(x, []).append(t)
+        return per, (sum([k for k, _ in per.values()]), sum([c for _, c in per.values()])), on
 
-    # per thread its count at the node two events below the cap, stored by children that leave it untouched
-    counts: dict[str, tuple[int, int]] = {}
-
-    def settle() -> bool:
-        """Count a frame of capped children, unless one may hit or the count would cross ``max_nodes``."""
+    def settle(table: tuple | None) -> bool:
+        """Count a frame of capped children from the parent's ``table``, unless one may hit or the count crosses ``max_nodes``."""
         if flags["unfinished"] == 1:  # a hit needs the one unfinished thread to step into its final state
             u = next(t for t in tids if finals[t] not in subsets[t])
             lts = program.threads[u]
             if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):
                 return False  # the frame may hold a hit: its children are placed
-        lab = events[-1]
-        t0, spends, wrote = runs[-1][0], lab.op is Op.RMW, lab.op.writes
-        kept = cut = 0
-        for t in movers():
-            if t == t0 or spends or (wrote and touches(t, lab.loc)):
+        t0 = runs[-1][0]
+        if len(runs) >= budget.contexts:
+            kept, cut = count(t0)  # no run left to open: only t0 may move
+        else:
+            assert table is not None
+            per, (kept, cut), on = table
+            lab = events[-1]
+            # t0 took an enabled label on lab.loc at the parent, so it is among the threads listed there
+            for t in tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,):
                 k, c = count(t)
-            elif (kc := counts.get(t)) is None:
-                k, c = counts[t] = count(t)
-            else:
-                k, c = kc
-            kept += k
-            cut += c
+                k0, c0 = per[t]
+                kept += k - k0
+                cut += c - c0
         if stats.visited + kept > limit:
             return False  # the per-branch path trips on the same child
         stats.visited += kept
@@ -527,13 +537,12 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
 
     limit = math.inf if config.max_nodes is None else config.max_nodes
     truncated = tripped = False
+    table: tuple | None = None  # tabulate() at the last node entered two events below the cap, if a run was left to open
     # frames: (the node's unexplored branches, the record that undoes it)
     stack: list[tuple[Iterator[_Branch], tuple | None]] = []
     rec: tuple | None = None  # undoes the node just placed; None at the root
     while True:
         n = len(events) - n_init
-        if n == cap - 2:
-            counts.clear()
         # keys only two or more events below the cap (see the module docstring)
         skip = keyed and n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n))
         children: Iterator[_Branch] = iter(())
@@ -548,7 +557,9 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
             if n >= cap:
                 truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
             # once truncated, a capped child that cannot hit matters only by its count
-            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle()):
+            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle(table)):
+                if n + 2 == cap and rng is None:
+                    table = tabulate() if len(runs) < budget.contexts else None
                 out = branches()
                 if rng is not None:
                     rng.shuffle(out)

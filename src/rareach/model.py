@@ -22,7 +22,11 @@ location.  Programs can be written in a small text format::
 is ``r``, ``w`` or ``rmw`` (``rmw`` takes the value read then the value
 written).  Tokens are whitespace separated and must not contain ``#``, which
 starts a comment.  The thread id ``init`` is reserved for the implicit
-initialising writes and cannot be declared.
+initialising writes and cannot be declared, and no control state may be
+named ``locs``, ``vals``, ``init`` or ``thread``, which would read as a
+declaration line.  :class:`Program` refuses every name the format cannot
+write (and a location holding ``=``), so :func:`serialize_program` output
+always parses back to the same program.
 
 Thread behaviour is a set of words: every label sequence with a path from the
 initial state.  Because transition relations may be nondeterministic, words
@@ -35,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import ParseError, UnknownThread
 
@@ -140,7 +144,8 @@ class Lts:
     @cached_property
     def states(self) -> frozenset[str]:
         """``init``, ``final`` and every transition endpoint."""
-        return frozenset({self.init, self.final}).union(*((src, dst) for src, _, dst in self.transitions))
+        rows = self.transitions
+        return frozenset({self.init, self.final}.union([src for src, _, _ in rows], [dst for _, _, dst in rows]))
 
     @cached_property
     def index(self) -> dict[str, dict[Label, list[str]]]:
@@ -170,6 +175,16 @@ class Lts:
         return self._moves_of(states)[1].get(label, frozenset())
 
 
+#: the first tokens of the text format's declaration lines, which a transition line cannot start with
+_KEYWORDS = frozenset({"locs", "vals", "init", "thread"})
+
+
+def _tokens(names: Collection[str], banned: str = "#") -> bool:
+    """Whether each of ``names`` is one token of the text format: none is empty or holds whitespace or a ``banned`` character."""
+    text = "".join(names)  # one scan of the joined names: a program holds thousands
+    return not names or ("" not in names and text.split() == [text] and not any(c in text for c in banned))
+
+
 @dataclass(frozen=True)
 class Program:
     """Threads plus alphabets and initial values."""
@@ -191,6 +206,17 @@ class Program:
         for loc, v in self.init_vals.items():
             if v not in self.vals:
                 raise ValueError(f"initial value {v!r} of {loc!r} not declared")
+        # every name must survive serialize_program and parse_program; sorted, so the message names the same one
+        if not self.locs or not self.vals:
+            raise ValueError("locs and vals must each declare at least one name")
+        for what, names, banned in (("thread id", self.threads, "#"), ("location", self.locs, "#="), ("value", self.vals, "#")):
+            if not _tokens(names, banned):
+                bad = next(x for x in sorted(names) if not _tokens((x,), banned))
+                raise ValueError(f"{what} {bad!r} cannot be written in the text format")
+        for tid, lts in self.threads.items():
+            if not (_KEYWORDS.isdisjoint(lts.states) and _tokens(lts.states)):
+                bad = next(q for q in sorted(lts.states) if q in _KEYWORDS or not _tokens((q,)))
+                raise ValueError(f"control state {bad!r} of thread {tid!r} cannot be written in the text format")
 
     def _misfit(self, tid: str, rows: Iterable[tuple[str, Label, str]]) -> str | None:
         """Why the first label in ``rows`` that misfits thread ``tid`` or the alphabets is refused, or ``None``."""

@@ -60,26 +60,43 @@ MUTANTS = {
         "if pos < len(row) and (events[row[pos]].op is Op.RMW or events[row[pos - 1]].op is Op.RMW):",
         "an insertion right after an update, not at the row's end, counts as a wedge too",
     ),
-    # settled frames (settle / touches)
+    # settled frames (tabulate / settle): a child corrects its parent's total for the threads its event can change
     "settle-ignore-location": Mutant(
         DECIDER,
-        "if t == t0 or spends or (wrote and touches(t, lab.loc)):",
-        "if t == t0 or spends:",
-        "a count is reused across a write whatever location it writes",
+        "tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,)",
+        "tids if lab.op is Op.RMW else (t0,)",
+        "a write corrects only its own thread's count, whatever other threads have a label on its location",
     ),
     "settle-ignore-spending": Mutant(
         DECIDER,
-        "if t == t0 or spends or (wrote and touches(t, lab.loc)):",
-        "if t == t0 or (wrote and touches(t, lab.loc)):",
-        "a count is reused across an update that may spend the update budget",
+        "tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,)",
+        "on[lab.loc] if lab.op.writes else (t0,)",
+        "an update, which may spend the update budget, corrects only the threads on its location",
     ),
     "settle-every-thread": Mutant(
         DECIDER,
-        "for t in movers():\n            if t == t0",
-        "for t in tids:\n            if t == t0",
-        "a frame sums every thread, not only those the context budget lets move",
+        "kept, cut = count(t0)",
+        "kept, cut = map(sum, zip(*map(count, tids)))",
+        "a child with no run left to open sums every thread, not only the one the context budget lets move",
     ),
-    "settle-never-reset": Mutant(DECIDER, "counts.clear()", "pass", "the stored counts are never emptied"),
+    "settle-never-rebuild": Mutant(
+        DECIDER,
+        "table = tabulate() if len(runs) < budget.contexts else None",
+        "table = table or (tabulate() if len(runs) < budget.contexts else None)",
+        "the parent's table is built at the first frame only and never rebuilt",
+    ),
+    "settle-skip-own-thread": Mutant(
+        DECIDER,
+        "else on[lab.loc] if lab.op.writes",
+        "else [t for t in on[lab.loc] if t != t0] if lab.op.writes",
+        "a write leaves its own thread's count as at the parent when that thread is listed on the location",
+    ),
+    "settle-total-after-closing": Mutant(
+        DECIDER,
+        "if len(runs) >= budget.contexts:\n",
+        "if table is None:\n",
+        "a child that opened the last run corrects the parent's total, though only its own thread may move",
+    ),
     "settle-may-hit": Mutant(
         DECIDER,
         "if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):",

@@ -759,22 +759,22 @@ class TestPcp:
         [
             # no-skipping: the guesser never reads its own stream
             ([AW0, ("g1", read("guess_aw", "aw", "0"))], {"g1": "init.aw"}, {"aw": ["init.aw"]},
-             "no-skipping: 1 violations\n  g1: no family covers reads of aw by guess_aw\nmonotonicity: ok\n"),
+             "no-skipping: 1 violation\n  g1: no family covers reads of aw by guess_aw\nmonotonicity: ok\n"),
             ([AW0, ("c1", read("check_w", "aw", "0"))], {"c1": "init.aw"}, {"aw": ["init.aw"]},
-             "no-skipping: 1 violations\n  c1: reads the initial value instead of guess_aw\nmonotonicity: ok\n"),
+             "no-skipping: 1 violation\n  c1: reads the initial value instead of guess_aw\nmonotonicity: ok\n"),
             ([AW0, ("c1", write("check_w", "aw", "a")), ("c2", read("check_w", "aw", "a"))], {"c2": "c1"},
              {"aw": ["init.aw", "c1"]},
-             "no-skipping: 1 violations\n  c2: reads from check_w instead of guess_aw\nmonotonicity: ok\n"),
+             "no-skipping: 1 violation\n  c2: reads from check_w instead of guess_aw\nmonotonicity: ok\n"),
             # monotonicity: po from a write into a later write, po between reads, mo
             ([AW0, *GUESSES, ("g3", write("guess_aw", "z_aw_p", "1"))], {},
              {"aw": ["init.aw", "g1", "g2"], "z_aw_p": ["g3"]},
-             "no-skipping: ok\nmonotonicity: 1 violations\n  po: write g2 idx 2 before write g3 idx 1\n"),
+             "no-skipping: ok\nmonotonicity: 1 violation\n  po: write g2 idx 2 before write g3 idx 1\n"),
             ([AW0, ("init.bw", write(INIT_TID, "bw", "0")), *GUESSES, ("h1", write("guess_bw", "bw", "a")),
               ("c1", read("check_w", "aw", "a")), ("c2", read("check_w", "aw", "b")), ("c3", read("check_w", "bw", "a"))],
              {"c1": "g1", "c2": "g2", "c3": "h1"}, {"aw": ["init.aw", "g1", "g2"], "bw": ["init.bw", "h1"]},
-             "no-skipping: ok\nmonotonicity: 1 violations\n  po: reads c2,c3 decrease 2->1 outside the allowed step\n"),
+             "no-skipping: ok\nmonotonicity: 1 violation\n  po: reads c2,c3 decrease 2->1 outside the allowed step\n"),
             ([AW0, *GUESSES], {}, {"aw": ["init.aw", "g2", "g1"]},
-             "no-skipping: ok\nmonotonicity: 1 violations\n  mo[aw]: g2 idx 2 before g1 idx 1\n"),
+             "no-skipping: ok\nmonotonicity: 1 violation\n  mo[aw]: g2 idx 2 before g1 idx 1\n"),
         ],
         ids=["uncovered-read", "initial-value", "foreign-writer", "po-write-write", "po-read-read", "mo"],
     )

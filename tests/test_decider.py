@@ -545,7 +545,8 @@ thread b init b0 final b3
 class TestSettledFrames:
     """The gadget at cap 4, where most children on the cap are counted in their parent without being placed.
 
-    A frame takes each thread's count from a sibling where the node's own event leaves it untouched.
+    A frame starts from the total its grandparent tabulated two events below the cap, and recounts only the
+    threads the frame node's own event can touch, or only its own thread once no run is left to open.
     """
 
     gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))

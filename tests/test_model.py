@@ -1,5 +1,7 @@
 """Program model: labels, transition systems, parsing, word semantics."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,8 +199,82 @@ class TestProgramChecks:
         with pytest.raises(ValueError, match="^init_vals must assign exactly the declared locations$"):
             self.build({}, init_vals)
 
+    @pytest.mark.parametrize(
+        "state", ["init", "locs", "vals", "thread", "a b", "", "q#", "q\t", "\u2028"]
+    )
+    def test_state_the_text_format_cannot_write(self, state):
+        # a transition out of `init` would serialize to `  init q1 w x 1`, read back as a second init line
+        lts = Lts(state, "q1", frozenset({(state, write("t", "x", "1"), "q1")}))
+        with pytest.raises(ValueError, match=f"^control state {re.escape(repr(state))} of thread 't' cannot be written in the text format$"):
+            self.build({"t": lts})
+
+    @pytest.mark.parametrize("what,name", [("thread id", ""), ("thread id", "t u"), ("thread id", "t#")])
+    def test_thread_id_the_text_format_cannot_write(self, what, name):
+        with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(name))} cannot be written in the text format$"):
+            self.build({name: Lts("q0", "q0", frozenset())})
+
+    @pytest.mark.parametrize(
+        "locs,vals,message",
+        [
+            ({"x", "y=1"}, {"0"}, "location 'y=1'"),
+            ({"x", " y"}, {"0"}, "location ' y'"),
+            ({"x"}, {"0", "", "1 2"}, "value ''"),
+            ({"x"}, {"0", "#1"}, "value '#1'"),
+        ],
+    )
+    def test_alphabet_the_text_format_cannot_write(self, locs, vals, message):
+        with pytest.raises(ValueError, match=f"^{message} cannot be written in the text format$"):
+            Program({}, frozenset(locs), frozenset(vals), {x: "0" for x in locs})
+
+    def test_empty_alphabets(self):
+        with pytest.raises(ValueError, match="^locs and vals must each declare at least one name$"):
+            Program({}, frozenset(), frozenset({"0"}), {})
+
+    def test_values_may_hold_equals_signs(self):
+        # the init entry splits at its first '=', so only locations must avoid it
+        prog = Program({}, frozenset({"x"}), frozenset({"a=b"}), {"x": "a=b"})
+        assert parse_program(serialize_program(prog)) == prog
+
+
+#: names the text format cannot write, keywords, names it can, and any short text
+NAMES = st.one_of(
+    st.sampled_from(["", " ", "a b", "\t", "\u2028", "#", "q#", "x=1", "=", "init", "locs", "vals", "thread"]),
+    st.sampled_from(["q0", "x", "0", "1", "a=b", "final", "r", "w", "rmw"]),
+    st.text(st.characters(codec="utf-8", exclude_categories=["Z", "C"]), min_size=1, max_size=3),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def program_args(draw):
+    """Arguments for ``Program``, valid or not, every name drawn from one small pool."""
+    pool = sorted(draw(st.sets(NAMES, min_size=1, max_size=5)))
+    name = st.sampled_from(pool)
+    locs = draw(st.frozensets(name, min_size=1, max_size=2))
+    vals = draw(st.frozensets(name, min_size=1, max_size=2))
+    loc, val = st.sampled_from(sorted(locs)), st.sampled_from(sorted(vals))
+    init_vals = {x: draw(val) for x in locs}
+    threads = {}
+    for tid in draw(st.sets(name, max_size=3)):
+        rows = set()
+        for _ in range(draw(st.integers(0, 4))):
+            op = draw(st.sampled_from(list(Op)))
+            lab = Label(op, tid, draw(loc), draw(val) if op.reads else None, draw(val) if op.writes else None)
+            rows.add((draw(name), lab, draw(name)))
+        threads[tid] = Lts(draw(name), draw(name), frozenset(rows))
+    return threads, locs, vals, init_vals
+
 
 class TestRoundTrip:
+    @settings(deadline=None, max_examples=300)
+    @given(program_args())
+    def test_every_accepted_program_round_trips(self, args):
+        try:
+            prog = Program(*args)
+        except ValueError:
+            return
+        assert parse_program(serialize_program(prog)) == prog
+
     def test_serialize_parse_mp(self, mp_program):
         again = parse_program(serialize_program(mp_program))
         assert again == mp_program
