@@ -39,7 +39,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, UnknownThread
 
@@ -179,10 +179,9 @@ class Lts:
 _KEYWORDS = frozenset({"locs", "vals", "init", "thread"})
 
 
-def _tokens(names: Collection[str], banned: str = "#") -> bool:
-    """Whether each of ``names`` is one token of the text format: none is empty or holds whitespace or a ``banned`` character."""
-    text = "".join(names)  # one scan of the joined names: a program holds thousands
-    return not names or ("" not in names and text.split() == [text] and not any(c in text for c in banned))
+def _token(name: str) -> bool:
+    """Whether the text format writes ``name`` as one token: it is not empty and holds no whitespace or ``#``."""
+    return name.split() == [name] and "#" not in name
 
 
 @dataclass(frozen=True)
@@ -206,17 +205,35 @@ class Program:
         for loc, v in self.init_vals.items():
             if v not in self.vals:
                 raise ValueError(f"initial value {v!r} of {loc!r} not declared")
-        # every name must survive serialize_program and parse_program; sorted, so the message names the same one
+        # every name must survive serialize_program and parse_program; a program holds thousands of names,
+        # so one scan of them all joined comes first
+        states = [q for lts in self.threads.values() for q in lts.states]
+        names = [*self.threads, *self.locs, *self.vals, *states]
+        text = "".join(names)
+        if not (
+            self.locs
+            and self.vals
+            and "" not in names
+            and "#" not in text
+            and text.split() == [text]
+            and "=" not in "".join(self.locs)
+            and _KEYWORDS.isdisjoint(states)
+        ):
+            raise ValueError(self._unwritable())
+
+    def _unwritable(self) -> str | None:
+        """Why ``serialize_program`` cannot write some name back, naming the first in sorted order, or ``None``."""
         if not self.locs or not self.vals:
-            raise ValueError("locs and vals must each declare at least one name")
-        for what, names, banned in (("thread id", self.threads, "#"), ("location", self.locs, "#="), ("value", self.vals, "#")):
-            if not _tokens(names, banned):
-                bad = next(x for x in sorted(names) if not _tokens((x,), banned))
-                raise ValueError(f"{what} {bad!r} cannot be written in the text format")
+            return "locs and vals must each declare at least one name"
+        for what, names in (("thread id", self.threads), ("location", self.locs), ("value", self.vals)):
+            for x in sorted(names):
+                if not _token(x) or (what == "location" and "=" in x):
+                    return f"{what} {x!r} cannot be written in the text format"
         for tid, lts in self.threads.items():
-            if not (_KEYWORDS.isdisjoint(lts.states) and _tokens(lts.states)):
-                bad = next(q for q in sorted(lts.states) if q in _KEYWORDS or not _tokens((q,)))
-                raise ValueError(f"control state {bad!r} of thread {tid!r} cannot be written in the text format")
+            for q in sorted(lts.states):
+                if not _token(q) or q in _KEYWORDS:
+                    return f"control state {q!r} of thread {tid!r} cannot be written in the text format"
+        return None
 
     def _misfit(self, tid: str, rows: Iterable[tuple[str, Label, str]]) -> str | None:
         """Why the first label in ``rows`` that misfits thread ``tid`` or the alphabets is refused, or ``None``."""
