@@ -24,9 +24,9 @@ Two engines answer "can this program reach its final state vector":
   its last event), per location its mo row of writes with their views, and
   the runs, whose per-thread stretches give po.
 
-With ``SearchConfig.memo`` (and pruning on) the search skips a node that
-an earlier node covers.  A node's future depends only on its budget part
-(the active thread, the number of runs and the number of updates used),
+With ``SearchConfig.memo`` the search skips a node that an earlier node
+covers.  A node's future depends only on its budget part (the active
+thread, the number of runs and the number of updates used),
 its depth, and an abstract state, the key, which is exact for everything
 else ``branches`` / ``violates`` / ``apply`` and the target check read:
 
@@ -91,8 +91,7 @@ skip more (the PCP gadget at cap 4 expands 24,979 nodes instead of 46,503),
 but their ``state_key`` calls cost more than the leaves they skip: with the
 flat key, the covering check and the settled frames below, that search took
 0.058 s against 0.032 s (best of seven, three rounds, Python 3.11.7, 2-CPU
-x86-64 host, October 2026).  The key assumes every placed prefix is
-consistent, so without pruning the memo stays off.
+x86-64 host, October 2026).
 
 The search is one loop over a stack of per-node branch iterators, so its
 depth is not bounded by Python's recursion limit.  Children on the cap
@@ -199,7 +198,11 @@ class SearchConfig:
     """Budget plus an optional event cap and branch-order seed.
 
     ``memo`` skips search states already covered (see :func:`bounded_reach`); off,
-    the search walks the full tree of traces, the reference for tests.
+    the search walks the full tree of traces.  The CLI always sets it.  The
+    field stays because only without the memo do ``visited`` and ``prunes``
+    not depend on branch order, and ``TestPinnedCounters``,
+    ``TestSettledFrames::test_settled_and_unsettled_paths_agree`` and
+    ``test_write_right_after_an_update`` need such counters.
     ``max_nodes`` caps ``SearchStats.visited``; ``None`` leaves it unbounded.
     """
 
@@ -314,7 +317,7 @@ def _covered(memo: dict[tuple, tuple[tuple, ...]], key: tuple, rec: tuple) -> bo
     return False
 
 
-def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) -> ReachVerdict:
+def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     """Search traces within the context budget; see module docstring.
 
     With ``config.memo`` a node is skipped when a node entered earlier with
@@ -324,10 +327,6 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     closes without truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any
     cap.  Which of two such nodes is expanded depends on branch order, so
     witnesses can differ from the uncached search's.
-
-    ``prune`` disables the incremental axiom checks when False (complete
-    graphs are then vetted only on target hits); it exists for differential
-    testing of pruning soundness.
     """
     budget = config.budget
     bound = small_model_bound(program, budget.contexts, budget.rmws, _BOUND_CEILING)
@@ -354,21 +353,18 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     # updates placed, and threads whose subset lacks their final state (0 at the target)
     flags = {"rmws": 0, "unfinished": sum(finals[t] not in subsets[t] for t in tids)}
 
-    def hit_trace() -> Trace | None:
+    def hit_trace() -> Trace:
         # events sit in π order, so each thread's events are in po order
         graph = build_graph(list(enumerate(events)), dict(rf), {x: list(r) for x, r in mo_rows.items()})
         trace = make_trace(graph, tuple(Run(t, tuple(es)) for t, es in runs))
-        if prune:  # explicit raises, not asserts, so that python -O keeps them
-            if not check_ra(graph).consistent:
-                raise AssertionError("pruned search reached an inconsistent graph")
-            if not reaches(graph, program, finals):
-                raise AssertionError("hit does not replay to the target")
-            if not budget.admits(trace):
-                raise AssertionError("hit exceeds its own budget")
-            return trace
-        if check_ra(graph).consistent and budget.admits(trace):
-            return trace
-        return None
+        # explicit raises, not asserts, so that python -O keeps them
+        if not check_ra(graph).consistent:
+            raise AssertionError("pruned search reached an inconsistent graph")
+        if not reaches(graph, program, finals):
+            raise AssertionError("hit does not replay to the target")
+        if not budget.admits(trace):
+            raise AssertionError("hit exceeds its own budget")
+        return trace
 
     def movers() -> list[str]:
         """The threads that may place the next event: all while a run can open, else the active one."""
@@ -412,7 +408,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         for lab, top, row, srcs, spots in options(t):
             for w in srcs:
                 for pos in spots:
-                    if prune and violates(lab, top, w, pos, row):
+                    if violates(lab, top, w, pos, row):
                         cut += 1
                     else:
                         kept += 1
@@ -516,8 +512,6 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
         if not runs[-1][1]:
             runs.pop()
 
-    # the key assumes every placed prefix is consistent, which only pruning keeps
-    keyed = config.memo and prune
     # state key -> the antichain of (active thread, runs, updates, depth) it was entered with
     memo: dict[tuple, tuple[tuple, ...]] = {}
 
@@ -544,7 +538,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
     while True:
         n = len(events) - n_init
         # keys only two or more events below the cap (see the module docstring)
-        skip = keyed and n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n))
+        skip = config.memo and n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n))
         children: Iterator[_Branch] = iter(())
         if not skip:
             if stats.visited >= limit:
@@ -552,8 +546,8 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 break
             stats.visited += 1
             stats.max_events = max(stats.max_events, n)
-            if not flags["unfinished"] and (found := hit_trace()) is not None:
-                return ReachVerdict(ReachStatus.REACHABLE, found, stats)
+            if not flags["unfinished"]:
+                return ReachVerdict(ReachStatus.REACHABLE, hit_trace(), stats)
             if n >= cap:
                 truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
             # once truncated, a capped child that cannot hit matters only by its count
@@ -574,7 +568,7 @@ def bounded_reach(program: Program, config: SearchConfig, prune: bool = True) ->
                 if up is not None:
                     unapply(up)
                 continue
-            if prune and violates(br.label, br.top, br.rf_src, br.mo_pos, br.row):
+            if violates(br.label, br.top, br.rf_src, br.mo_pos, br.row):
                 stats.prunes += 1
             else:
                 rec = apply(br)

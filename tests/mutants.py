@@ -54,6 +54,15 @@ MUTANTS = {
         "if lab.op.reads and (top > at[src] or top == at[src] > 0):",
         "a read may not take the non-init write its thread's view already holds",
     ),
+    "write-coherence": Mutant(
+        DECIDER, "if top >= pos:", "if top > pos:", "a write may go in right before the write its thread's view holds"
+    ),
+    "update-source": Mutant(
+        DECIDER,
+        "return lab.op is Op.RMW and row[pos - 1] != src",
+        "return False",
+        "an update may go in anywhere above its thread's view, not only right after the write it reads",
+    ),
     "wedge-after-update": Mutant(
         DECIDER,
         "if pos < len(row) and events[row[pos]].op is Op.RMW:",

@@ -5,9 +5,11 @@ package does: closures by per-source BFS instead of bitset mask passes, axioms
 by explicit relational composition over materialized pair sets, the length
 bound by a memoized recursive functional instead of the iterative table,
 collapsibility pair by pair from the definitions instead of one sweep per run,
-a collapse from backward latest-write scans instead of the sweep's records.
-Keeping both routes alive is the point — tests compare them, they must not
-share code.
+a collapse from backward latest-write scans instead of the sweep's records,
+and context-bounded reachability (:func:`view_reach`) by the operational view
+semantics instead of the axioms, with one control state per thread instead of
+a subset, breadth-first instead of depth-first.  Keeping both routes alive is
+the point — tests compare them, they must not share code.
 """
 
 from __future__ import annotations
@@ -238,3 +240,82 @@ def collapse_oracle(trace, program, first: EventId, second: EventId, rmw_mode: b
     events2 = [(e, lab) for e, lab in g.events.items() if e not in removed]
     runs2 = [Run(r.tid, tuple(e for e in r.events if e not in removed)) for r in trace.runs]
     return make_trace(build_graph(events2, rf2, mo2), runs2)
+
+
+def view_reach(program, contexts: int, rmws: int, cap: int) -> bool:
+    """Whether the program reaches its final states in at most ``cap`` events, ``contexts`` runs and ``rmws`` updates.
+
+    The RA view semantics (Kang et al., POPL 2017; Abdulla, Arora, Atig and
+    Krishna, PLDI 2019) with messages in mo order.  A thread holds one control
+    state and a view, one mo position per location; a location holds its
+    messages ``(value, is an update, view)``.  A read takes a same-valued
+    message at or above the thread's view and joins the two views.  A write
+    goes in anywhere above the view, an update right after the message it reads;
+    nothing goes in right before an update.  Inserting shifts every view
+    position at or above the new one on that location.  Operational and
+    axiomatic RA agree, and a trace's contexts are counted on its interleaving
+    order, so this decides what ``bounded_reach`` decides at ``event_cap=cap``.
+    Breadth-first by event count, with an exact seen-set.
+    """
+    tids, locs = sorted(program.threads), sorted(program.locs)
+    ix = {x: i for i, x in enumerate(locs)}
+    moves: list[dict] = [{} for _ in tids]
+    for k, t in enumerate(tids):
+        for src, lab, dst in program.threads[t].transitions:
+            moves[k].setdefault(src, []).append((lab, dst))
+    finals = tuple(program.threads[t].final for t in tids)
+    zero = (0,) * len(locs)
+    start = (
+        tuple(program.threads[t].init for t in tids),
+        (zero,) * len(tids),
+        tuple(((program.init_vals[x], False, zero),) for x in locs),
+        None,  # the active thread
+        0,  # runs used
+        0,  # updates used
+    )
+
+    def shift(w: tuple, i: int, p: int) -> tuple:
+        """``w`` after an insertion at mo position ``p`` of location ``i``."""
+        return w[:i] + (w[i] + (w[i] >= p),) + w[i + 1 :]
+
+    def steps(lab, view, msgs):
+        """Per placement of ``lab`` by a thread with ``view``: its new view and the new messages."""
+        i, op = ix[lab.loc], lab.op
+        row = msgs[i]
+        for j in range(view[i], len(row)) if op.reads else (None,):
+            if j is not None and row[j][0] != lab.val_r:
+                continue
+            joined = view if j is None else tuple(map(max, view, row[j][2]))
+            if not op.writes:
+                yield joined, msgs
+                continue
+            for p in (j + 1,) if op is Op.RMW else range(view[i] + 1, len(row) + 1):
+                if p < len(row) and row[p][1]:
+                    continue  # right before an update
+                new = joined[:i] + (p,) + joined[i + 1 :]
+                moved = [[(v, u, shift(w, i, p)) for v, u, w in r] for r in msgs]
+                moved[i].insert(p, (lab.val_w, op is Op.RMW, new))
+                yield new, tuple(map(tuple, moved))
+
+    def successors(ctl, views, msgs, active, runs, used):
+        for k, t in enumerate(tids):
+            opened = runs + (t != active)  # a new thread opens a run
+            if opened > contexts:
+                continue
+            for lab, dst in moves[k].get(ctl[k], ()):
+                spent = used + (lab.op is Op.RMW)
+                if spent > rmws:
+                    continue
+                i = ix[lab.loc]
+                for view, after in steps(lab, views[k], msgs):
+                    p = view[i]
+                    vs = tuple(view if h == k else shift(w, i, p) if lab.op.writes else w for h, w in enumerate(views))
+                    yield ctl[:k] + (dst,) + ctl[k + 1 :], vs, after, t, opened, spent
+
+    seen, layer = {start}, [start]
+    for _ in range(cap):
+        if any(state[0] == finals for state in layer):
+            return True
+        layer = [s for s in dict.fromkeys(s for state in layer for s in successors(*state)) if s not in seen]
+        seen.update(layer)
+    return any(state[0] == finals for state in layer)

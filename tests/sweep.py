@@ -6,9 +6,11 @@ Programs: ``corpus.random_program`` seeds 0-199, seeds 0-99 with
 ``MEMO_BUDGETS``, (1,0,5), (2,1,6), (3,2,6), (4,4,5).
 
 ``sweep_verdicts.json`` holds, per case, the memo search's status under
-``reach``'s settings and whether the uncached search at cap + 3 (the
-reference) reaches.  ``tests/test_sweep.py`` reruns the memo side only.
-Regenerate the file, which runs the reference too (about 20 s), with::
+``reach``'s settings and whether the reference, ``oracle.view_reach`` (the
+RA view semantics, which shares no code with the search), reaches at the cap
+and at cap + 3.  ``tests/test_sweep.py`` reruns the memo search and the
+reference at the cap; only this script's ``--write`` recomputes the cap + 3
+column.  Regenerate the file (about 15 s) with::
 
     PYTHONPATH=src python -m tests.sweep --write
 """
@@ -24,6 +26,7 @@ from rareach.model import Program, parse_program
 from rareach.trace import ContextBudget
 
 from tests import corpus
+from tests.oracle import view_reach
 from tests.test_decider import CORR_LOOP, MEMO_BUDGETS, MP_LOOP, WRC_LOOP
 
 VERDICTS = Path(__file__).with_name("sweep_verdicts.json")
@@ -52,20 +55,22 @@ def memo_status(prog: Program, budget: ContextBudget, cap: int) -> str:
 
 
 def reference_reaches(prog: Program, budget: ContextBudget, cap: int) -> bool:
-    """Whether the uncached search reaches at cap + 3."""
-    return bounded_reach(prog, SearchConfig(budget, cap + 3)).reachable
+    """Whether the reference reaches within the budget and ``cap`` events."""
+    return view_reach(prog, budget.contexts, budget.rmws, cap)
 
 
 def load() -> dict[str, list]:
-    """Per case its stored memo status and whether the reference reaches."""
+    """Per case its stored memo status and whether the reference reaches at the cap and at cap + 3."""
     return json.loads(VERDICTS.read_text())
 
 
+def row(prog: Program, budget: ContextBudget, cap: int) -> list:
+    """A case's stored row: the memo status, and whether the reference reaches at the cap and at cap + 3."""
+    return [memo_status(prog, budget, cap), reference_reaches(prog, budget, cap), reference_reaches(prog, budget, cap + 3)]
+
+
 def write() -> None:
-    rows = [
-        f"  {json.dumps(case)}: {json.dumps([memo_status(*args), reference_reaches(*args)])}"
-        for case, args in cases().items()
-    ]
+    rows = [f"  {json.dumps(case)}: {json.dumps(row(*args))}" for case, args in cases().items()]
     VERDICTS.write_text("{\n" + ",\n".join(rows) + "\n}\n")
 
 
@@ -76,9 +81,11 @@ def main() -> None:
         write()
     stored = load()
     for status in ("reachable", "unreachable-within-bound", "inconclusive"):
-        shown = [reaches for s, reaches in stored.values() if s == status]
-        print(f"{status}: {len(shown)} (the reference reaches {sum(shown)})")
-    print(f"reference reaches: {sum(reaches for _, reaches in stored.values())} of {len(stored)}")
+        shown = [row[1:] for row in stored.values() if row[0] == status]
+        at, past = map(sum, zip(*shown)) if shown else (0, 0)
+        print(f"{status}: {len(shown)} (the reference reaches {at} at the cap, {past} at cap + 3)")
+    at, past = map(sum, zip(*(row[1:] for row in stored.values())))
+    print(f"reference reaches: {at} at the cap, {past} at cap + 3, of {len(stored)}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rareach import decider
 from rareach.consistency import _CONSISTENT, AXIOM_ORDER, Axiom, check_axiom, check_ra
@@ -22,7 +24,7 @@ from rareach.trace import ContextBudget
 
 from tests import corpus
 from tests.corpus import dump_graph_json
-from tests.oracle import consistent_oracle, hb_pairs_oracle, least_violation_oracle
+from tests.oracle import consistent_oracle, hb_pairs_oracle, least_violation_oracle, view_reach
 from tests.test_acceptance import rmw_corpus
 
 
@@ -151,16 +153,6 @@ class TestBounded:
             assert bounded_reach(mp_program, cfg(2, seed=seed)).reachable
             assert not bounded_reach(corpus.corr(), cfg(3, cap=6, seed=seed)).reachable
 
-    def test_prune_toggle_agrees(self):
-        for text in (corpus.MP, corpus.MP_FORBIDDEN, corpus.SB):
-            prog = corpus.parse_program(text)
-            fast = bounded_reach(prog, cfg(2, cap=4))
-            slow = bounded_reach(prog, cfg(2, cap=4), prune=False)
-            assert fast.status is slow.status
-            if fast.witness is not None:
-                assert fast.witness.runs == slow.witness.runs
-            assert slow.explored.prunes == 0
-
     def test_prunes_counted(self):
         v = bounded_reach(corpus.corr(), cfg(4, cap=6))
         assert v.explored.prunes > 0
@@ -235,6 +227,55 @@ class TestUpdateEvents:
         # uncached, so the memo cannot move these; a write lands right after an update here
         v = bounded_reach(corpus.random_program(seed, rmw_prob=0.4), cfg(*budget))
         assert (v.status, (v.explored.visited, v.explored.prunes)) == (ReachStatus.INCONCLUSIVE, counters)
+
+
+#: t's read of x=1 after its own x=2 needs x=2 mo-before x=1, which write coherence forbids
+OWN_WRITES_IN_MO = """
+locs x
+vals 0 1 2
+thread t init q0 final q3
+  q0 q1 w x 1
+  q1 q2 w x 2
+  q2 q3 r x 1
+"""
+
+#: litmus and update-event programs for the oracle comparison
+ORACLE_PROGRAMS = {
+    "mp": corpus.MP,
+    "mp-forbidden": corpus.MP_FORBIDDEN,
+    "sb": corpus.SB,
+    "after-an-update": AFTER_AN_UPDATE,
+    "update-chain": corpus.UPDATE_CHAIN,
+    "update-race": corpus.UPDATE_RACE,
+    "update-wedge": corpus.UPDATE_WEDGE,
+    "own-writes-in-mo": OWN_WRITES_IN_MO,
+}
+#: (contexts, rmws, cap); after-an-update reaches from (2, 1, 4) on, once b's write may follow a's update
+ORACLE_BUDGETS = [(1, 0, 4), (2, 0, 4), (1, 2, 3), (2, 1, 4), (2, 1, 5), (3, 2, 6)]
+
+
+def agrees(prog, budget):
+    """``bounded_reach`` at the cap, memo off and on, reaches exactly when ``view_reach`` does."""
+    want = view_reach(prog, *budget)
+    assert [bounded_reach(prog, cfg(*budget, memo=memo)).reachable for memo in (False, True)] == [want, want]
+
+
+class TestViewOracle:
+    """The search at its cap against ``view_reach``, the RA view semantics explored breadth-first."""
+
+    @pytest.mark.parametrize("budget", ORACLE_BUDGETS, ids=lambda b: ",".join(map(str, b)))
+    @pytest.mark.parametrize("name", ORACLE_PROGRAMS)
+    def test_litmus_and_updates(self, name, budget):
+        agrees(parse_program(ORACLE_PROGRAMS[name]), budget)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([0.0, 0.4]),
+        st.tuples(st.integers(1, 4), st.integers(0, 2), st.integers(0, 6)),
+    )
+    def test_random_programs(self, seed, rmw_prob, budget):
+        agrees(corpus.random_program(seed, rmw_prob=rmw_prob), budget)
 
 
 #: message passing where the writer may flip x back and forth and the reader
@@ -365,17 +406,6 @@ class TestMemo:
         prog = parse_program(text)
         assert bounded_reach(prog, cfg(contexts, rmws, cap=6)).reachable
         assert bounded_reach(prog, cfg(contexts, rmws, cap=6, memo=True)).reachable
-
-    @pytest.mark.parametrize("text,cap", [(corpus.MP, 4), (MP_LOOP, 6)], ids=["mp", "mp-loop"])
-    def test_inert_without_pruning(self, text, cap):
-        # the key assumes every placed prefix is consistent
-        prog = parse_program(text)
-        plain = bounded_reach(prog, cfg(2, cap=cap), prune=False)
-        memo = bounded_reach(prog, cfg(2, cap=cap, memo=True), prune=False)
-        assert memo.explored == plain.explored
-        assert memo.status is plain.status
-        if plain.witness is not None:
-            assert memo.witness.runs == plain.witness.runs
 
 
 class TestPinnedMemoCounters:
@@ -550,11 +580,6 @@ class TestSettledFrames:
     """
 
     gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-
-    def test_unpruned(self):
-        v = bounded_reach(self.gadget, cfg(12, cap=4), prune=False)
-        assert v.status is ReachStatus.INCONCLUSIVE
-        assert v.explored.to_json() == {"visited": 46523, "prunes": 0, "maxEvents": 4}
 
     def test_settled_and_unsettled_paths_agree(self):
         # without the memo and without a hit the counters do not depend on branch order, and a shuffled
