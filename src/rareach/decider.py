@@ -30,7 +30,7 @@ thread, the number of runs and the number of updates used),
 its depth, and an abstract state, the key, which is exact for everything
 else ``branches`` / ``violates`` / ``apply`` and the target check read:
 
-* per thread its control subset;
+* per thread its control subset, a mask over the thread's sorted states;
 * the heads, as mo positions (``violates`` compares only those), in one
   flat tuple, thread after thread;
 * per live row (a location that holds a non-init write): the location's
@@ -141,19 +141,11 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .consistency import check_ra
 from .graph import EventId, ExecutionGraph, build_graph, reaches
-from .model import (
-    INIT_TID,
-    Label,
-    Lts,
-    Op,
-    Program,
-    final_vector,
-    write,
-)
+from .model import INIT_TID, Form, Label, Op, Program, final_vector, write
 from .reduction import small_model_bound
 from .trace import ContextBudget, Run, Trace, canonical_trace, make_trace
 
@@ -216,12 +208,12 @@ class SearchConfig:
 # --- exhaustive enumeration ----------------------------------------------------
 
 
-def _words_upto(lts: Lts, max_len: int) -> list[tuple[Label, ...]]:
+def _words_upto(form: Form, max_len: int) -> list[tuple[Label, ...]]:
     """Every label word of length <= max_len executable from the initial state."""
     out: list[tuple[Label, ...]] = [()]
-    layer: list[tuple[tuple[Label, ...], frozenset[str]]] = [((), frozenset({lts.init}))]
+    layer: list[tuple[tuple[Label, ...], int]] = [((), form.init)]
     for _ in range(max_len):
-        layer = [(word + (lab,), lts.step(states, lab)) for word, states in layer for lab in lts.enabled(states)]
+        layer = [(word + (lab,), image) for word, mask in layer for lab, _, image in form[mask]]
         out.extend(word for word, _ in layer)
     return out
 
@@ -241,7 +233,7 @@ def enumerate_graphs(program: Program, max_events: int) -> Iterator[ExecutionGra
     """
     tids = sorted(program.threads)
     locs = sorted(program.locs)
-    words_per = [_words_upto(program.threads[t], max_events) for t in tids]
+    words_per = [_words_upto(program.forms[t], max_events) for t in tids]
     for combo in product(*words_per):
         if sum(len(w) for w in combo) > max_events:
             continue
@@ -293,13 +285,9 @@ def naive_reach(program: Program, max_events: int) -> ReachVerdict:
 # --- budgeted incremental search -------------------------------------------------
 
 
-class _Branch(NamedTuple):
-    tid: str
-    label: Label
-    top: int  # mo position of the thread's view on the label's row
-    rf_src: EventId | None
-    mo_pos: int | None
-    row: list[int]  # the live mo row of the label's location
+#: a branch, a plain tuple (a named tuple's constructor costs a Python call): thread, label, its image mask, the
+#: thread view's mo position on the label's row, source, mo insertion point, location index and live mo row
+_Branch = tuple[str, Label, int, int, EventId | None, int | None, int, list[int]]
 
 
 def _covered(memo: dict[tuple, tuple[tuple, ...]], key: tuple, rec: tuple) -> bool:
@@ -333,7 +321,8 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     cap = bound if config.event_cap is None else config.event_cap
     tids = sorted(program.threads)
     locs = sorted(program.locs)
-    finals = final_vector(program)
+    forms = program.forms
+    finals = {t: forms[t].final for t in tids}  # per thread the bit of its final state
     rng = random.Random(config.explore_order) if config.explore_order else None
 
     events: list[Label] = [write(INIT_TID, x, program.init_vals[x]) for x in locs]
@@ -343,24 +332,23 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     views: list[tuple[int, ...]] = [init_view] * n_init
     at = [0] * n_init  # per write its index in its mo row (0 for reads)
     tags = [(lab.val_w, False) for lab in events]  # per event its key tag: (value written, is an update)
-    ix = {x: i for i, x in enumerate(locs)}
-    subsets = {t: frozenset({program.threads[t].init}) for t in tids}
+    subsets = {t: forms[t].init for t in tids}  # per thread its control subset as a mask
     heads = {t: init_view for t in tids}  # per thread the view of its last event
-    mo_rows: dict[str, list[int]] = {x: [i] for i, x in enumerate(locs)}
+    mo_rows = [[i] for i in range(n_init)]  # per location, in locs order, its writes in mo order
     rf: dict[int, int] = {}
     runs: list[tuple[str, list[int]]] = []
     stats = SearchStats()
     # updates placed, and threads whose subset lacks their final state (0 at the target)
-    flags = {"rmws": 0, "unfinished": sum(finals[t] not in subsets[t] for t in tids)}
+    flags = {"rmws": 0, "unfinished": sum(not subsets[t] & finals[t] for t in tids)}
 
     def hit_trace() -> Trace:
         # events sit in π order, so each thread's events are in po order
-        graph = build_graph(list(enumerate(events)), dict(rf), {x: list(r) for x, r in mo_rows.items()})
+        graph = build_graph(list(enumerate(events)), dict(rf), {x: list(r) for x, r in zip(locs, mo_rows)})
         trace = make_trace(graph, tuple(Run(t, tuple(es)) for t, es in runs))
         # explicit raises, not asserts, so that python -O keeps them
         if not check_ra(graph).consistent:
             raise AssertionError("pruned search reached an inconsistent graph")
-        if not reaches(graph, program, finals):
+        if not reaches(graph, program, final_vector(program)):
             raise AssertionError("hit does not replay to the target")
         if not budget.admits(trace):
             raise AssertionError("hit exceeds its own budget")
@@ -371,19 +359,20 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         return tids if len(runs) < budget.contexts else [runs[-1][0]]
 
     def options(t: str) -> Iterator[tuple]:
-        """Per enabled label of ``t``: label, the view's mo position on the row, the row, sources, insertion points."""
+        """Per enabled label of ``t``: label, image, the view's row position, location index, row, sources, spots."""
         head, spent = heads[t], flags["rmws"] >= budget.rmws
-        for lab in program.threads[t].enabled(subsets[t]):
+        for lab, i, image in forms[t][subsets[t]]:
             op = lab.op
             if op is Op.RMW and spent:
                 continue
-            row = mo_rows[lab.loc]
+            row = mo_rows[i]
             # reads pick a same-valued writer, writes an mo insertion point, updates both
             srcs = [w for w in row if events[w].val_w == lab.val_r] if op.reads else (None,)
-            yield lab, at[head[ix[lab.loc]]], row, srcs, range(1, len(row) + 1) if op.writes else (None,)
+            yield lab, image, at[head[i]], i, row, srcs, range(1, len(row) + 1) if op.writes else (None,)
 
     def branches() -> list[_Branch]:  # sources in id order, as the canonical branch order has them
-        return [_Branch(t, lab, top, w, p, row) for t in movers() for lab, top, row, ws, ps in options(t) for w in sorted(ws) for p in ps]
+        return [(t, lab, image, top, w, p, i, row)
+                for t in movers() for lab, image, top, i, row, ws, ps in options(t) for w in sorted(ws) for p in ps]
 
     def violates(lab: Label, top: int, src: EventId | None, pos: int | None, row: list[int]) -> bool:
         """The pruning rule; ``top`` is the mo position of the thread's view on ``row``."""
@@ -405,7 +394,7 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     def count(t: str) -> tuple[int, int]:
         """The children of ``t`` that pass the pruning check, and those it cuts."""
         kept = cut = 0
-        for lab, top, row, srcs, spots in options(t):
+        for lab, _, top, _, row, srcs, spots in options(t):
             for w in srcs:
                 for pos in spots:
                     if violates(lab, top, w, pos, row):
@@ -414,27 +403,20 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
                         kept += 1
         return kept, cut
 
-    # per thread and control subset, the locations of its enabled labels
-    locs_of: dict[str, dict[frozenset[str], set[str]]] = {t: {} for t in tids}
-
     def tabulate() -> tuple:
-        """Per thread its count, their sum, and per location the threads with an enabled label on it."""
+        """Per thread its count, their sum, and per location index the threads with an enabled label on it."""
         per = {t: count(t) for t in tids}
-        on: dict[str, list[str]] = {}
+        on: list[list[str]] = [[] for _ in locs]
         for t in tids:
-            seen = locs_of[t]
-            if (found := seen.get(s := subsets[t])) is None:
-                found = seen[s] = {lab.loc for lab in program.threads[t].enabled(s)}
-            for x in found:
-                on.setdefault(x, []).append(t)
+            for i in {i for _, i, _ in forms[t][subsets[t]]}:
+                on[i].append(t)
         return per, (sum([k for k, _ in per.values()]), sum([c for _, c in per.values()])), on
 
-    def settle(table: tuple | None) -> bool:
+    def settle(table: tuple | None, rec: tuple) -> bool:
         """Count a frame of capped children from the parent's ``table``, unless one may hit or the count crosses ``max_nodes``."""
         if flags["unfinished"] == 1:  # a hit needs the one unfinished thread to step into its final state
-            u = next(t for t in tids if finals[t] not in subsets[t])
-            lts = program.threads[u]
-            if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):
+            u = next(t for t in tids if not subsets[t] & finals[t])
+            if any(image & finals[u] for _, _, image in forms[u][subsets[u]]):
                 return False  # the frame may hold a hit: its children are placed
         t0 = runs[-1][0]
         if len(runs) >= budget.contexts:
@@ -442,9 +424,9 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         else:
             assert table is not None
             per, (kept, cut), on = table
-            lab = events[-1]
-            # t0 took an enabled label on lab.loc at the parent, so it is among the threads listed there
-            for t in tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,):
+            lab, i = rec[1], rec[2]
+            # t0 took an enabled label on lab.loc (index i) at the parent, so it is among the threads listed there
+            for t in tids if lab.op is Op.RMW else on[i] if lab.op.writes else (t0,):
                 k, c = count(t)
                 k0, c0 = per[t]
                 kept += k - k0
@@ -456,28 +438,26 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         return True
 
     def apply(br: _Branch) -> tuple:
-        t, lab = br.tid, br.label
+        t, lab, image, _, src, pos, i, row = br
         view = old_head = heads[t]
         eid = len(events)
         events.append(lab)
         tags.append((lab.val_w, lab.op is Op.RMW))
         at.append(0)
         old_subset = subsets[t]
-        subsets[t] = program.threads[t].step(old_subset, lab)
-        moved = (finals[t] not in subsets[t]) - (finals[t] not in old_subset)
+        subsets[t] = image
+        moved = (not image & finals[t]) - (not old_subset & finals[t])
         flags["unfinished"] += moved
         if lab.op.reads:
-            assert br.rf_src is not None
-            rf[eid] = br.rf_src
+            assert src is not None
+            rf[eid] = src
             # join with the source's view: per location the write at the higher mo position
-            view = tuple(a if at[a] >= at[b] else b for a, b in zip(view, views[br.rf_src]))
+            view = tuple(a if at[a] >= at[b] else b for a, b in zip(view, views[src]))
         if lab.op.writes:
-            assert br.mo_pos is not None
-            row = br.row
-            row.insert(br.mo_pos, eid)
-            for j in range(br.mo_pos, len(row)):
+            assert pos is not None
+            row.insert(pos, eid)
+            for j in range(pos, len(row)):
                 at[row[j]] = j
-            i = ix[lab.loc]
             view = view[:i] + (eid,) + view[i + 1 :]
         views.append(view)
         heads[t] = view
@@ -487,10 +467,10 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
             runs[-1][1].append(eid)
         else:
             runs.append((t, [eid]))
-        return (t, lab, old_subset, moved, old_head)
+        return (t, lab, i, row, old_subset, moved, old_head)
 
     def unapply(rec: tuple) -> None:
-        t, lab, old_subset, moved, old_head = rec
+        t, lab, _, row, old_subset, moved, old_head = rec
         heads[t] = old_head
         eid = len(events) - 1
         events.pop()
@@ -501,7 +481,7 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         if lab.op.reads:
             del rf[eid]
         if lab.op.writes:
-            row, pos = mo_rows[lab.loc], at[eid]
+            pos = at[eid]
             del row[pos]
             for j in range(pos, len(row)):
                 at[row[j]] = j
@@ -518,7 +498,7 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     def state_key() -> tuple:
         hs = heads.values()
         # per live row (mo_rows is in locs order): location index, row, cut (the lowest position a head sees)
-        live = [(i, row, min([at[v[i]] for v in hs])) for i, row in enumerate(mo_rows.values()) if len(row) > 1]
+        live = [(i, row, min([at[v[i]] for v in hs])) for i, row in enumerate(mo_rows) if len(row) > 1]
         ic = [(i, c) for i, _, c in live]
         # per live row: index, its writes' tags from the cut on, then all their views as positions from the cuts
         # (0 below a cut) in one flat tuple
@@ -551,7 +531,7 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
             if n >= cap:
                 truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
             # once truncated, a capped child that cannot hit matters only by its count
-            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle(table)):
+            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle(table, rec)):
                 if n + 2 == cap and rng is None:
                     table = tabulate() if len(runs) < budget.contexts else None
                 out = branches()
@@ -568,7 +548,8 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
                 if up is not None:
                     unapply(up)
                 continue
-            if violates(br.label, br.top, br.rf_src, br.mo_pos, br.row):
+            _, lab, _, top, src, pos, _, row = br
+            if violates(lab, top, src, pos, row):
                 stats.prunes += 1
             else:
                 rec = apply(br)

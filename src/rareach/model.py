@@ -30,15 +30,20 @@ always parses back to the same program.
 
 Thread behaviour is a set of words: every label sequence with a path from the
 initial state.  Because transition relations may be nondeterministic, words
-are executed over *sets* of states (:meth:`Lts.step`), and a state vector
-is considered reached when every thread's word can end in its target state.
+are executed over *sets* of states, and a state vector is considered reached
+when every thread's word can end in its target state.
+
+Every stepper steps masks of one indexed :class:`Form` per thread
+(``Program.forms``, built on first use) and hashes no :class:`Label`.  Labels
+remain only at the boundaries: witness and graph events, program text and
+JSON, and error messages.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, UnknownThread
@@ -138,8 +143,6 @@ class Lts:
     init: str
     final: str
     transitions: frozenset[tuple[str, Label, str]]
-    #: memo of :meth:`enabled` / :meth:`step`: state set -> (enabled labels, label -> image)
-    _moves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def states(self) -> frozenset[str]:
@@ -147,32 +150,45 @@ class Lts:
         rows = self.transitions
         return frozenset({self.init, self.final}.union([src for src, _, _ in rows], [dst for _, _, dst in rows]))
 
-    @cached_property
-    def index(self) -> dict[str, dict[Label, list[str]]]:
-        """``state -> label -> dsts``, built once per instance."""
-        rows: dict[str, dict[Label, list[str]]] = {}
-        for src, lab, dst in self.transitions:
-            rows.setdefault(src, {}).setdefault(lab, []).append(dst)
-        return rows
 
-    def _moves_of(self, states: frozenset[str]) -> tuple[tuple[Label, ...], dict[Label, frozenset[str]]]:
-        found = self._moves.get(states)
-        if found is None:
-            images: dict[Label, set[str]] = {}
-            for s in states:
-                for lab, dsts in self.index.get(s, {}).items():
-                    images.setdefault(lab, set()).update(dsts)
-            enabled = tuple(sorted(images, key=label_key))
-            found = self._moves[states] = (enabled, {lab: frozenset(images[lab]) for lab in enabled})
+class Form(dict):
+    """One thread's indexed form: ``form[mask]`` is the moves out of the control subset ``mask``.
+
+    The states are numbered in sorted-name order and a subset is the int mask
+    of their bits (``bit``; ``init`` and ``final`` are those states' masks).
+    A move is ``(label, index of its location in ix, image mask)``, a mask's
+    moves in :func:`label_key` order.  One pass over the transitions gathers
+    per state each label's image under its key; the table fills on demand.
+    """
+
+    def __init__(self, lts: Lts, ix: Mapping[str, int]) -> None:
+        super().__init__()
+        self.bit = {q: 1 << k for k, q in enumerate(sorted(lts.states))}
+        self.init, self.final = self.bit[lts.init], self.bit[lts.final]
+        self._labels: dict[tuple, tuple[tuple, Label, int]] = {}  # label_key -> that key, label, location index
+        self._out: dict[int, dict[tuple, int]] = {}  # per state bit: label_key -> image mask
+        for src, lab, dst in lts.transitions:
+            key = self._labels.setdefault(k := label_key(lab), (k, lab, ix[lab.loc]))[0]  # one key object per label
+            row, bit = self._out.setdefault(self.bit[src], {}), self.bit[dst]
+            row[key] = row[key] | bit if key in row else bit
+
+    def __missing__(self, mask: int) -> tuple[tuple[Label, int, int], ...]:
+        images: dict[tuple, int] = {}
+        rest = mask
+        while rest:
+            rest ^= (b := rest & -rest)  # b: the lowest state left
+            for key, image in self._out.get(b, {}).items():
+                images[key] = images[key] | image if key in images else image
+        found = self[mask] = tuple([(*self._labels[key][1:], images[key]) for key in sorted(images)])
         return found
 
-    def enabled(self, states: frozenset[str]) -> tuple[Label, ...]:
-        """Labels with a transition out of ``states``, sorted by :func:`label_key`."""
-        return self._moves_of(states)[0]
+    def step(self, mask: int, label: Label) -> int:
+        """Image of ``mask`` under ``label``; 0 when no transition takes it."""
+        return next((image for lab, _, image in self[mask] if lab == label), 0)
 
-    def step(self, states: frozenset[str], label: Label) -> frozenset[str]:
-        """Image of a state set under one labelled step."""
-        return self._moves_of(states)[1].get(label, frozenset())
+    def names(self, mask: int) -> frozenset[str]:
+        """The states of ``mask``."""
+        return frozenset([q for q, b in self.bit.items() if mask & b])
 
 
 #: the first tokens of the text format's declaration lines, which a transition line cannot start with
@@ -221,6 +237,12 @@ class Program:
         ):
             raise ValueError(self._unwritable())
 
+    @cached_property
+    def forms(self) -> dict[str, Form]:
+        """Per thread its :class:`Form`, locations indexed in sorted order; built on first use."""
+        ix = {x: i for i, x in enumerate(sorted(self.locs))}
+        return {tid: Form(lts, ix) for tid, lts in self.threads.items()}
+
     def _unwritable(self) -> str | None:
         """Why ``serialize_program`` cannot write some name back, naming the first in sorted order, or ``None``."""
         if not self.locs or not self.vals:
@@ -257,8 +279,9 @@ def final_vector(program: Program) -> dict[str, str]:
 
 
 def step_states(lts: Lts, states: Iterable[str], label: Label) -> frozenset[str]:
-    """Image of a state set under one labelled step; see :meth:`Lts.step`."""
-    return lts.step(frozenset(states), label)
+    """Image of a state set under one labelled step, through a throwaway :class:`Form`."""
+    form = Form(lts, {lab.loc: 0 for _, lab, _ in lts.transitions})
+    return form.names(form.step(sum([form.bit.get(q, 0) for q in set(states)]), label))
 
 
 def word_reaches(
@@ -275,13 +298,10 @@ def word_reaches(
     for tid in (*words, *target):
         if tid not in program.threads:
             raise UnknownThread(tid)
-    for tid, lts in program.threads.items():
+    for tid, form in program.forms.items():
         if tid not in target:
             raise UnknownThread(f"target misses thread {tid!r}")
-        cur: frozenset[str] = frozenset({lts.init})
-        for lab in words.get(tid, ()):
-            cur = lts.step(cur, lab)
-        if target[tid] not in cur:
+        if not reduce(form.step, words.get(tid, ()), form.init) & form.bit.get(target[tid], 0):
             return False
     return True
 

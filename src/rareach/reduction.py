@@ -68,21 +68,21 @@ class Summary:
     foreign_reads: frozenset[str]
 
 
-def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator[tuple[Summary, tuple]]:
-    """Each position of ``run`` in turn: its summary and ``lw`` on every sorted location."""
+def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator[tuple[tuple, tuple]]:
+    """Each position of ``run`` in turn: its :class:`Summary` as a tuple, states as a mask, and ``lw`` per sorted location."""
     if run.tid not in program.threads:
         raise UnknownThread(f"thread {run.tid!r} of the trace is not declared by the program")
-    lts, g = program.threads[run.tid], trace.graph
+    form, g = program.forms[run.tid], trace.graph
     locs = sorted(program.locs)
     slot = {x: k for k, x in enumerate(locs)}
     latest: list[EventId | None] = [None] * len(locs)
     vals: list[tuple[str, str | None]] = [(x, None) for x in locs]
     foreign: set[str] = set()
-    states = frozenset({lts.init})
+    states = form.init
     start = g.po_pos[run.events[0]] if run.events else 0  # the thread's events before the run
     for n, e in enumerate(g.po.get(run.tid, ())[: start + len(run.events)]):
         ev = g.events[e]
-        if not (states := lts.step(states, ev)):
+        if not (states := form.step(states, ev)):
             raise TraceError(f"thread {run.tid!r} of the program cannot take event {e!r} ({ev})")
         if n < start:
             continue
@@ -92,13 +92,14 @@ def _sweep(trace: Trace, program: Program, run: Run, rmw_mode: bool) -> Iterator
                 foreign.discard(ev.loc)
             elif ev.op.reads and latest[k] is not None and g.rf[e] != latest[k]:
                 foreign.add(ev.loc)
-        yield Summary(states, tuple(vals), frozenset(foreign)), tuple(latest)
+        yield (states, tuple(vals), frozenset(foreign)), tuple(latest)
 
 
 def summary(trace: Trace, program: Program, eid: EventId, rmw_mode: bool = False) -> Summary:
     """Summarise the trace position ``eid`` (see module docstring)."""
     run = trace.runs[trace.run_of(eid)]
-    return next(islice(_sweep(trace, program, run, rmw_mode), trace.position[eid][1], None))[0]
+    states, vals, foreign = next(islice(_sweep(trace, program, run, rmw_mode), trace.position[eid][1], None))[0]
+    return Summary(program.forms[run.tid].names(states), vals, foreign)
 
 
 # --- collapsibility ----------------------------------------------------------
@@ -113,17 +114,16 @@ class CollapsiblePair:
 class _RunSweep:
     """One run's sweep, extended on demand, and the pair test on the positions swept.
 
-    Per position it keeps the summary id (``summaries`` holds each summary by
-    its id), the latest writes on ``locs``, and a prefix count of the run's
-    writes that a read of another run observes.
+    Per position it keeps the summary id (``ids`` numbers the summaries in
+    order of first sight), the latest writes on ``locs``, and a prefix count of
+    the run's writes that a read of another run observes.
     """
 
     def __init__(self, trace: Trace, program: Program, ri: int, rmw_mode: bool) -> None:
         self.trace, self.run, self.rmw_mode = trace, trace.runs[ri], rmw_mode
         self.locs = sorted(program.locs)
         self._steps = _sweep(trace, program, self.run, rmw_mode)
-        self._ids: dict[Summary, int] = {}
-        self.summaries: list[Summary] = []
+        self.ids: dict[tuple, int] = {}
         self.sid: list[int] = []
         self.lws: list[tuple] = []
         self.read_out = [0]  # read_out[k]: such observed writes before position k
@@ -137,9 +137,7 @@ class _RunSweep:
         """Sweep one position further; False once the run is exhausted."""
         if (step := next(self._steps, None)) is None:
             return False
-        if (sid := self._ids.setdefault(step[0], len(self._ids))) == len(self.summaries):
-            self.summaries.append(step[0])
-        self.sid.append(sid)
+        self.sid.append(self.ids.setdefault(step[0], len(self.ids)))
         self.lws.append(step[1])
         self.read_out.append(self.read_out[-1] + (self.run.events[len(self.sid) - 1] in self._observed))
         return True
@@ -233,7 +231,7 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> tuple[Trace, list[_Rewire], l
     """
     g, rmw_mode, second = sweep.trace.graph, sweep.rmw_mode, sweep.run.events[j]
     removed = set(sweep.run.events[i + 1 : j + 1])
-    s1 = sweep.summaries[sweep.sid[i]]
+    _, vals1, foreign1 = list(sweep.ids)[sweep.sid[i]]
     lw1, lw2 = dict(zip(sweep.locs, sweep.lws[i])), dict(zip(sweep.locs, sweep.lws[j]))
 
     events2 = {eid: ev for eid, ev in g.events.items() if eid not in removed}
@@ -261,7 +259,7 @@ def _collapse(sweep: _RunSweep, i: int, j: int) -> tuple[Trace, list[_Rewire], l
     swapped: list[str] = []
     for x, row in g.mo.items():
         new_row = list(row)
-        if dict(s1.last_write_vals).get(x) is not None and x not in s1.foreign_reads:
+        if dict(vals1).get(x) is not None and x not in foreign1:
             w1, w2 = lw1[x], lw2[x]
             if w1 != w2:
                 i1, i2 = new_row.index(w1), new_row.index(w2)

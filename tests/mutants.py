@@ -1,4 +1,4 @@
-"""Mutation check of the search's rules, its bound and the program parser: each mutant is one text edit, run against Tier-1 on its own copy.
+"""Mutation check of the search's rules, its bound, the indexed program form and the parser: each mutant is one text edit, run against Tier-1 on its own copy.
 
 A mutant is killed when some Tier-1 test fails on a copy of the repository
 with its edit applied; a survivor means no test tells the rule from its
@@ -72,14 +72,14 @@ MUTANTS = {
     # settled frames (tabulate / settle): a child corrects its parent's total for the threads its event can change
     "settle-ignore-location": Mutant(
         DECIDER,
-        "tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,)",
+        "tids if lab.op is Op.RMW else on[i] if lab.op.writes else (t0,)",
         "tids if lab.op is Op.RMW else (t0,)",
         "a write corrects only its own thread's count, whatever other threads have a label on its location",
     ),
     "settle-ignore-spending": Mutant(
         DECIDER,
-        "tids if lab.op is Op.RMW else on[lab.loc] if lab.op.writes else (t0,)",
-        "on[lab.loc] if lab.op.writes else (t0,)",
+        "tids if lab.op is Op.RMW else on[i] if lab.op.writes else (t0,)",
+        "on[i] if lab.op.writes else (t0,)",
         "an update, which may spend the update budget, corrects only the threads on its location",
     ),
     "settle-every-thread": Mutant(
@@ -96,8 +96,8 @@ MUTANTS = {
     ),
     "settle-skip-own-thread": Mutant(
         DECIDER,
-        "else on[lab.loc] if lab.op.writes",
-        "else [t for t in on[lab.loc] if t != t0] if lab.op.writes",
+        "else on[i] if lab.op.writes",
+        "else [t for t in on[i] if t != t0] if lab.op.writes",
         "a write leaves its own thread's count as at the parent when that thread is listed on the location",
     ),
     "settle-total-after-closing": Mutant(
@@ -108,9 +108,35 @@ MUTANTS = {
     ),
     "settle-may-hit": Mutant(
         DECIDER,
-        "if any(finals[u] in lts.step(subsets[u], lab) for lab in lts.enabled(subsets[u])):",
+        "if any(image & finals[u] for _, _, image in forms[u][subsets[u]]):",
         "if False:",
         "a frame whose one unfinished thread can step into its final state is settled, so its hit is counted, not found",
+    ),
+    # the memo's state key (state_key, and the tags apply records for it)
+    "key-no-cut": Mutant(
+        DECIDER,
+        "min([at[v[i]] for v in hs])",
+        "0",
+        "rows are keyed from their foot, not from the lowest position a head sees, so states that differ only below the cut get distinct keys",
+    ),
+    "key-no-update-bit": Mutant(
+        DECIDER,
+        "tags.append((lab.val_w, lab.op is Op.RMW))",
+        "tags.append((lab.val_w, False))",
+        "a write's tag drops whether it is an update, so a plain write and an update of the same value share a key",
+    ),
+    "key-no-clamp": Mutant(
+        DECIDER,
+        "p - d if (p := at[views[w][j]]) > d else 0",
+        "(p := at[views[w][j]]) - d",
+        "a writer's view below the cut keeps its (negative) offset instead of reading as the cut",
+    ),
+    # the indexed program form (model.Form)
+    "form-last-destination": Mutant(
+        MODEL,
+        "row[key] = row[key] | bit if key in row else bit",
+        "row[key] = bit",
+        "a nondeterministic label keeps only its last destination in a state's row",
     ),
     # the small-model bound: bounded_reach's truncation test and small_model_bound_formula's stop_above;
     # not listed: ``>`` for the guard's ``>=`` only stops later, so it stays sound and no test can kill it

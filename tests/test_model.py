@@ -79,34 +79,46 @@ class TestStepStates:
 
 
 class TestIndexedForm:
-    """``Lts.enabled`` / ``Lts.step`` against a brute-force transition scan."""
+    """``Program.forms`` against a brute-force transition scan."""
 
     @settings(deadline=None, max_examples=80)
     @given(st.integers(min_value=0, max_value=4000), st.sampled_from([0.0, 0.4]), st.data())
     def test_matches_transition_scan(self, seed, rmw_prob, data):
         prog = corpus.random_program(seed, rmw_prob=rmw_prob)
-        for lts in prog.threads.values():
-            states = data.draw(st.frozensets(st.sampled_from(sorted(lts.states))))
+        locs = sorted(prog.locs)
+        for tid, lts in prog.threads.items():
+            form = prog.forms[tid]
+            names = sorted(lts.states)
+            assert form.bit == {q: 1 << k for k, q in enumerate(names)}
+            assert (form.init, form.final) == (form.bit[lts.init], form.bit[lts.final])
+            mask = data.draw(st.integers(min_value=0, max_value=(1 << len(names)) - 1))
+            states = form.names(mask)
+            assert states == {q for k, q in enumerate(names) if mask >> k & 1}
             want = sorted({lab for src, lab, _ in lts.transitions if src in states}, key=label_key)
-            for _ in range(2):  # the second round answers from the memo
-                assert lts.enabled(states) == tuple(want)
+            for _ in range(2):  # the second round answers from the table
+                assert [lab for lab, _, _ in form[mask]] == want
+                for lab, i, image in form[mask]:
+                    assert i == locs.index(lab.loc)
+                    assert form.names(image) == {dst for src, l, dst in lts.transitions if src in states and l == lab}
                 for lab in {lab for _, lab, _ in lts.transitions}:
                     image = {dst for src, l, dst in lts.transitions if src in states and l == lab}
-                    assert lts.step(states, lab) == frozenset(image)
+                    assert form.names(form.step(mask, lab)) == image
                     assert step_states(lts, set(states), lab) == frozenset(image)
-                    assert type(lts.step(states, lab)) is frozenset
+                    assert type(step_states(lts, states, lab)) is frozenset
 
-    def test_index_rows(self):
-        lts = corpus.mp().threads["reader"]
-        assert lts.index == {
-            "b0": {read("reader", "y", "1"): ["b1"]},
-            "b1": {read("reader", "x", "1"): ["b2"]},
-        }
+    def test_mp_reader_form(self):
+        form = corpus.mp().forms["reader"]
+        ry, rx = read("reader", "y", "1"), read("reader", "x", "1")
+        assert form.bit == {"b0": 1, "b1": 2, "b2": 4} and (form.init, form.final) == (1, 4)
+        assert (form[0], form[1], form[2], form[4]) == ((), ((ry, 1, 2),), ((rx, 0, 4),), ())
+        assert form[3] == ((rx, 0, 4), (ry, 1, 2))  # label_key order: x before y
+        assert form.step(3, ry) == 2 and form.step(1, rx) == 0
 
     def test_index_ignored_by_equality(self):
-        a, b = corpus.mp().threads["writer"], corpus.mp().threads["writer"]
-        a.enabled(frozenset({a.init}))
-        assert a == b and hash(a) == hash(b)
+        a, b = corpus.mp(), corpus.mp()
+        a.forms["writer"][a.forms["writer"].init]
+        assert a == b and a.threads["writer"] == b.threads["writer"]
+        assert hash(a.threads["writer"]) == hash(b.threads["writer"])
 
 
 class TestWordReaches:
