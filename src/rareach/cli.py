@@ -197,7 +197,7 @@ def _cmd_reach(args) -> int:
     if args.naive:
         verdict = naive_reach(program, event_cap)
     else:
-        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed, memo=True, max_nodes=max_nodes))
+        verdict = bounded_reach(program, SearchConfig(budget, event_cap, seed, max_nodes))
 
     witness = verdict.witness
     if args.emit_witness and witness is not None:
@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
                    help="exhaustive graph enumeration up to --event-cap (ignores --contexts and --rmws)")
     p.add_argument("--emit-witness", metavar="FILE", help="write the witness trace JSON here")
     p.add_argument("--seed", type=int, help="branch-order shuffle seed (0 = canonical order)")
-    p.add_argument("--max-nodes", type=int, help="stop as inconclusive after expanding this many nodes")
+    p.add_argument("--max-nodes", type=int, help="stop as inconclusive after entering this many nodes, skipped ones included")
     p.add_argument("--config", metavar="FILE", help="key=value presets for budget flags")
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", metavar="FILE", help="render the witness graph to DOT")

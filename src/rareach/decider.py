@@ -24,11 +24,11 @@ Two engines answer "can this program reach its final state vector":
   its last event), per location its mo row of writes with their views, and
   the runs, whose per-thread stretches give po.
 
-With ``SearchConfig.memo`` the search skips a node that an earlier node
-covers.  A node's future depends only on its budget part (the active
-thread, the number of runs and the number of updates used),
-its depth, and an abstract state, the key, which is exact for everything
-else ``branches`` / ``violates`` / ``apply`` and the target check read:
+The search skips a node that an earlier node covers.  A node's future
+depends only on its budget part (the active thread, the number of runs and
+the number of updates used), its depth, and an abstract state, the key,
+which is exact for everything else ``branches`` / ``violates`` / ``apply``
+and the target check read:
 
 * per thread its control subset, a mask over the thread's sorted states;
 * the heads, as mo positions (``violates`` compares only those), in one
@@ -124,9 +124,11 @@ write, the threads listed on x include t0, which took such a label there.
 A child with no run left lets only t0 move, so its count is t0's share
 alone.  A branch shuffle, whose generator must draw as usual, and a count
 that would cross ``max_nodes`` (the search must trip on the same child)
-place the children too.  ``max_nodes`` bounds ``visited`` (and so the
-memo): the node past it ends the search as ``INCONCLUSIVE``, even at the
-small-model bound.
+place the children too.  ``max_nodes`` bounds the nodes entered, covered
+ones included: a covered node is applied, keyed and undone without adding
+to ``visited``, and an uncapped loop can skip far more nodes than it
+expands.  The node past the budget ends the search as ``INCONCLUSIVE``,
+even at the small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -187,21 +189,15 @@ class ReachVerdict:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget plus an optional event cap and branch-order seed.
+    """Budget plus an optional event cap, branch-order seed and node budget.
 
-    ``memo`` skips search states already covered (see :func:`bounded_reach`); off,
-    the search walks the full tree of traces.  The CLI always sets it.  The
-    field stays because only without the memo do ``visited`` and ``prunes``
-    not depend on branch order, and ``TestPinnedCounters``,
-    ``TestSettledFrames::test_settled_and_unsettled_paths_agree`` and
-    ``test_write_right_after_an_update`` need such counters.
-    ``max_nodes`` caps ``SearchStats.visited``; ``None`` leaves it unbounded.
+    ``max_nodes`` caps the nodes entered, ``SearchStats.visited`` plus the
+    covered ones skipped (module docstring); ``None`` leaves it unbounded.
     """
 
     budget: ContextBudget
     event_cap: int | None = None
     explore_order: int = 0
-    memo: bool = False
     max_nodes: int | None = None
 
 
@@ -308,13 +304,13 @@ def _covered(memo: dict[tuple, tuple[tuple, ...]], key: tuple, rec: tuple) -> bo
 def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
     """Search traces within the context budget; see module docstring.
 
-    With ``config.memo`` a node is skipped when a node entered earlier with
-    the same state key covers it (module docstring): it had no more events,
-    updates and runs, one run fewer if their active threads differ.  So
-    ``stats.visited`` counts the nodes expanded or settled, and a search that
-    closes without truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any
-    cap.  Which of two such nodes is expanded depends on branch order, so
-    witnesses can differ from the uncached search's.
+    A node is skipped when a node entered earlier with the same state key
+    covers it (module docstring): it had no more events, updates and runs,
+    one run fewer if their active threads differ.  So ``stats.visited``
+    counts the nodes expanded or settled, and a search that closes without
+    truncation answers ``UNREACHABLE_WITHIN_BOUND`` at any cap.  Which of two
+    such nodes is expanded depends on branch order, and so do the witness
+    and the counters.
     """
     budget = config.budget
     bound = small_model_bound(program, budget.contexts, budget.rmws, _BOUND_CEILING)
@@ -431,7 +427,7 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
                 k0, c0 = per[t]
                 kept += k - k0
                 cut += c - c0
-        if stats.visited + kept > limit:
+        if stats.visited + covered + kept > limit:
             return False  # the per-branch path trips on the same child
         stats.visited += kept
         stats.prunes += cut
@@ -510,20 +506,22 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         return tuple(subsets.values()), tuple([at[v[j]] - d for v in hs for j, d in ic]), rows
 
     limit = math.inf if config.max_nodes is None else config.max_nodes
+    covered = 0  # nodes skipped as covered: they spend the node budget as visited ones do
     truncated = tripped = False
     table: tuple | None = None  # tabulate() at the last node entered two events below the cap, if a run was left to open
     # frames: (the node's unexplored branches, the record that undoes it)
     stack: list[tuple[Iterator[_Branch], tuple | None]] = []
     rec: tuple | None = None  # undoes the node just placed; None at the root
     while True:
+        if stats.visited + covered >= limit:
+            tripped = True
+            break
         n = len(events) - n_init
-        # keys only two or more events below the cap (see the module docstring)
-        skip = config.memo and n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n))
         children: Iterator[_Branch] = iter(())
-        if not skip:
-            if stats.visited >= limit:
-                tripped = True
-                break
+        # keys only two or more events below the cap (see the module docstring)
+        if n <= cap - 2 and _covered(memo, state_key(), (runs[-1][0] if runs else None, len(runs), flags["rmws"], n)):
+            covered += 1
+        else:
             stats.visited += 1
             stats.max_events = max(stats.max_events, n)
             if not flags["unfinished"]:

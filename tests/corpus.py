@@ -66,6 +66,63 @@ thread t init q0 final q0
   q1 q0 r x 1
 """
 
+#: message passing where the writer may flip x back and forth and the reader
+#: may spin on x; the target needs the reader's last x read to see 0
+MP_LOOP = """
+locs x y
+vals 0 1
+init x=0 y=0
+thread writer init a0 final a3
+  a0 a1 w x 1
+  a1 a2 w x 0
+  a2 a1 w x 1
+  a1 a3 w y 1
+thread reader init b0 final b2
+  b0 b0 r x 1
+  b0 b0 r x 0
+  b0 b1 r y 1
+  b1 b2 r x 0
+"""
+
+#: x=0 is written only by init, which is mo-first; reading x=2 and then x=0
+#: reads a write mo-before one that happens before the read
+CORR_LOOP = """
+locs x
+vals 0 1 2
+init x=0
+thread writer init a0 final a0
+  a0 a1 w x 1
+  a1 a0 w x 2
+thread reader init b0 final b2
+  b0 b0 r x 1
+  b0 b1 r x 2
+  b1 b2 r x 0
+"""
+
+#: write-to-read causality: t3 sees y=1, written after t2 saw a non-init x,
+#: so reading the init value x=0 in t3 violates read coherence
+WRC_LOOP = """
+locs x y
+vals 0 1 2
+init x=0 y=0
+thread t1 init a0 final a0
+  a0 a1 w x 1
+  a1 a0 w x 2
+thread t2 init b0 final b2
+  b0 b1 r x 1
+  b1 b1 r x 2
+  b1 b2 w y 1
+thread t3 init c0 final c2
+  c0 c1 r y 1
+  c1 c2 r x 0
+"""
+
+#: the loop programs above, in that order
+LOOPS = (MP_LOOP, CORR_LOOP, WRC_LOOP)
+
+#: (contexts, rmws, cap) of the search's differential tests and of the verdict sweep
+MEMO_BUDGETS = [(1, 0, 5), (2, 1, 6), (3, 2, 6), (4, 4, 5)]
+
 
 def dump_graph_json(graph: ExecutionGraph) -> str:
     """The graph's JSON text, as the command line tool writes it."""

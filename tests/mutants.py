@@ -1,4 +1,4 @@
-"""Mutation check of the search's rules, its bound, the indexed program form and the parser: each mutant is one text edit, run against Tier-1 on its own copy.
+"""Mutation check of the search's rules, its node budget, its bound, the indexed program form and the parser: each mutant is one text edit, run against Tier-1 on its own copy.
 
 A mutant is killed when some Tier-1 test fails on a copy of the repository
 with its edit applied; a survivor means no test tells the rule from its
@@ -47,6 +47,18 @@ MUTANTS = {
     ),
     "cover-more-updates": Mutant(DECIDER, "d1 <= n and u1 <= u and", "d1 <= n and", "a record covers a node that spent fewer updates"),
     "cover-deeper": Mutant(DECIDER, "if d1 <= n and u1 <= u", "if u1 <= u", "a record covers a node that lies higher above the cap"),
+    # equivalent in verdicts and counters: covering is transitive, so a record the new one covers covers nothing
+    # the new one does not, and keeping it costs only memory; TestMemo::test_records_form_an_antichain sees it
+    "cover-keep-dominated": Mutant(
+        DECIDER,
+        "memo[key] = (*[old for old in recs if not (n <= old[3] and u <= old[2] and r + (a != old[0]) <= old[1])], rec)",
+        "memo[key] = (*recs, rec)",
+        "a key keeps the records a new one covers, so its records are no antichain",
+    ),
+    # the node budget (max_nodes)
+    "budget-ignores-covered": Mutant(
+        DECIDER, "covered += 1", "pass", "a covered node spends none of the node budget, so an uncapped loop can skip nodes without end"
+    ),
     # the pruning rule (violates)
     "read-coherence": Mutant(
         DECIDER,

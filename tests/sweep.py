@@ -1,14 +1,14 @@
 """The verdict sweep: 305 programs at four budgets, and its stored verdicts.
 
 Programs: ``corpus.random_program`` seeds 0-199, seeds 0-99 with
-``rmw_prob=0.3``, the three loop programs of ``tests/test_decider.py`` and
-``corpus.LOOPY_RMW``.  Budgets ``(contexts, rmws, cap)``: the memo tests'
-``MEMO_BUDGETS``, (1,0,5), (2,1,6), (3,2,6), (4,4,5).
+``rmw_prob=0.3``, the three loop programs ``corpus.LOOPS`` and
+``corpus.LOOPY_RMW``.  Budgets ``(contexts, rmws, cap)``:
+``corpus.MEMO_BUDGETS``, (1,0,5), (2,1,6), (3,2,6), (4,4,5).
 
-``sweep_verdicts.json`` holds, per case, the memo search's status under
+``sweep_verdicts.json`` holds, per case, the search's status under
 ``reach``'s settings and whether the reference, ``oracle.view_reach`` (the
 RA view semantics, which shares no code with the search), reaches at the cap
-and at cap + 3.  ``tests/test_sweep.py`` reruns the memo search and the
+and at cap + 3.  ``tests/test_sweep.py`` reruns the search and the
 reference at the cap; only this script's ``--write`` recomputes the cap + 3
 column.  Regenerate the file (about 15 s) with::
 
@@ -27,7 +27,6 @@ from rareach.trace import ContextBudget
 
 from tests import corpus
 from tests.oracle import view_reach
-from tests.test_decider import CORR_LOOP, MEMO_BUDGETS, MP_LOOP, WRC_LOOP
 
 VERDICTS = Path(__file__).with_name("sweep_verdicts.json")
 
@@ -35,7 +34,7 @@ VERDICTS = Path(__file__).with_name("sweep_verdicts.json")
 def programs() -> dict[str, Program]:
     progs = {f"random-{s}": corpus.random_program(s) for s in range(200)}
     progs.update((f"random-rmw-{s}", corpus.random_program(s, rmw_prob=0.3)) for s in range(100))
-    progs.update(zip(("mp-loop", "corr-loop", "wrc-loop"), map(parse_program, (MP_LOOP, CORR_LOOP, WRC_LOOP))))
+    progs.update(zip(("mp-loop", "corr-loop", "wrc-loop"), map(parse_program, corpus.LOOPS)))
     progs.update((f"loopy-rmw-{i}", p) for i, p in enumerate(corpus.loopy_rmw_programs()))
     return progs
 
@@ -45,13 +44,13 @@ def cases() -> dict[str, tuple[Program, ContextBudget, int]]:
     return {
         f"{name} {c},{r},{cap}": (prog, ContextBudget(c, r), cap)
         for name, prog in programs().items()
-        for c, r, cap in MEMO_BUDGETS
+        for c, r, cap in corpus.MEMO_BUDGETS
     }
 
 
 def memo_status(prog: Program, budget: ContextBudget, cap: int) -> str:
-    """The status ``reach`` reports: the memo search at the cap."""
-    return bounded_reach(prog, SearchConfig(budget, cap, memo=True)).status.value
+    """The status ``reach`` reports: the search at the cap."""
+    return bounded_reach(prog, SearchConfig(budget, cap)).status.value
 
 
 def reference_reaches(prog: Program, budget: ContextBudget, cap: int) -> bool:

@@ -1,6 +1,8 @@
 """Reachability: exhaustive enumeration vs the budgeted incremental search."""
 
+import functools
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +25,13 @@ from rareach.pcp import compile_pcp, parse_pcp
 from rareach.trace import ContextBudget
 
 from tests import corpus
-from tests.corpus import dump_graph_json
+from tests.corpus import CORR_LOOP, LOOPS, MEMO_BUDGETS, MP_LOOP, WRC_LOOP, dump_graph_json
 from tests.oracle import consistent_oracle, hb_pairs_oracle, least_violation_oracle, view_reach
 from tests.test_acceptance import rmw_corpus
 
 
-def cfg(contexts, rmws=0, cap=None, seed=0, memo=False, max_nodes=None):
-    return SearchConfig(ContextBudget(contexts, rmws), cap, seed, memo, max_nodes)
+def cfg(contexts, rmws=0, cap=None, seed=0, max_nodes=None):
+    return SearchConfig(ContextBudget(contexts, rmws), cap, seed, max_nodes)
 
 
 class TestEnumerate:
@@ -119,9 +121,9 @@ class TestBounded:
         # an uncapped search truncated at the bound decides, one truncated short of it does not
         monkeypatch.setattr(decider, "small_model_bound", lambda *a: 13)
         prog = parse_program(MP_LOOP)
-        assert bounded_reach(prog, cfg(2, memo=True)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
+        assert bounded_reach(prog, cfg(2)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
         monkeypatch.setattr(decider, "_BOUND_CEILING", 12)
-        assert bounded_reach(prog, cfg(2, memo=True)).status is ReachStatus.INCONCLUSIVE
+        assert bounded_reach(prog, cfg(2)).status is ReachStatus.INCONCLUSIVE
 
     def test_small_cap_under_a_huge_budget(self, mp_program):
         # the bound stops counting past the cap instead of summing a million contexts
@@ -222,12 +224,6 @@ class TestUpdateEvents:
         assert (v.status, (v.explored.visited, v.explored.prunes)) == (ReachStatus.REACHABLE, (5, 2))
         assert v.witness.graph.mo["x"] == (0, 1, 3, 2)
 
-    @pytest.mark.parametrize("seed,budget,counters", [(26, (2, 2, 6), (100, 341)), (44, (3, 1, 5), (185, 231))])
-    def test_insertions_after_updates_pinned(self, seed, budget, counters):
-        # uncached, so the memo cannot move these; a write lands right after an update here
-        v = bounded_reach(corpus.random_program(seed, rmw_prob=0.4), cfg(*budget))
-        assert (v.status, (v.explored.visited, v.explored.prunes)) == (ReachStatus.INCONCLUSIVE, counters)
-
 
 #: t's read of x=1 after its own x=2 needs x=2 mo-before x=1, which write coherence forbids
 OWN_WRITES_IN_MO = """
@@ -255,9 +251,8 @@ ORACLE_BUDGETS = [(1, 0, 4), (2, 0, 4), (1, 2, 3), (2, 1, 4), (2, 1, 5), (3, 2, 
 
 
 def agrees(prog, budget):
-    """``bounded_reach`` at the cap, memo off and on, reaches exactly when ``view_reach`` does."""
-    want = view_reach(prog, *budget)
-    assert [bounded_reach(prog, cfg(*budget, memo=memo)).reachable for memo in (False, True)] == [want, want]
+    """``bounded_reach`` at the cap reaches exactly when ``view_reach`` does."""
+    assert bounded_reach(prog, cfg(*budget)).reachable == view_reach(prog, *budget)
 
 
 class TestViewOracle:
@@ -278,134 +273,60 @@ class TestViewOracle:
         agrees(corpus.random_program(seed, rmw_prob=rmw_prob), budget)
 
 
-#: message passing where the writer may flip x back and forth and the reader
-#: may spin on x; the target needs the reader's last x read to see 0
-MP_LOOP = """
-locs x y
-vals 0 1
-init x=0 y=0
-thread writer init a0 final a3
-  a0 a1 w x 1
-  a1 a2 w x 0
-  a2 a1 w x 1
-  a1 a3 w y 1
-thread reader init b0 final b2
-  b0 b0 r x 1
-  b0 b0 r x 0
-  b0 b1 r y 1
-  b1 b2 r x 0
-"""
-
-
-class TestPinnedCounters:
-    """Exhaustively explored trees: the counts do not depend on branch order."""
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_gadget_cap_4(self, seed):
-        gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget, cfg(12, cap=4, seed=seed))
-        assert v.status is ReachStatus.INCONCLUSIVE
-        assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_mp_loop_cap_13(self, seed):
-        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
-        assert v.status is ReachStatus.INCONCLUSIVE
-        assert (v.explored.visited, v.explored.prunes) == (22639, 48258)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_wrc_loop_cap_13(self, seed):
-        # t3's view of x comes through t2's read: the rf chain runs through a middle thread
-        v = bounded_reach(parse_program(WRC_LOOP), cfg(3, cap=13, seed=seed))
-        assert v.status is ReachStatus.INCONCLUSIVE
-        assert (v.explored.visited, v.explored.prunes) == (2702, 11215)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_corr_loop_cap_14(self, seed):
-        v = bounded_reach(parse_program(CORR_LOOP), cfg(2, cap=14, seed=seed))
-        assert v.status is ReachStatus.INCONCLUSIVE
-        assert (v.explored.visited, v.explored.prunes) == (2568, 4711)
-
-
-#: x=0 is written only by init, which is mo-first; reading x=2 and then x=0
-#: reads a write mo-before one that happens before the read
-CORR_LOOP = """
-locs x
-vals 0 1 2
-init x=0
-thread writer init a0 final a0
-  a0 a1 w x 1
-  a1 a0 w x 2
-thread reader init b0 final b2
-  b0 b0 r x 1
-  b0 b1 r x 2
-  b1 b2 r x 0
-"""
-
-#: write-to-read causality: t3 sees y=1, written after t2 saw a non-init x,
-#: so reading the init value x=0 in t3 violates read coherence
-WRC_LOOP = """
-locs x y
-vals 0 1 2
-init x=0 y=0
-thread t1 init a0 final a0
-  a0 a1 w x 1
-  a1 a0 w x 2
-thread t2 init b0 final b2
-  b0 b1 r x 1
-  b1 b1 r x 2
-  b1 b2 w y 1
-thread t3 init c0 final c2
-  c0 c1 r y 1
-  c1 c2 r x 0
-"""
-
 #: program family -> programs: criterion 2's random programs, criterion 4's
 #: update corpus and the loop programs
 MEMO_CASES = {
     "random": [corpus.random_program(seed) for seed in range(50)],
     "rmw": rmw_corpus(),
-    "loops": [parse_program(text) for text in (MP_LOOP, CORR_LOOP, WRC_LOOP)],
+    "loops": [parse_program(text) for text in LOOPS],
 }
-#: (contexts, rmws, cap)
-MEMO_BUDGETS = [(1, 0, 5), (2, 1, 6), (3, 2, 6), (4, 4, 5)]
 
 
 class TestMemo:
-    """The visited-state memo against the uncached search and the naive enumerator.
+    """The visited-state memo against the RA view semantics and the naive enumerator.
 
-    Every hit the memo search returns has passed ``hit_trace``'s checks
+    Every hit the search returns has passed ``hit_trace``'s checks
     (consistent, replays to the target, within budget), which raise otherwise.
     """
 
     @pytest.mark.parametrize("family", MEMO_CASES)
-    def test_agrees_with_uncached(self, family):
+    def test_agrees_with_view_oracle(self, family):
+        # a search that closes without truncation decides at any cap, so the reference misses past the cap too
         for prog in MEMO_CASES[family]:
             for contexts, rmws, cap in MEMO_BUDGETS:
-                plain = bounded_reach(prog, cfg(contexts, rmws, cap))
-                memo = bounded_reach(prog, cfg(contexts, rmws, cap, memo=True))
-                assert memo.reachable == plain.reachable
-                if memo.status is not plain.status:
-                    # a memo search that closes without truncation decides at any cap
-                    assert (plain.status, memo.status) == (
-                        ReachStatus.INCONCLUSIVE,
-                        ReachStatus.UNREACHABLE_WITHIN_BOUND,
-                    )
-                    assert not bounded_reach(prog, cfg(contexts, rmws, cap + 3)).reachable
-                if not plain.reachable:
-                    assert memo.explored.visited <= plain.explored.visited
+                v = bounded_reach(prog, cfg(contexts, rmws, cap))
+                assert v.reachable == view_reach(prog, contexts, rmws, cap)
+                if v.status is ReachStatus.UNREACHABLE_WITHIN_BOUND:
+                    assert not view_reach(prog, contexts, rmws, cap + 3)
 
     @pytest.mark.parametrize("family", MEMO_CASES)
     def test_agrees_with_naive(self, family):
         for prog in MEMO_CASES[family]:
-            assert bounded_reach(prog, cfg(4, 4, 4, memo=True)).reachable == naive_reach(prog, 4).reachable
+            assert bounded_reach(prog, cfg(4, 4, 4)).reachable == naive_reach(prog, 4).reachable
 
     @pytest.mark.parametrize("part", corpus.MEMO_PARTS)
     def test_every_part_needed(self, part):
         text, contexts, rmws = corpus.MEMO_PARTS[part]
-        prog = parse_program(text)
-        assert bounded_reach(prog, cfg(contexts, rmws, cap=6)).reachable
-        assert bounded_reach(prog, cfg(contexts, rmws, cap=6, memo=True)).reachable
+        assert bounded_reach(parse_program(text), cfg(contexts, rmws, cap=6)).reachable
+
+    def test_records_form_an_antichain(self, monkeypatch):
+        # a record that a new one covers is dropped; keeping it would change only memory, since covering is
+        # transitive and so the new record covers whatever the dropped one would, hence the direct check
+        def covers(a, b):
+            return a[3] <= b[3] and a[2] <= b[2] and a[1] + (a[0] != b[0]) <= b[1]
+
+        def spy(memo, key, rec):
+            before = len(memo.get(key, ()))
+            skip = covered(memo, key, rec)
+            recs = memo[key]
+            dropped.append(before + (not skip) - len(recs))
+            assert not any(covers(a, b) for i, a in enumerate(recs) for j, b in enumerate(recs) if i != j), recs
+            return skip
+
+        covered, dropped = decider._covered, []
+        monkeypatch.setattr(decider, "_covered", spy)
+        bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13))
+        assert sum(dropped) > 0
 
 
 class TestPinnedMemoCounters:
@@ -413,21 +334,21 @@ class TestPinnedMemoCounters:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_mp_loop_cap_13(self, seed):
-        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed, memo=True))
+        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == (519, 701)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_wrc_loop_cap_20(self, seed):
-        v = bounded_reach(parse_program(WRC_LOOP), cfg(3, cap=20, seed=seed, memo=True))
+        v = bounded_reach(parse_program(WRC_LOOP), cfg(3, cap=20, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == (1617, 9657)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_corr_loop_cap_60(self, seed):
-        v = bounded_reach(parse_program(CORR_LOOP), cfg(2, cap=60, seed=seed, memo=True))
+        v = bounded_reach(parse_program(CORR_LOOP), cfg(2, cap=60, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == (2114, 3562)
@@ -440,7 +361,7 @@ class TestPinnedMemoCounters:
         ids=["corr_loop_2_18", "mp_loop_3_10", "wrc_loop_3_16"],
     )
     def test_loop_search_ops(self, text, contexts, cap, counters, seed):
-        v = bounded_reach(parse_program(text), cfg(contexts, cap=cap, seed=seed, memo=True))
+        v = bounded_reach(parse_program(text), cfg(contexts, cap=cap, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         if seed == 0:
             assert (v.explored.visited, v.explored.prunes) == counters
@@ -448,7 +369,7 @@ class TestPinnedMemoCounters:
     def test_gadget_cap_4(self):
         # keys are built two or more events below the cap, where the gadget repeats no state
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget, cfg(12, cap=4, memo=True))
+        v = bounded_reach(gadget, cfg(12, cap=4))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 
@@ -468,7 +389,7 @@ class TestPinnedSeededMemo:
         ],
     )
     def test_mp(self, seed, counters, runs):
-        v = bounded_reach(parse_program(corpus.MP), cfg(2, seed=seed, memo=True))
+        v = bounded_reach(parse_program(corpus.MP), cfg(2, seed=seed))
         assert v.status is ReachStatus.REACHABLE
         assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
 
@@ -480,7 +401,7 @@ class TestPinnedSeededMemo:
         ],
     )
     def test_sb(self, seed, counters, runs):
-        v = bounded_reach(corpus.sb(), cfg(3, seed=seed, memo=True))
+        v = bounded_reach(corpus.sb(), cfg(3, seed=seed))
         assert v.status is ReachStatus.REACHABLE
         assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
 
@@ -492,29 +413,29 @@ class TestPinnedSeededMemo:
         ],
     )
     def test_random_19(self, seed, counters, runs):
-        v = bounded_reach(corpus.random_program(19), cfg(3, 1, 6, seed=seed, memo=True))
+        v = bounded_reach(corpus.random_program(19), cfg(3, 1, 6, seed=seed))
         assert v.status is ReachStatus.REACHABLE
         assert ((v.explored.visited, v.explored.prunes), _runs(v)) == (counters, runs)
 
     @pytest.mark.parametrize("seed,counters", [(3, (390, 394)), (7, (333, 336))])
     def test_mp_loop_cap_13(self, seed, counters):
-        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed, memo=True))
+        v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=13, seed=seed))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert (v.explored.visited, v.explored.prunes) == counters
 
     def test_gadget_cap_4(self):
         gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
-        v = bounded_reach(gadget, cfg(12, cap=4, seed=7, memo=True))
+        v = bounded_reach(gadget, cfg(12, cap=4, seed=7))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
 
 
 class TestNodeBudget:
-    """``max_nodes`` stops the search as inconclusive once that many nodes were expanded."""
+    """``max_nodes`` stops the search as inconclusive once that many nodes were entered, covered ones included."""
 
     def test_trips_a_closing_search(self):
-        assert bounded_reach(corpus.corr(), cfg(3, cap=6, memo=True)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
-        v = bounded_reach(corpus.corr(), cfg(3, cap=6, memo=True, max_nodes=1))
+        assert bounded_reach(corpus.corr(), cfg(3, cap=6)).status is ReachStatus.UNREACHABLE_WITHIN_BOUND
+        v = bounded_reach(corpus.corr(), cfg(3, cap=6, max_nodes=1))
         assert v.status is ReachStatus.INCONCLUSIVE
         assert v.explored.visited == 1
 
@@ -523,34 +444,46 @@ class TestNodeBudget:
         assert (v.status, v.explored.visited) == (ReachStatus.INCONCLUSIVE, 2)
 
     @pytest.mark.parametrize(
-        "prog,budget",
+        "prog,budget,covered",
         [
-            (corpus.corr(), (3, 0, 6)),
-            (corpus.sb(), (3, 0, None)),
-            (parse_program(MP_LOOP), (2, 0, 13)),
-            (corpus.random_program(19), (3, 1, 6)),
+            (corpus.corr(), (3, 0, 6), 4),
+            (corpus.sb(), (3, 0, None), 0),
+            (parse_program(MP_LOOP), (2, 0, 13), 190),
+            (corpus.random_program(19), (3, 1, 6), 53),
         ],
         ids=["corr", "sb", "mp-loop", "random-19"],
     )
-    @pytest.mark.parametrize("memo", [False, True])
-    def test_budget_at_or_above_visited_changes_nothing(self, prog, budget, memo):
-        free = bounded_reach(prog, cfg(*budget, memo=memo))
-        for extra in (0, 1):
-            v = bounded_reach(prog, cfg(*budget, memo=memo, max_nodes=free.explored.visited + extra))
-            assert (v.status, v.explored) == (free.status, free.explored)
-            if free.witness is not None:
-                assert v.witness.runs == free.witness.runs
+    def test_least_untripped_budget_changes_nothing(self, prog, budget, covered):
+        # the least budget that changes nothing, found by bisection, lies the covered nodes above visited;
+        # one more changes nothing either, and one less trips
+        def run(max_nodes):
+            v = bounded_reach(prog, cfg(*budget, max_nodes=max_nodes))
+            return v.status, v.explored, v.witness and v.witness.runs
+
+        want = run(None)
+        visited = want[1].visited
+        lo, hi = 0, visited  # run(lo) trips; run(hi) may not
+        while run(hi) != want:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if run(mid) == want else (mid, hi)
+        assert hi - visited == covered
+        assert run(hi + 1) == want
+        tripped = run(hi - 1)
+        assert tripped[0] is ReachStatus.INCONCLUSIVE and tripped != want
 
     def test_depth_not_limited_by_recursion(self):
-        # an uncapped dive into the writer's loop, far below the recursion limit
+        # an uncapped dive into the writer's loop with one context, far below the recursion limit: in the writer's
+        # run the reader keeps its init view, so the cut stays at init, the row of x grows and no key repeats
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(300)
         try:
-            v = bounded_reach(parse_program(MP_LOOP), cfg(2, cap=None, max_nodes=2000))
+            v = bounded_reach(parse_program(MP_LOOP), cfg(1, cap=None, max_nodes=400))
         finally:
             sys.setrecursionlimit(limit)
         assert v.status is ReachStatus.INCONCLUSIVE
-        assert v.explored.visited == 2000 and v.explored.max_events > 300
+        assert (v.explored.visited, v.explored.max_events) == (399, 398)
 
 
 #: with one update allowed, either thread's update spends it, which takes the
@@ -572,71 +505,83 @@ thread b init b0 final b3
 """
 
 
+@functools.cache
+def unsettled_reach():
+    """``bounded_reach`` rebuilt from ``decider``'s source with ``settle`` never called, so every capped child is placed."""
+    text = Path(decider.__file__).read_text()
+    assert text.count("settle(table, rec))") == 1
+    ns = {"__name__": decider.__name__, "__package__": decider.__package__}
+    exec(compile(text.replace("settle(table, rec))", "False)"), decider.__file__, "exec"), ns)
+    # it returns the library's own result types, so that its results compare equal to the library's
+    ns.update({name: getattr(decider, name) for name in ("ReachStatus", "ReachVerdict", "SearchStats")})
+    return ns["bounded_reach"]
+
+
+def search(settled):
+    """The search, or its copy that settles no frame."""
+    return bounded_reach if settled else unsettled_reach()
+
+
 class TestSettledFrames:
     """The gadget at cap 4, where most children on the cap are counted in their parent without being placed.
 
     A frame starts from the total its grandparent tabulated two events below the cap, and recounts only the
-    threads the frame node's own event can touch, or only its own thread once no run is left to open.
+    threads the frame node's own event can touch, or only its own thread once no run is left to open.  Each
+    pin holds for the search and for its copy that places every child (``settled`` False).
     """
 
     gadget = compile_pcp(parse_pcp("pair a : aa\npair ab : b\n"))
 
     def test_settled_and_unsettled_paths_agree(self):
-        # without the memo and without a hit the counters do not depend on branch order, and a shuffled
-        # search (explore_order 7) never settles a frame
+        # settling changes how children on the cap are counted, never what the memo keys (keys stop two events
+        # below the cap), so status, counters and witness all agree
         progs = [corpus.random_program(seed) for seed in range(80)]
         progs += [corpus.random_program(seed, rmw_prob=0.4) for seed in range(80)]
-        progs += [parse_program(text) for text in (MP_LOOP, CORR_LOOP, WRC_LOOP)] + corpus.loopy_rmw_programs()
+        progs += [parse_program(text) for text in LOOPS] + corpus.loopy_rmw_programs()
         checked = 0
         for prog in progs:
             for contexts, rmws, cap in MEMO_BUDGETS:
-                settled = bounded_reach(prog, cfg(contexts, rmws, cap))
-                if settled.reachable:
-                    continue
-                shuffled = bounded_reach(prog, cfg(contexts, rmws, cap, seed=7))
-                assert (shuffled.status, shuffled.explored) == (settled.status, settled.explored), (prog, contexts, rmws, cap)
+                settled, placed = (search(s)(prog, cfg(contexts, rmws, cap)) for s in (True, False))
+                assert (placed.status, placed.explored, placed.witness and _runs(placed)) == (
+                    settled.status,
+                    settled.explored,
+                    settled.witness and _runs(settled),
+                ), (prog, contexts, rmws, cap)
                 checked += 1
-        assert checked == 422
+        assert checked == 660
 
-    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("settled", [False, True])
     @pytest.mark.parametrize(
         "contexts,cap,counters",
-        [
-            (3, 3, ((32, 27), (32, 27))),
-            (2, 4, ((49, 52), (49, 52))),
-            (3, 4, ((72, 89), (72, 89))),
-            (2, 5, ((77, 105), (77, 105))),
-            (3, 5, ((136, 223), (120, 196))),
-        ],
+        [(3, 3, (32, 27)), (2, 4, (49, 52)), (3, 4, (72, 89)), (2, 5, (77, 105)), (3, 5, (120, 196))],
     )
-    def test_update_that_spends_the_last_budget(self, contexts, cap, counters, memo):
-        # counters: (without the memo, with it); at 3 contexts and cap 5 the memo skips covered nodes
-        v = bounded_reach(parse_program(SPENDS_THE_BUDGET), cfg(contexts, 1, cap, memo=memo))
-        assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, *counters[memo])
-
-    @pytest.mark.parametrize("memo", [False, True])
-    @pytest.mark.parametrize("contexts,counters", [(2, (1055, 16)), (3, (11801, 20))])
-    def test_closing_context_budget(self, contexts, counters, memo):
-        # a child on the frame's level often opens the last run, so fewer threads may move than at its parent
-        v = bounded_reach(self.gadget, cfg(contexts, cap=4, memo=memo))
+    def test_update_that_spends_the_last_budget(self, contexts, cap, counters, settled):
+        v = search(settled)(parse_program(SPENDS_THE_BUDGET), cfg(contexts, 1, cap))
         assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, *counters)
 
-    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("settled", [False, True])
+    @pytest.mark.parametrize("contexts,counters", [(2, (1055, 16)), (3, (11801, 20))])
+    def test_closing_context_budget(self, contexts, counters, settled):
+        # a child on the frame's level often opens the last run, so fewer threads may move than at its parent
+        v = search(settled)(self.gadget, cfg(contexts, cap=4))
+        assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, *counters)
+
+    @pytest.mark.parametrize("settled", [False, True])
     @pytest.mark.parametrize("seed,prunes", [(0, (2, 2, 4, 20)), (7, (0, 0, 12, 20))])
-    def test_node_budget_trips_on_the_same_child(self, seed, prunes, memo):
+    def test_node_budget_trips_on_the_same_child(self, seed, prunes, settled):
         for max_nodes, pruned in zip((500, 1001, 23456, 46502), prunes):
-            v = bounded_reach(self.gadget, cfg(12, cap=4, seed=seed, memo=memo, max_nodes=max_nodes))
+            v = search(settled)(self.gadget, cfg(12, cap=4, seed=seed, max_nodes=max_nodes))
             assert (v.status, v.explored.visited, v.explored.prunes) == (ReachStatus.INCONCLUSIVE, max_nodes, pruned)
 
-    @pytest.mark.parametrize("memo", [False, True])
-    def test_child_that_finishes_the_last_thread_is_placed(self, memo):
+    @pytest.mark.parametrize("settled", [False, True])
+    def test_child_that_finishes_the_last_thread_is_placed(self, settled):
         # w x 1 first leads to q4, whose loop truncates at the cap; after w x 2 only t is unfinished,
         # and the child on the cap that finishes it is the hit
         prog = parse_program(
             "locs x\nvals 0 1 2\ninit x=0\nthread t init q0 final q2\n"
             "  q0 q1 w x 1\n  q1 q4 w x 1\n  q4 q4 w x 1\n  q0 q3 w x 2\n  q3 q2 w x 1\n"
         )
-        v = bounded_reach(prog, cfg(1, cap=2, memo=memo))
+        v = search(settled)(prog, cfg(1, cap=2))
         assert v.status is ReachStatus.REACHABLE
         assert v.explored.to_json() == {"visited": 5, "prunes": 2, "maxEvents": 2}
 

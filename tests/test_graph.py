@@ -253,7 +253,7 @@ class TestRoundTrip:
             self.assert_round_trips(g)
 
     def test_search_witnesses(self):
-        config = SearchConfig(ContextBudget(3, 1), 6, memo=True)
+        config = SearchConfig(ContextBudget(3, 1), 6)
         witnesses = [bounded_reach(prog, config).witness for prog in round_trip_programs()]
         assert sum(w is not None for w in witnesses) == 6
         for w in witnesses:
