@@ -284,12 +284,9 @@ def _cmd_pcp_witness(args) -> int:
         verdict = check_ra(trace.graph)
         if not verdict.consistent:
             raise AssertionError(f"witness fails {verdict.axiom and verdict.axiom.value} at {verdict.witness}")
-        skip = check_no_skipping(trace.graph)
-        if not skip.ok:
-            raise AssertionError(f"witness skips: {skip.violations[0]}")
-        mono = check_monotonicity(trace.graph)
-        if not mono.ok:
-            raise AssertionError(f"witness not monotone: {mono.violations[0]}")
+        for audit, fails in ((check_no_skipping, "skips"), (check_monotonicity, "not monotone")):
+            if not (report := audit(trace.graph)).ok:
+                raise AssertionError(f"witness {fails}: {report.violations[0]}")
     if args.dot:
         _emit(to_dot(trace.graph), args.dot)
     _emit(_json_text(trace_to_json(trace)), args.output)

@@ -122,17 +122,19 @@ the total and, for t0 and each thread its event touches (every thread
 after an update), adds the share now less the share in the table.  After a
 write, the threads listed on x include t0, which took such a label there.
 A child with no run left lets only t0 move, so its count is t0's share
-alone.  A branch shuffle, whose generator must draw as usual, and a count
-that would cross ``max_nodes`` (the search must trip on the same child)
-place the children too.  ``max_nodes`` bounds the nodes entered, covered
-ones included: a covered node is applied, keyed and undone without adding
-to ``visited``, and an uncapped loop can skip far more nodes than it
-expands.  The node past the budget ends the search as ``INCONCLUSIVE``,
-even at the small-model bound.
+alone.  A count that would cross ``max_nodes`` (the search must trip on
+the same child) places the children too.  ``max_nodes`` bounds the nodes
+entered, covered ones included: a covered node is applied, keyed and
+undone without adding to ``visited``, and an uncapped loop can skip far
+more nodes than it expands.  The node past the budget ends the search as
+``INCONCLUSIVE``, even at the small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
-reproducible shuffle (0 keeps the canonical order).
+reproducible shuffle (0 keeps the canonical order) of every frame above
+the cap's parents.  A frame one below the cap holds only leaves, never
+keyed and each visited or pruned wherever it stands, so it stays
+canonical, and settling never changes what the generator draws.
 """
 
 from __future__ import annotations
@@ -193,6 +195,7 @@ class SearchConfig:
 
     ``max_nodes`` caps the nodes entered, ``SearchStats.visited`` plus the
     covered ones skipped (module docstring); ``None`` leaves it unbounded.
+    A nonzero ``explore_order`` shuffles only the frames above the cap's parents.
     """
 
     budget: ContextBudget
@@ -529,11 +532,11 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
             if n >= cap:
                 truncated = truncated or bool(branches())  # a leaf only needs to know whether it cuts anything off
             # once truncated, a capped child that cannot hit matters only by its count
-            elif not (n + 1 == cap and truncated and flags["unfinished"] and rng is None and settle(table, rec)):
-                if n + 2 == cap and rng is None:
+            elif not (n + 1 == cap and truncated and settle(table, rec)):
+                if n + 2 == cap:
                     table = tabulate() if len(runs) < budget.contexts else None
                 out = branches()
-                if rng is not None:
+                if rng is not None and n + 1 < cap:  # a frame one below the cap keeps its leaves in canonical order
                     rng.shuffle(out)
                 children = iter(out)
         stack.append((children, rec))

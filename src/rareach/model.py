@@ -84,13 +84,13 @@ class Label:
 
     def __post_init__(self) -> None:
         if self.op.reads and self.val_r is None:
-            raise ValueError(f"{self.op} label needs val_r")
+            raise ValueError(f"{self.op.value} label needs val_r")
         if self.op.writes and self.val_w is None:
-            raise ValueError(f"{self.op} label needs val_w")
+            raise ValueError(f"{self.op.value} label needs val_w")
         if not self.op.reads and self.val_r is not None:
-            raise ValueError("write label cannot carry val_r")
+            raise ValueError(f"{self.op.value} label cannot carry val_r")
         if not self.op.writes and self.val_w is not None:
-            raise ValueError("read label cannot carry val_w")
+            raise ValueError(f"{self.op.value} label cannot carry val_w")
 
     @property
     def is_init(self) -> bool:

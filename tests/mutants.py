@@ -124,6 +124,19 @@ MUTANTS = {
         "if False:",
         "a frame whose one unfinished thread can step into its final state is settled, so its hit is counted, not found",
     ),
+    # the branch shuffle (explore_order): a frame one event below the cap keeps its canonical order and settles
+    "shuffle-capped-frames": Mutant(
+        DECIDER,
+        "if rng is not None and n + 1 < cap:",
+        "if rng is not None:",
+        "a seed shuffles the frames one event below the cap too, so settling them changes what the generator draws",
+    ),
+    "never-settle-under-shuffle": Mutant(
+        DECIDER,
+        "truncated and settle(table, rec)",
+        "truncated and rng is None and settle(table, rec)",
+        "a seeded search places every capped child instead of counting its settled frames",
+    ),
     # the memo's state key (state_key, and the tags apply records for it)
     "key-no-cut": Mutant(
         DECIDER,

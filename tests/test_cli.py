@@ -17,6 +17,7 @@ from rareach.consistency import Axiom, Verdict
 from rareach.decider import enumerate_graphs
 from rareach.graph import build_graph, graph_to_json, to_dot
 from rareach.model import INIT_TID, parse_program, read, serialize_program, write
+from rareach.pcp import AuditReport
 from rareach.reduction import small_model_bound
 from rareach.trace import ContextBudget, Run, load_trace_json, make_trace, trace_to_json
 
@@ -110,6 +111,13 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(g))
         assert code == 1
         assert json.loads(out) == {"status": "violation", "axiom": "read-coherence", "witness": [0, "b", "a"]}
+
+    def test_write_without_value(self, capsys, tmp_path):
+        blob = json.loads(dump_graph_json(corpus.twin_write_trace(2).graph))
+        next(ev for ev in blob["events"] if ev["op"] == "w" and ev["tid"] != INIT_TID)["valW"] = None
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(blob))
+        assert run(capsys, "check", str(g)) == (65, "", "ra-reach: error: bad graph JSON: w label needs val_w\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
@@ -698,6 +706,15 @@ class TestPcp:
         code, out, err = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check")
         assert (code, out) == (70, "")
         assert err == "ra-reach: internal error: witness fails irr-hb at (3,)\n"
+
+    @pytest.mark.parametrize("audit,fails", [("check_no_skipping", "skips"), ("check_monotonicity", "not monotone")])
+    def test_witness_audit_failure_names_the_first_violation(self, capsys, tmp_path, inst_file, monkeypatch, audit, fails):
+        monkeypatch.setattr(cli, audit, lambda g: AuditReport(False, ("first", "second")))
+        out = tmp_path / "w.json"
+        code, stdout, err = run(capsys, "pcp", "witness", inst_file, "--solution", "1,2", "--check", "-o", str(out))
+        assert (code, stdout) == (70, "")
+        assert err == f"ra-reach: internal error: witness {fails}: first\n"
+        assert not out.exists()
 
     def test_witness_check_survives_python_O(self, tmp_path, inst_file):
         out = tmp_path / "w.json"

@@ -1,6 +1,7 @@
 """Reachability: exhaustive enumeration vs the budgeted incremental search."""
 
 import functools
+import json
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from rareach.errors import GraphError
 from rareach.graph import build_graph, graph_to_json, reaches
 from rareach.model import final_vector, parse_program
 from rareach.pcp import compile_pcp, parse_pcp
-from rareach.trace import ContextBudget
+from rareach.trace import ContextBudget, trace_to_json
 
 from tests import corpus
 from tests.corpus import CORR_LOOP, LOOPS, MEMO_BUDGETS, MP_LOOP, WRC_LOOP, dump_graph_json
@@ -378,6 +379,14 @@ def _runs(v):
     return [(r.tid, r.events) for r in v.witness.runs]
 
 
+def _dump(v):
+    """A verdict's status, counters and witness as the bytes ``reach --json`` prints them."""
+    return json.dumps(
+        {"status": v.status.value, "stats": v.explored.to_json(), "witness": v.witness and trace_to_json(v.witness)},
+        sort_keys=True,
+    )
+
+
 class TestPinnedSeededMemo:
     """Seeded memo searches: counters and witnesses follow the shuffle order and the memo's records."""
 
@@ -505,16 +514,24 @@ thread b init b0 final b3
 """
 
 
-@functools.cache
-def unsettled_reach():
-    """``bounded_reach`` rebuilt from ``decider``'s source with ``settle`` never called, so every capped child is placed."""
+def rebuilt_reach(settle_call, **names):
+    """``bounded_reach`` rebuilt from ``decider``'s source with ``settle_call`` for its call of ``settle``.
+
+    ``names`` join the copy's module globals, so ``settle_call`` may use them.
+    """
     text = Path(decider.__file__).read_text()
     assert text.count("settle(table, rec))") == 1
-    ns = {"__name__": decider.__name__, "__package__": decider.__package__}
-    exec(compile(text.replace("settle(table, rec))", "False)"), decider.__file__, "exec"), ns)
+    ns = {"__name__": decider.__name__, "__package__": decider.__package__, **names}
+    exec(compile(text.replace("settle(table, rec))", f"{settle_call})"), decider.__file__, "exec"), ns)
     # it returns the library's own result types, so that its results compare equal to the library's
     ns.update({name: getattr(decider, name) for name in ("ReachStatus", "ReachVerdict", "SearchStats")})
     return ns["bounded_reach"]
+
+
+@functools.cache
+def unsettled_reach():
+    """``bounded_reach`` with ``settle`` never called, so every capped child is placed."""
+    return rebuilt_reach("False")
 
 
 def search(settled):
@@ -534,7 +551,8 @@ class TestSettledFrames:
 
     def test_settled_and_unsettled_paths_agree(self):
         # settling changes how children on the cap are counted, never what the memo keys (keys stop two events
-        # below the cap), so status, counters and witness all agree
+        # below the cap), so status, counters and witness all agree; under a seed too, since a frame one event
+        # below the cap is never shuffled, so settling it leaves the generator's draws as they were
         progs = [corpus.random_program(seed) for seed in range(80)]
         progs += [corpus.random_program(seed, rmw_prob=0.4) for seed in range(80)]
         progs += [parse_program(text) for text in LOOPS] + corpus.loopy_rmw_programs()
@@ -547,8 +565,22 @@ class TestSettledFrames:
                     settled.explored,
                     settled.witness and _runs(settled),
                 ), (prog, contexts, rmws, cap)
+                settled, placed = (_dump(search(s)(prog, cfg(contexts, rmws, cap, seed=7))) for s in (True, False))
+                assert placed == settled, (prog, contexts, rmws, cap)
                 checked += 1
         assert checked == 660
+
+    def test_seeded_search_settles(self):
+        # the shuffle leaves the frames one event below the cap alone, so a seeded search settles them too
+        settled = []
+
+        def tally(done):
+            settled.append(done)
+            return done
+
+        v = rebuilt_reach("tally(settle(table, rec))", tally=tally)(self.gadget, cfg(12, cap=4, seed=7))
+        assert v.explored.to_json() == {"visited": 46503, "prunes": 20, "maxEvents": 4}
+        assert any(settled)
 
     @pytest.mark.parametrize("settled", [False, True])
     @pytest.mark.parametrize(

@@ -51,6 +51,10 @@ class TestLabel:
             Label(Op.READ, "t", "x")
         with pytest.raises(ValueError):
             Label(Op.WRITE, "t", "x", val_r="1", val_w="1")
+        with pytest.raises(ValueError, match="^w label needs val_w$"):
+            Label(Op.WRITE, "t", "x")
+        with pytest.raises(ValueError, match="^r label cannot carry val_w$"):
+            Label(Op.READ, "t", "x", val_r="1", val_w="1")
 
     def test_str(self):
         assert str(rmw("t", "x", "0", "1")) == "t: rmw x 0 1"
