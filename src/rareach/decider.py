@@ -106,28 +106,32 @@ enabled labels never step it into its final state; that check ignores
 sources, insertion points and the update budget, so it may refuse a frame
 without a hit, whose children are then placed and counted alike.
 
-The count sums one share per thread that may move, and a thread's share
+The count sums one share per thread that may move: per enabled label the
+children that pass ``violates`` and those it cuts.  While no update is
+placed, a plain write's share is closed, ``len(row) - top`` kept and
+``top`` cut (``count`` checks it against ``violates`` clause by clause);
+other labels walk their sources and insertion points.  So a thread's share
 reads only its control subset and head, the rows of its enabled labels'
-locations and whether the update budget is spent.  The node's one event
-since its parent, of thread t0 on location x, changes only t0's subset and
-head, x's row if it writes, and the update count if it is an update.  So
-it leaves another thread's share as at the parent unless the event is an
-update (which may spend the budget) or writes x while that thread has an
-enabled label on x.  A node two events below the cap therefore builds a
-table on entry when a run is left to open (none otherwise): each thread's
-share, their total, and per location the threads with an enabled label on
-it.  A child one below the cap that still leaves a run to open was entered
-since its parent built the table (the walk is depth-first).  It starts from
-the total and, for t0 and each thread its event touches (every thread
-after an update), adds the share now less the share in the table.  After a
-write, the threads listed on x include t0, which took such a label there.
-A child with no run left lets only t0 move, so its count is t0's share
-alone.  A count that would cross ``max_nodes`` (the search must trip on
-the same child) places the children too.  ``max_nodes`` bounds the nodes
-entered, covered ones included: a covered node is applied, keyed and
-undone without adding to ``visited``, and an uncapped loop can skip far
-more nodes than it expands.  The node past the budget ends the search as
-``INCONCLUSIVE``, even at the small-model bound.
+locations and the update count.  The node's one event since its parent,
+of thread t0 on location x, changes only t0's subset and head, x's row if
+it writes, and the update count if it is an update.  So it leaves another
+thread's share as at the parent unless the event is an update or writes x
+while that thread has an enabled label on x.  A node two events below the
+cap therefore builds a table on entry when a run is left to open (none
+otherwise): each thread's share, their total, and per location the threads
+with an enabled label on it.  A child one below the cap that still leaves
+a run to open was entered since its parent built the table (the walk is
+depth-first).  It starts from the total and, for t0 and each thread its
+event touches (every thread after an update), adds the share now less the
+share in the table.  After a write, the threads listed on x include t0,
+which took such a label there.  A child with no run left lets only t0
+move, so its count is t0's share alone.  A count that would cross
+``max_nodes`` (the search must trip on the same child) places the children
+too.  ``max_nodes`` bounds the nodes entered, covered ones included: a
+covered node is applied, keyed and undone without adding to ``visited``,
+and an uncapped loop can skip far more nodes than it expands.  The node
+past the budget ends the search as ``INCONCLUSIVE``, even at the
+small-model bound.
 
 Branches are explored in a fixed sorted order, so verdicts, witnesses and
 statistics are deterministic; ``explore_order`` seeds an optional
@@ -391,15 +395,26 @@ def bounded_reach(program: Program, config: SearchConfig) -> ReachVerdict:
         return lab.op is Op.RMW and row[pos - 1] != src
 
     def count(t: str) -> tuple[int, int]:
-        """The children of ``t`` that pass the pruning check, and those it cuts."""
+        """The children of ``t`` that pass the pruning check, and those it cuts.
+
+        While no update is placed, a plain write keeps ``len(row) - top`` insertion points, as in ``violates``:
+        it reads no source and is no update, write coherence cuts exactly the ``top`` points at or below the
+        view, and no point wedges an update, since no row holds one.  Other labels walk ``violates``.
+        """
+        head, spent, plain = heads[t], flags["rmws"] >= budget.rmws, not flags["rmws"]
         kept = cut = 0
-        for lab, _, top, _, row, srcs, spots in options(t):
-            for w in srcs:
-                for pos in spots:
-                    if violates(lab, top, w, pos, row):
-                        cut += 1
-                    else:
-                        kept += 1
+        for lab, i, _ in forms[t][subsets[t]]:
+            op, row, top = lab.op, mo_rows[i], at[head[i]]
+            if op is Op.WRITE and plain:
+                kept += len(row) - top
+                cut += top
+            elif op is not Op.RMW or not spent:
+                for w in [w for w in row if events[w].val_w == lab.val_r] if op.reads else (None,):
+                    for pos in range(1, len(row) + 1) if op.writes else (None,):
+                        if violates(lab, top, w, pos, row):
+                            cut += 1
+                        else:
+                            kept += 1
         return kept, cut
 
     def tabulate() -> tuple:

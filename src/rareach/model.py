@@ -67,6 +67,8 @@ class Op(enum.Enum):
     def __repr__(self) -> str:  # keep witness dumps short
         return self.value
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hashes the name in Python
+
 
 @dataclass(frozen=True)
 class Label:
@@ -166,18 +168,19 @@ class Form(dict):
         self.bit = {q: 1 << k for k, q in enumerate(sorted(lts.states))}
         self.init, self.final = self.bit[lts.init], self.bit[lts.final]
         self._labels: dict[tuple, tuple[tuple, Label, int]] = {}  # label_key -> that key, label, location index
-        self._out: dict[int, dict[tuple, int]] = {}  # per state bit: label_key -> image mask
+        out: dict[int, dict[tuple, int]] = {}  # per state bit: label_key -> image mask
         for src, lab, dst in lts.transitions:
             key = self._labels.setdefault(k := label_key(lab), (k, lab, ix[lab.loc]))[0]  # one key object per label
-            row, bit = self._out.setdefault(self.bit[src], {}), self.bit[dst]
+            row, bit = out.setdefault(self.bit[src], {}), self.bit[dst]
             row[key] = row[key] | bit if key in row else bit
+        self._out = {b: tuple(row.items()) for b, row in out.items()}  # per state bit its (label_key, image) pairs
 
     def __missing__(self, mask: int) -> tuple[tuple[Label, int, int], ...]:
         images: dict[tuple, int] = {}
         rest = mask
         while rest:
             rest ^= (b := rest & -rest)  # b: the lowest state left
-            for key, image in self._out.get(b, {}).items():
+            for key, image in self._out.get(b, ()):
                 images[key] = images[key] | image if key in images else image
         found = self[mask] = tuple([(*self._labels[key][1:], images[key]) for key in sorted(images)])
         return found
@@ -321,7 +324,7 @@ def parse_program(text: str) -> Program:
     """Parse the text format described in the module docstring."""
     decl: dict[str, list[str]] = {}  # arguments of the locs, vals and init lines seen so far
     init_vals: dict[str, str] = {}
-    threads: dict[str, tuple[str, str, set[tuple[str, Label, str]]]] = {}  # tid -> init, final, transitions
+    threads: dict[str, tuple[str, str, dict[tuple, tuple[str, Label, str]]]] = {}  # tid -> init, final, transitions
     rows = None  # the transitions of the last thread line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split("#", 1)[0].split()
@@ -351,7 +354,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(f"line {lineno}: thread id {INIT_TID!r} is reserved")
             if tid in threads:
                 raise ParseError(f"line {lineno}: duplicate thread {tid!r}")
-            rows = set()
+            rows, labels = {}, {}  # keyed by tokens, one to one with labels: (src, dst, kind, loc, *vals), (kind, loc, *vals)
             threads[tid] = (args[2], args[4], rows)
         elif rows is None:
             raise ParseError(f"line {lineno}: transition outside a thread block")
@@ -359,15 +362,16 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"line {lineno}: expected 'src dst kind loc val(s)'")
         else:
             src, dst, kind, loc, *vs = toks
-            op = _KINDS.get(kind)
-            if op is None:
-                raise ParseError(f"line {lineno}: unknown action kind {kind!r}")
-            if len(vs) != (want := op.reads + op.writes):
-                raise ParseError(f"line {lineno}: {kind} lines take {want} value(s)")
-            row = (src, Label(op, tid, loc, vs[0] if op.reads else None, vs[-1] if op.writes else None), dst)
-            if row in rows:
+            if (lab := labels.get(key := tuple(toks[2:]))) is None:
+                op = _KINDS.get(kind)
+                if op is None:
+                    raise ParseError(f"line {lineno}: unknown action kind {kind!r}")
+                if len(vs) != (want := op.reads + op.writes):
+                    raise ParseError(f"line {lineno}: {kind} lines take {want} value(s)")
+                lab = labels[key] = Label(op, tid, loc, vs[0] if op.reads else None, vs[-1] if op.writes else None)
+            if (src, dst, key) in rows:
                 raise ParseError(f"line {lineno}: duplicate transition")
-            rows.add(row)
+            rows[src, dst, key] = (src, lab, dst)
 
     for head in ("locs", "vals"):
         if head not in decl:
@@ -383,7 +387,7 @@ def parse_program(text: str) -> Program:
             init_vals[loc] = "0"
     try:
         return Program(
-            threads={tid: Lts(init, final, frozenset(rows)) for tid, (init, final, rows) in threads.items()},
+            threads={tid: Lts(init, final, frozenset(rows.values())) for tid, (init, final, rows) in threads.items()},
             locs=frozenset(locs),
             vals=frozenset(vals),
             init_vals=init_vals,
